@@ -169,6 +169,8 @@ def cmd_cells(args):
 
 
 def cmd_verify(args):
+    if args.degree < 0:
+        raise UsageError(f"--degree must be nonnegative, got {args.degree}")
     if args.suite != "all" and args.suite not in suites.SUITE_NAMES:
         raise UsageError(
             "unknown suite %r (expected %s or 'all')"

@@ -16,6 +16,7 @@ that identity coefficient by coefficient.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .charseries import CharSeries, LaurentPoly, geometric_inverse
@@ -26,7 +27,15 @@ from .kostant import (
     lusztig_kostant_poly,
 )
 from .reports import FAIL, PASS, THEOREM, Entry, Report
-from .rootdata import dim_flag, height, positive_coroots, two_rho, weyl_poincare
+from .rootdata import (
+    ResourceCapError,
+    dim_flag,
+    height,
+    positive_coroots,
+    two_rho,
+    vectors_up_to,
+    weyl_poincare,
+)
 
 
 def iter_subvectors(alpha):
@@ -60,6 +69,8 @@ def laumon_poincare(alpha, cap=DEFAULT_WEIGHT_CAP, method="strata"):
     method="strata" sums stratum_poincare_compact over every defect
     type; method="aggregated" groups the defects of weight gamma by
     summand count via the partition-count DP.  The two must agree.
+    Each (alpha, method) is computed once per process; the cap is
+    checked on every call.
 
     >>> laumon_poincare((1,)).pretty()
     '1 + t + t^2 + t^3'
@@ -67,7 +78,19 @@ def laumon_poincare(alpha, cap=DEFAULT_WEIGHT_CAP, method="strata"):
     '1 + 2*t + 3*t^2 + 3*t^3 + 2*t^4 + t^5'
     """
     alpha = tuple(alpha)
+    if height(alpha) > cap:
+        raise ResourceCapError(
+            f"|alpha| = {height(alpha)} exceeds enumeration cap {cap}"
+        )
+    if method not in ("strata", "aggregated"):
+        raise ValueError(f"unknown method {method!r}")
+    return _laumon_poincare(alpha, method)
+
+
+@lru_cache(maxsize=None)
+def _laumon_poincare(alpha, method):
     n = len(alpha) + 1
+    cap = height(alpha)  # every weight below is <= alpha; the caller checked |alpha|
     d = dim_flag(n) + 2 * height(alpha)
     winv = weyl_poincare(n).negate_exponents()
     total = LaurentPoly.zero()
@@ -75,15 +98,13 @@ def laumon_poincare(alpha, cap=DEFAULT_WEIGHT_CAP, method="strata"):
         for gamma in iter_subvectors(alpha):
             for kappa in kostant_partitions(gamma, cap=cap):
                 total = total + stratum_poincare_compact(n, alpha, kappa, cap=cap)
-    elif method == "aggregated":
+    else:
         for gamma in iter_subvectors(alpha):
             rest = tuple(a - g for a, g in zip(alpha, gamma))
             kinv = lusztig_kostant_poly(rest, cap=cap).negate_exponents()
             for k, count in sorted(kostant_count_profile(gamma).items()):
                 lead = d - height(gamma) - k
                 total = total + (kinv * winv).shift(2 * lead) * count
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return total
 
 
@@ -121,13 +142,7 @@ def verify_generating_function(n, bound, cap=DEFAULT_WEIGHT_CAP):
     rho2 = two_rho(n)
     closed = generating_function(n, bound)
     entries = []
-    alpha_cap = bound - height(rho2)
-    alphas = [
-        a
-        for a in iproduct(*[range(alpha_cap + 1)] * (n - 1))
-        if sum(a) <= alpha_cap
-    ]
-    for alpha in sorted(alphas, key=lambda a: (sum(a), a)):
+    for alpha in vectors_up_to(n - 1, bound - height(rho2)):
         lhs = closed.coefficient(tuple(x + y for x, y in zip(alpha, rho2)))
         rhs = shifted_poincare(alpha, cap=max(cap, sum(alpha)))
         ok = lhs == rhs

@@ -128,7 +128,8 @@ def _check_cap(gamma, cap):
 def kostant_partitions(gamma, cap=DEFAULT_WEIGHT_CAP):
     """All Kostant partitions of gamma, lexicographic in the multiplicity vector.
 
-    gamma is a coroot vector for rank n = len(gamma) + 1.
+    gamma is a coroot vector for rank n = len(gamma) + 1.  The
+    enumeration runs once per gamma; every call returns a fresh list.
 
     >>> [kappa.intervals() for kappa in kostant_partitions((1, 1))]
     [[(1, 2)], [(1, 1), (2, 2)]]
@@ -139,6 +140,11 @@ def kostant_partitions(gamma, cap=DEFAULT_WEIGHT_CAP):
     if any(a < 0 for a in gamma):
         raise ValueError("gamma must have nonnegative coordinates")
     _check_cap(gamma, cap)
+    return list(_enumerate_partitions(gamma))
+
+
+@lru_cache(maxsize=None)
+def _enumerate_partitions(gamma):
     n = len(gamma) + 1
     intervals = coroot_intervals(n)
     results = []
@@ -161,7 +167,7 @@ def kostant_partitions(gamma, cap=DEFAULT_WEIGHT_CAP):
         mults[idx] = 0
 
     descend(0, list(gamma))
-    return results
+    return tuple(results)
 
 
 @lru_cache(maxsize=None)

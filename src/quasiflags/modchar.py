@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import factorial
 
 from .charseries import CharSeries, LaurentPoly, geometric_inverse
-from .cohomology import generating_function, iter_subvectors, laumon_poincare
+from .cohomology import generating_function, laumon_poincare
 from .reports import (
     CONJECTURE_CONSISTENCY,
     FAIL,
@@ -29,7 +29,7 @@ from .reports import (
     Entry,
     Report,
 )
-from .rootdata import height, positive_coroots, two_rho
+from .rootdata import height, positive_coroots, two_rho, vectors_up_to
 
 
 def _character_series(n, bound, denominator_power):
@@ -53,22 +53,13 @@ def verma_multiplicity_series(n, bound):
     return _character_series(n, bound, 1)
 
 
-def _alpha_range(n, bound):
-    rho2 = two_rho(n)
-    cap = bound - height(rho2)
-    if cap < 0:
-        return []
-    alphas = [a for a in iter_subvectors((cap,) * (n - 1)) if sum(a) <= cap]
-    return sorted(alphas, key=lambda a: (sum(a), a))
-
-
 def weight_space_check(n, bound):
     """Character coefficient = Poincare value at t=1 = genfunc value at q=1."""
     rho2 = two_rho(n)
     char = module_character(n, bound)
     closed = generating_function(n, bound)
     entries = []
-    for alpha in _alpha_range(n, bound):
+    for alpha in vectors_up_to(n - 1, bound - height(rho2)):
         weight = tuple(a + r for a, r in zip(alpha, rho2))
         from_char = char.coefficient(weight)
         assert from_char.is_zero() or set(from_char.terms) == {0}

@@ -7,13 +7,12 @@ characters, freeness.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
 from math import factorial
 
 from . import cells, cohomology, modchar, quiverfilt
 from .kostant import kostant_partitions
 from .reports import FAIL, PASS, THEOREM, Entry, Report
-from .rootdata import height, two_rho
+from .rootdata import height, two_rho, vectors_up_to
 
 SUITE_NAMES = (
     "genfunc",
@@ -33,13 +32,6 @@ def _alpha_cap(n, degree):
     return max(degree - height(two_rho(n)), -1)
 
 
-def _alphas_up_to(n, cap):
-    if cap < 0:
-        return []
-    vecs = [a for a in iproduct(*[range(cap + 1)] * (n - 1)) if sum(a) <= cap]
-    return sorted(vecs, key=lambda a: (sum(a), a))
-
-
 def run_genfunc(n, degree, cap=12):
     return cohomology.verify_generating_function(n, degree, cap=cap)
 
@@ -48,7 +40,7 @@ def run_euler(n, degree=None, alpha_cap=None, cap=12):
     if alpha_cap is None:
         alpha_cap = _alpha_cap(n, degree)
     entries = []
-    for alpha in _alphas_up_to(n, alpha_cap):
+    for alpha in vectors_up_to(n - 1, alpha_cap):
         entries.extend(cells.euler_check(n, alpha, cap=max(cap, sum(alpha))).entries)
     return Report(
         name="euler", params={"n": n, "alpha_cap": alpha_cap}, entries=entries
@@ -59,7 +51,7 @@ def run_celldim(n, degree=None, alpha_cap=None, cap=12):
     if alpha_cap is None:
         alpha_cap = _alpha_cap(n, degree)
     entries = []
-    for alpha in _alphas_up_to(n, alpha_cap):
+    for alpha in vectors_up_to(n - 1, alpha_cap):
         entries.extend(
             cells.cell_dimension_conjecture_check(
                 n, alpha, cap=max(cap, sum(alpha))
@@ -158,7 +150,7 @@ def run_commute(n, alpha_cap=6, cap=8, **_):
         [2 if r == c else (-1 if abs(r - c) == 1 else 0) for c in range(n - 1)]
         for r in range(n - 1)
     ]
-    for alpha in _alphas_up_to(n, alpha_cap):
+    for alpha in vectors_up_to(n - 1, alpha_cap):
         coords = tuple(a + r for a, r in zip(alpha, rho2))
         for i in range(1, n):
             got = quiverfilt.commutator_constant(i, alpha)
@@ -174,19 +166,6 @@ def run_commute(n, alpha_cap=6, cap=8, **_):
     return Report(
         name="commute", params={"n": n, "alpha_cap": alpha_cap}, entries=entries
     )
-
-
-def _exponent_vectors(num, max_total):
-    def compositions(slots, total):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(slots - 1, total - first):
-                yield (first,) + rest
-
-    for total in range(max_total + 1):
-        yield from compositions(num, total)
 
 
 def _label_partition(n, intervals):
@@ -208,7 +187,7 @@ def run_pbw(n, max_total=PBW_MAX_TOTAL, cap=12, **_):
         ("by_upper_end", quiverfilt.alternative_coroot_order(n)),
     )
     for order_name, order in orders:
-        for c in _exponent_vectors(len(order), max_total):
+        for c in vectors_up_to(len(order), max_total):
             gamma = [0] * (n - 1)
             for mult, (q, p) in zip(c, order):
                 for v in range(q, p + 1):

@@ -8,7 +8,6 @@ import json
 import subprocess
 import sys
 import time
-from itertools import product
 
 import pytest
 
@@ -38,8 +37,8 @@ from quasiflags.quiverfilt import (
     TorsionRep,
 )
 from quasiflags.reports import CONJECTURE, CONJECTURE_CONSISTENCY
-from quasiflags.rootdata import dim_flag, height, two_rho
-from quasiflags.suites import _exponent_vectors, run_celldim, run_euler
+from quasiflags.rootdata import dim_flag, height, two_rho, vectors_up_to
+from quasiflags.suites import run_celldim, run_euler
 
 GENFUNC_RANGES = [(2, 8), (3, 6), (4, 3)]  # (n, max |alpha|)
 
@@ -50,7 +49,7 @@ def record(number, label, ok):
 
 
 def alphas_up_to(n, cap):
-    return [a for a in product(range(cap + 1), repeat=n - 1) if sum(a) <= cap]
+    return list(vectors_up_to(n - 1, cap))
 
 
 def test_criterion_1_generating_function_identity():
@@ -148,7 +147,7 @@ def test_criterion_7_pbw_divided_power_multiplicities():
     ok = True
     for n in (2, 3, 4):
         order = canonical_coroot_order(n)
-        for c in _exponent_vectors(len(order), 4):
+        for c in vectors_up_to(len(order), 4):
             gamma = [0] * (n - 1)
             for mult, (q, p) in zip(c, order):
                 for v in range(q, p + 1):

@@ -2,18 +2,29 @@
 
 import math
 
+import pytest
+
 from quasiflags.cells import (
     Cell,
     cell_dimension_conjecture_check,
+    cell_dimension_poly,
     conjectured_dim,
+    count_cells,
     enumerate_cells,
     euler_check,
     fixed_point_datum,
 )
+from quasiflags.charseries import LaurentPoly
 from quasiflags.cohomology import iter_subvectors, laumon_poincare
 from quasiflags.kostant import KostantPartition, kostant_partitions
 from quasiflags.reports import CONJECTURE, THEOREM
-from quasiflags.rootdata import dim_flag, height, weyl_elements
+from quasiflags.rootdata import (
+    ResourceCapError,
+    dim_flag,
+    height,
+    vectors_up_to,
+    weyl_elements,
+)
 
 
 def brute_cell_count(n, alpha):
@@ -23,6 +34,15 @@ def brute_cell_count(n, alpha):
         rest = tuple(a - g for a, g in zip(alpha, gamma0))
         total += len(kostant_partitions(gamma0)) * len(kostant_partitions(rest))
     return math.factorial(n) * total
+
+
+def enumerated_dim_poly(n, alpha):
+    """Oracle: sum of t^conjectured_dim over the enumerated cells."""
+    dims = {}
+    for cell in enumerate_cells(n, alpha):
+        d = conjectured_dim(cell)
+        dims[2 * d] = dims.get(2 * d, 0) + 1
+    return LaurentPoly(dims)
 
 
 def test_cell_counts_examples():
@@ -113,10 +133,19 @@ def test_celldim_alpha_zero_reduces_to_weyl_lengths():
     # only empty partitions remain; the statistic degenerates to l(w)
     from quasiflags.rootdata import weyl_poincare
 
-    dims = {}
-    for cell in enumerate_cells(3, (0, 0)):
-        d = conjectured_dim(cell)
-        dims[2 * d] = dims.get(2 * d, 0) + 1
-    from quasiflags.charseries import LaurentPoly
+    assert enumerated_dim_poly(3, (0, 0)) == weyl_poincare(3)
 
-    assert LaurentPoly(dims) == weyl_poincare(3)
+
+@pytest.mark.parametrize("n,alpha_cap", [(2, 4), (3, 6), (4, 4)])
+def test_factored_cell_sums_match_enumerated_cells(n, alpha_cap):
+    for alpha in vectors_up_to(n - 1, alpha_cap):
+        assert count_cells(n, alpha) == len(enumerate_cells(n, alpha))
+        assert cell_dimension_poly(n, alpha) == enumerated_dim_poly(n, alpha)
+
+
+def test_factored_cell_sums_keep_validation_and_cap():
+    for check in (count_cells, cell_dimension_poly, euler_check):
+        with pytest.raises(ValueError):
+            check(3, (1,))
+        with pytest.raises(ResourceCapError):
+            check(3, (3, 3), cap=5)

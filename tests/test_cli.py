@@ -127,6 +127,13 @@ def test_verify_unknown_suite_is_usage_error():
     assert code == 2
 
 
+def test_verify_negative_degree_is_usage_error(capsys):
+    code, out = run_cli(["verify", "--n", "2", "--degree", "-3"])
+    assert code == 2
+    assert out == ""
+    assert "--degree must be nonnegative" in capsys.readouterr().err
+
+
 def test_bad_alpha_length_is_usage_error():
     code, _ = run_cli(["poincare", "--n", "3", "--alpha", "1"])
     assert code == 2

@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from quasiflags import charseries, cohomology, kostant, quiverfilt
+from quasiflags import charseries, cohomology, kostant, quiverfilt, rootdata
 
 
-@pytest.mark.parametrize("module", [charseries, cohomology, kostant, quiverfilt])
+@pytest.mark.parametrize("module", [charseries, cohomology, kostant, quiverfilt, rootdata])
 def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from quasiflags.charseries import LaurentPoly
+from quasiflags.cohomology import laumon_poincare
 from quasiflags.kostant import (
     KostantPartition,
     kostant_count,
@@ -69,6 +70,32 @@ def test_enumeration_cap():
     with pytest.raises(ResourceCapError):
         kostant_partitions((13,))
     assert len(kostant_partitions((13,), cap=13)) == 1
+
+
+def test_warm_enumeration_still_checks_cap_and_input():
+    assert len(kostant_partitions((6,), cap=12)) == 1
+    with pytest.raises(ResourceCapError):
+        kostant_partitions((6,), cap=5)
+    with pytest.raises(ValueError):
+        kostant_partitions((1, -1))
+
+
+def test_returned_partition_list_is_a_fresh_copy():
+    first = kostant_partitions((2, 2))
+    expected = list(first)
+    first.clear()
+    first.append(KostantPartition.empty(3))
+    assert kostant_partitions((2, 2)) == expected
+    assert kostant_partitions((2, 2)) is not kostant_partitions((2, 2))
+
+
+def test_warm_poincare_cache_still_checks_cap():
+    for method in ("strata", "aggregated"):
+        laumon_poincare((3, 3), cap=12, method=method)
+        with pytest.raises(ResourceCapError):
+            laumon_poincare((3, 3), cap=5, method=method)
+        # exactly at the cap is allowed, as for the enumeration
+        assert laumon_poincare((3, 3), cap=6, method=method).eval_at_one() > 0
 
 
 def test_stats():

@@ -217,10 +217,10 @@ def test_pbw_expected_oracle():
 @pytest.mark.parametrize("n", [2, 3])
 def test_pbw_diagonal_and_off_diagonal(n):
     from quasiflags.kostant import kostant_partitions
-    from quasiflags.suites import _exponent_vectors
+    from quasiflags.rootdata import vectors_up_to
 
     order = canonical_coroot_order(n)
-    for c in _exponent_vectors(len(order), 3):
+    for c in vectors_up_to(len(order), 3):
         gamma = [0] * (n - 1)
         for mult, (q, p) in zip(c, order):
             for v in range(q, p + 1):

@@ -1,5 +1,7 @@
 """Root-system data: coroots, 2rho, Cartan pairing, Weyl length polynomial."""
 
+from itertools import product
+
 import pytest
 
 from quasiflags.charseries import LaurentPoly
@@ -13,6 +15,7 @@ from quasiflags.rootdata import (
     pairing,
     positive_coroots,
     two_rho,
+    vectors_up_to,
     weyl_elements,
     weyl_poincare,
 )
@@ -156,3 +159,13 @@ def test_weyl_element_is_frozen():
     assert w == WeylElement(perm=(1, 2), length=0)
     with pytest.raises(AttributeError):
         w.length = 5
+
+
+@pytest.mark.parametrize("length,cap", [(1, 5), (2, 4), (3, 3), (4, 2), (6, 4)])
+def test_vectors_up_to_matches_filtered_product(length, cap):
+    brute = [v for v in product(range(cap + 1), repeat=length) if sum(v) <= cap]
+    assert list(vectors_up_to(length, cap)) == sorted(brute, key=lambda v: (sum(v), v))
+
+
+def test_vectors_up_to_negative_cap_is_empty():
+    assert list(vectors_up_to(3, -1)) == []
