@@ -42,6 +42,7 @@ from .quiverfilt import (
     TorsionRep,
     commutator_constant,
     count_filtrations,
+    filtration_counts,
     pbw_multiplicity,
     serre_alternating_sum,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "count_filtrations",
     "enumerate_cells",
     "euler_check",
+    "filtration_counts",
     "fixed_point_datum",
     "freeness_consistency_check",
     "generating_function",

@@ -3,8 +3,8 @@
 All commands print one machine-readable document to stdout (json by
 default; csv and latex render the same rows).  Identical invocations
 produce byte-identical output.  Exit codes: 0 ok, 1 a theorem identity
-failed, 2 usage error, 3 only conjecture-level checks failed (without
---strict).
+failed, 2 usage error (including a verify run with nothing to check),
+3 only conjecture-level checks failed (without --strict).
 """
 
 from __future__ import annotations
@@ -179,6 +179,11 @@ def cmd_verify(args):
     reports = suites.run_suites(
         args.n, args.degree, suite=args.suite, cap=args.cap
     )
+    if not any(r.entries for r in reports):
+        raise UsageError(
+            f"suite {args.suite!r} has nothing to check at n={args.n}, "
+            f"degree={args.degree}"
+        )
     code = suites.exit_code(reports, strict=args.strict)
     doc = {
         "command": "verify",

@@ -52,10 +52,11 @@ def stratum_poincare_compact(n, alpha, kappa, cap=DEFAULT_WEIGHT_CAP):
            * K_{alpha - |kappa|}(1/t) * W_n(1/t).
     """
     alpha = tuple(alpha)
-    rest = tuple(a - g for a, g in zip(alpha, kappa.weight()))
+    weight = kappa.weight()
+    rest = tuple(a - g for a, g in zip(alpha, weight))
     if any(c < 0 for c in rest):
         raise ValueError("stratum requires |kappa| <= alpha coordinatewise")
-    lead = dim_flag(n) + 2 * height(alpha) - kappa.norm() - kappa.num_summands()
+    lead = dim_flag(n) + 2 * height(alpha) - height(weight) - kappa.num_summands()
     poly = (
         lusztig_kostant_poly(rest, cap=cap).negate_exponents()
         * weyl_poincare(n).negate_exponents()

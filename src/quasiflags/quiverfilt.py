@@ -18,9 +18,9 @@ The count is computed two independent ways:
     of prescribed codimension are enumerated as kernels of functionals,
     with arrow-stability and quotient-isomorphism checked on matrices.
 
-If the two field counts differ the chain family is positive-dimensional
-and NOT_RIGID is returned (a result, not an error).  When the symbolic
-route produces a number it must agree with the brute force.
+filtration_counts returns all three counts.  count_filtrations returns
+NOT_RIGID (a result, not an error) when the two field counts differ, as
+the family is then positive-dimensional; a symbolic number must agree.
 """
 
 from __future__ import annotations
@@ -351,6 +351,28 @@ def count_filtrations_bruteforce(rep, steps, p):
 # combined interface
 
 
+def filtration_counts(rep, steps, cap=DEFAULT_DIMENSION_CAP):
+    """The three independent routes: (symbolic, F_2 count, F_3 count).
+
+    The one entry point to the routes.  It validates the steps and the
+    dimension cap, and never raises when the routes disagree; the
+    symbolic count is None where it abstains.
+
+    >>> same_point = TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")])
+    >>> filtration_counts(same_point, [(1, 1), (1, 1)])
+    (None, 3, 4)
+    """
+    steps = tuple((int(q), int(p)) for q, p in steps)
+    _validate_steps(rep, steps)
+    total_dim = sum(rep.dimension())
+    if total_dim > cap:
+        raise ResourceCapError(
+            f"total dimension {total_dim} exceeds brute-force cap {cap}"
+        )
+    f2, f3 = (count_filtrations_bruteforce(rep, steps, p) for p in BRUTE_FORCE_FIELDS)
+    return count_filtrations_symbolic(rep, steps), f2, f3
+
+
 def count_filtrations(rep, steps, cap=DEFAULT_DIMENSION_CAP):
     """Field-independent chain count, or NOT_RIGID.
 
@@ -366,22 +388,14 @@ def count_filtrations(rep, steps, cap=DEFAULT_DIMENSION_CAP):
     >>> count_filtrations(same_point, [(1, 1), (1, 1)])
     NOT_RIGID
     """
-    steps = tuple((int(q), int(p)) for q, p in steps)
-    _validate_steps(rep, steps)
-    total_dim = sum(rep.dimension())
-    if total_dim > cap:
-        raise ResourceCapError(
-            f"total dimension {total_dim} exceeds brute-force cap {cap}"
-        )
-    counts = [count_filtrations_bruteforce(rep, steps, p) for p in BRUTE_FORCE_FIELDS]
-    if len(set(counts)) != 1:
+    symbolic, f2, f3 = filtration_counts(rep, steps, cap=cap)
+    if f2 != f3:
         return NOT_RIGID
-    symbolic = count_filtrations_symbolic(rep, steps)
-    if symbolic is not None and symbolic != counts[0]:
+    if symbolic is not None and symbolic != f2:
         raise AssertionError(
-            f"symbolic count {symbolic} disagrees with brute force {counts[0]}"
+            f"symbolic count {symbolic} disagrees with brute force {f2}"
         )
-    return counts[0]
+    return f2
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +415,20 @@ def serre_extension_shape(n, i, j, labels=("x", "y")):
     return TorsionRep.of(n, [((lo, hi), x), ((i, i), y)])
 
 
+SERRE_ARRANGEMENTS = ("iij", "iji", "jii")
+
+
+def serre_steps(i, j):
+    """(arrangement, steps) for each of SERRE_ARRANGEMENTS, in that order."""
+    return [
+        (label, [simple_step(i if c == "i" else j) for c in label])
+        for label in SERRE_ARRANGEMENTS
+    ]
+
+
 def serre_type_counts(i, j, rep, cap=DEFAULT_DIMENSION_CAP):
     """Counts for the three arrangements ((i,i,j), (i,j,i), (j,i,i))."""
-    out = []
-    for ty in ((i, i, j), (i, j, i), (j, i, i)):
-        out.append(count_filtrations(rep, [simple_step(k) for k in ty], cap=cap))
-    return tuple(out)
+    return tuple(count_filtrations(rep, steps, cap=cap) for _, steps in serre_steps(i, j))
 
 
 def serre_alternating_sum(i, j, rep, cap=DEFAULT_DIMENSION_CAP):

@@ -134,6 +134,59 @@ def test_verify_negative_degree_is_usage_error(capsys):
     assert "--degree must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "n, degree, suite",
+    [(3, 3, "euler"), (9, 40, "euler"), (2, 5, "serre")],
+)
+def test_verify_with_nothing_to_check_is_usage_error(capsys, n, degree, suite):
+    # euler: degree below |2rho| leaves no alpha; serre: n=2 has no adjacent pair
+    code, out = run_cli(["verify", "--n", str(n), "--degree", str(degree), "--suite", suite])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _route_counts(suite, entry):
+    """The {"symbolic", "f2", "f3"} counts recorded in one failing entry."""
+    if suite == "serre":
+        return list(entry["details"]["routes"].values())
+    if suite == "commute":
+        return list(entry["details"].values())
+    return [
+        {"symbolic": c["symbolic"], "f2": c["count"], "f3": c.get("f3", c["count"])}
+        for c in entry["details"]["cases"]
+    ]
+
+
+@pytest.mark.parametrize("route", ["symbolic", "f3"])
+@pytest.mark.parametrize("suite", ["serre", "pbw", "commute"])
+def test_route_disagreement_is_a_theorem_fail(monkeypatch, suite, route):
+    from quasiflags import quiverfilt
+
+    symbolic = quiverfilt.count_filtrations_symbolic
+    bruteforce = quiverfilt.count_filtrations_bruteforce
+
+    def symbolic_off_by_one(rep, steps):
+        count = symbolic(rep, steps)
+        return None if count is None else count + 1
+
+    def f3_off_by_one(rep, steps, p):
+        return bruteforce(rep, steps, p) + (p == 3)
+
+    if route == "symbolic":
+        monkeypatch.setattr(quiverfilt, "count_filtrations_symbolic", symbolic_off_by_one)
+    else:
+        monkeypatch.setattr(quiverfilt, "count_filtrations_bruteforce", f3_off_by_one)
+    code, doc = run_json(["verify", "--n", "4", "--degree", "10", "--suite", suite])
+    assert code == 1
+    assert doc["summary"]["status"] == "FAIL"
+    failed = [e for e in doc["suites"][0]["entries"] if e["status"] == FAIL]
+    assert failed and all(e["category"] == THEOREM for e in failed)
+    for entry in failed:
+        # both sides of the disagreement are in the entry
+        assert any(r[route] == r["f2"] + 1 for r in _route_counts(suite, entry))
+
+
 def test_bad_alpha_length_is_usage_error():
     code, _ = run_cli(["poincare", "--n", "3", "--alpha", "1"])
     assert code == 2

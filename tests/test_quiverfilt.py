@@ -1,7 +1,7 @@
 """Filtration counting: spec'd multiplicities, rigidity, dual-route agreement."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasiflags.quiverfilt import (
@@ -13,6 +13,7 @@ from quasiflags.quiverfilt import (
     count_filtrations,
     count_filtrations_bruteforce,
     count_filtrations_symbolic,
+    filtration_counts,
     is_rigid,
     pbw_expected,
     pbw_multiplicity,
@@ -129,6 +130,8 @@ def test_dimension_cap():
     )  # total dimension 5
     with pytest.raises(ResourceCapError):
         count_filtrations(rep, [(1, 1)] * 5, cap=4)
+    with pytest.raises(ResourceCapError):
+        filtration_counts(rep, [(1, 1)] * 5, cap=4)
     assert count_filtrations(rep, [(1, 1)] * 5, cap=5) == 120  # 5!
 
 
@@ -149,11 +152,18 @@ def interval_strategy(n):
 
 
 @st.composite
-def distinct_point_configurations(draw, n=4, max_summands=3):
-    """A rep with one interval per point, plus a valid random step list."""
+def point_configurations(draw, n=4, max_summands=3, shared_point=False):
+    """A rep with one interval per point, plus a valid random step list.
+
+    With shared_point, the first two summands may sit at one point, so
+    that NOT_RIGID cases are drawn too.
+    """
     count = draw(st.integers(min_value=1, max_value=max_summands))
     intervals = [draw(interval_strategy(n)) for _ in range(count)]
-    rep = TorsionRep.of(n, [(iv, f"p{k}") for k, iv in enumerate(intervals)])
+    labels = [f"p{k}" for k in range(count)]
+    if shared_point and count >= 2 and draw(st.booleans()):
+        labels[1] = labels[0]
+    rep = TorsionRep.of(n, list(zip(intervals, labels)))
     # cut each summand into consecutive pieces, then interleave them
     pieces = []
     for q, p in intervals:
@@ -174,7 +184,7 @@ def distinct_point_configurations(draw, n=4, max_summands=3):
     return rep, list(steps)
 
 
-@given(distinct_point_configurations())
+@given(point_configurations())
 @settings(max_examples=60, deadline=None)
 def test_distinct_points_are_always_rigid(case):
     # counts over F_2 and F_3 coincide and the symbolic route never abstains
@@ -185,6 +195,24 @@ def test_distinct_points_are_always_rigid(case):
     assert sym is not None
     assert sym == f2 == f3
     assert is_rigid(count_filtrations(rep, steps, cap=12))
+
+
+@given(point_configurations(shared_point=True))
+@example((TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")]), [(1, 1), (1, 1)]))
+@settings(max_examples=60, deadline=None)
+def test_filtration_counts_is_the_three_routes(case):
+    # one entry point, the same numbers as the routes called one by one,
+    # and count_filtrations decides on top of them
+    rep, steps = case
+    counts = filtration_counts(rep, steps, cap=12)
+    assert counts == three_routes(rep, steps)
+    sym, f2, f3 = counts
+    result = count_filtrations(rep, steps, cap=12)
+    if f2 != f3:
+        assert result is NOT_RIGID
+    else:
+        assert result == f2
+        assert sym in (None, f2)
 
 
 # --- PBW multiplicities ----------------------------------------------------
