@@ -15,13 +15,19 @@ empirically and reports in the CONJECTURE category.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .charseries import LaurentPoly
 from .cohomology import iter_subvectors, laumon_poincare
-from .kostant import DEFAULT_WEIGHT_CAP, KostantPartition, kostant_partitions
+from .kostant import (
+    DEFAULT_WEIGHT_CAP,
+    KostantPartition,
+    enumerated_profile,
+    kostant_partitions,
+)
 from .reports import CONJECTURE, FAIL, PASS, THEOREM, Entry, Report
-from .rootdata import WeylElement, dim_flag, height, weyl_elements
+from .rootdata import WeylElement, height, weyl_elements
 
 
 @dataclass(frozen=True)
@@ -47,16 +53,13 @@ class FixedPointDatum:
     dInf: dict
 
 
-def _splits(n, alpha, cap):
-    """(partitions of gamma0, partitions of alpha - gamma0) for every gamma0 <= alpha."""
+def _splits(n, alpha, cap, per_weight=kostant_partitions):
+    """(per_weight(gamma0), per_weight(alpha - gamma0)) for every gamma0 <= alpha."""
     if len(alpha) != n - 1:
         raise ValueError(f"alpha must have length {n - 1}")
     for gamma0 in iter_subvectors(alpha):
         gammaInf = tuple(a - g for a, g in zip(alpha, gamma0))
-        yield (
-            kostant_partitions(gamma0, cap=cap),
-            kostant_partitions(gammaInf, cap=cap),
-        )
+        yield per_weight(gamma0, cap=cap), per_weight(gammaInf, cap=cap)
 
 
 def enumerate_cells(n, alpha, cap=DEFAULT_WEIGHT_CAP):
@@ -99,31 +102,26 @@ def count_cells(n, alpha, cap=DEFAULT_WEIGHT_CAP):
     The cells are the product set W x {(kappa0, kappaInf)}, so they
     number |W| times the sum over the splits of the two partition counts.
     """
-    pairs = sum(len(p0) * len(pInf) for p0, pInf in _splits(n, tuple(alpha), cap))
+    splits = _splits(n, tuple(alpha), cap, enumerated_profile)
+    pairs = sum(sum(p0.values()) * sum(pInf.values()) for p0, pInf in splits)
     return len(weyl_elements(n)) * pairs
-
-
-def _t_sum(exponents):
-    terms = {}
-    for e in exponents:
-        terms[2 * e] = terms.get(2 * e, 0) + 1
-    return LaurentPoly(terms)
 
 
 def cell_dimension_poly(n, alpha, cap=DEFAULT_WEIGHT_CAP):
     """sum over the cells of t^conjectured_dim, without building them.
 
-    The statistic is additive over (w, kappa0, kappaInf), so the sum is
-    W(t) * sum over splits of A_gamma0(t) B_gammaInf(t), with
-    W(t) = sum_w t^l(w), A = sum t^(||kappa0|| + K(kappa0)) and
-    B = sum t^(||kappaInf|| - K(kappaInf)), all over enumerated objects.
+    ||kappa0|| + ||kappaInf|| = |alpha| on every cell, and the rest of the
+    statistic is additive over (w, kappa0, kappaInf).  So the sum is
+    t^|alpha| W(t) sum_splits P_gamma0(t) P_gammaInf(1/t), with W(t) =
+    sum_w t^l(w) and P_gamma(t) = sum_K c_K t^K, c = enumerated_profile(gamma).
     """
+    alpha = tuple(alpha)
     pair_sum = LaurentPoly.zero()
-    for parts0, partsInf in _splits(n, tuple(alpha), cap):
-        a = _t_sum(k.norm() + k.num_summands() for k in parts0)
-        b = _t_sum(k.norm() - k.num_summands() for k in partsInf)
-        pair_sum = pair_sum + a * b
-    return _t_sum(w.length for w in weyl_elements(n)) * pair_sum
+    for p0, pInf in _splits(n, alpha, cap, enumerated_profile):
+        inverse = LaurentPoly.t_poly({-k: c for k, c in pInf.items()})
+        pair_sum = pair_sum + LaurentPoly.t_poly(p0) * inverse
+    weyl = LaurentPoly.t_poly(Counter(w.length for w in weyl_elements(n)))
+    return (weyl * pair_sum).shift(2 * height(alpha))
 
 
 def euler_check(n, alpha, cap=DEFAULT_WEIGHT_CAP):
@@ -145,10 +143,6 @@ def cell_dimension_conjecture_check(n, alpha, cap=DEFAULT_WEIGHT_CAP):
     """Compare sum_cells t^dim with the Poincare polynomial (CONJECTURE)."""
     alpha = tuple(alpha)
     lhs = cell_dimension_poly(n, alpha, cap=cap)
-    # every coefficient is positive, so the extreme degrees bound every cell
-    top = dim_flag(n) + 2 * height(alpha)
-    for d in (lhs.min_exp() // 2, lhs.max_exp() // 2):
-        assert 0 <= d <= top, f"conjectured dimension {d} outside [0, {top}]"
     rhs = laumon_poincare(alpha, cap=cap)
     ok = lhs == rhs
     entry = Entry(

@@ -4,8 +4,10 @@ The space of degree-alpha quasiflags is smooth projective of dimension
 2|alpha| + dim(flag variety); it is stratified by the defect type kappa
 at the marked point, and the compactly supported cohomology of a stratum
 is pure, so the Poincare polynomial of the whole space is the plain sum
-of the stratum polynomials (the Cousin sum).  The closed form collects
-all degrees at once:
+of the stratum polynomials (the Cousin sum).  laumon_poincare groups the
+strata by (|kappa|, K(kappa)), all a stratum polynomial depends on, and is
+tested against the per-stratum stratum_poincare_compact.  The closed form
+collects all degrees at once:
 
     e^{2rho} * q^{-dim B} * W_n(t) / prod_{theta>0} (1-t e^theta)(1-1/t e^theta)
 
@@ -22,8 +24,8 @@ from itertools import product as iproduct
 from .charseries import CharSeries, LaurentPoly, geometric_inverse
 from .kostant import (
     DEFAULT_WEIGHT_CAP,
+    _enumerated_profile,
     kostant_count_profile,
-    kostant_partitions,
     lusztig_kostant_poly,
 )
 from .reports import FAIL, PASS, THEOREM, Entry, Report
@@ -40,9 +42,7 @@ from .rootdata import (
 
 def iter_subvectors(alpha):
     """All coroot vectors gamma <= alpha coordinatewise, lexicographic order."""
-    ranges = [range(a + 1) for a in alpha]
-    for gamma in iproduct(*ranges):
-        yield gamma
+    return iproduct(*(range(a + 1) for a in alpha))
 
 
 def stratum_poincare_compact(n, alpha, kappa, cap=DEFAULT_WEIGHT_CAP):
@@ -50,6 +50,7 @@ def stratum_poincare_compact(n, alpha, kappa, cap=DEFAULT_WEIGHT_CAP):
 
     Equals t^{dimB + 2|alpha| - ||kappa|| - K(kappa)}
            * K_{alpha - |kappa|}(1/t) * W_n(1/t).
+    The reference for laumon_poincare, which groups strata by (|kappa|, K).
     """
     alpha = tuple(alpha)
     weight = kappa.weight()
@@ -57,21 +58,18 @@ def stratum_poincare_compact(n, alpha, kappa, cap=DEFAULT_WEIGHT_CAP):
     if any(c < 0 for c in rest):
         raise ValueError("stratum requires |kappa| <= alpha coordinatewise")
     lead = dim_flag(n) + 2 * height(alpha) - height(weight) - kappa.num_summands()
-    poly = (
-        lusztig_kostant_poly(rest, cap=cap).negate_exponents()
-        * weyl_poincare(n).negate_exponents()
-    )
-    return poly.shift(2 * lead)
+    kinv = lusztig_kostant_poly(rest, cap=cap).negate_exponents()
+    return (kinv * weyl_poincare(n).negate_exponents()).shift(2 * lead)
 
 
 def laumon_poincare(alpha, cap=DEFAULT_WEIGHT_CAP, method="strata"):
     """Poincare polynomial of the degree-alpha quasiflag space (in t).
 
-    method="strata" sums stratum_poincare_compact over every defect
-    type; method="aggregated" groups the defects of weight gamma by
-    summand count via the partition-count DP.  The two must agree.
-    Each (alpha, method) is computed once per process; the cap is
-    checked on every call.
+    The Cousin sum grouped by defect weight: W(1/t) sum_{gamma <= alpha}
+    K_{alpha-gamma}(1/t) sum_K c_K t^{dimB + 2|alpha| - |gamma| - K}, where
+    c_K defects of weight gamma have K summands ("strata": enumerated,
+    "aggregated": the DP profile).  Computed once per (alpha, method) in a
+    process; the cap is checked on every call.
 
     >>> laumon_poincare((1,)).pretty()
     '1 + t + t^2 + t^3'
@@ -90,30 +88,23 @@ def laumon_poincare(alpha, cap=DEFAULT_WEIGHT_CAP, method="strata"):
 
 @lru_cache(maxsize=None)
 def _laumon_poincare(alpha, method):
+    # the caller checked |alpha| against the cap, and every gamma is <= alpha
+    profile = _enumerated_profile if method == "strata" else kostant_count_profile
     n = len(alpha) + 1
-    cap = height(alpha)  # every weight below is <= alpha; the caller checked |alpha|
     d = dim_flag(n) + 2 * height(alpha)
-    winv = weyl_poincare(n).negate_exponents()
     total = LaurentPoly.zero()
-    if method == "strata":
-        for gamma in iter_subvectors(alpha):
-            for kappa in kostant_partitions(gamma, cap=cap):
-                total = total + stratum_poincare_compact(n, alpha, kappa, cap=cap)
-    else:
-        for gamma in iter_subvectors(alpha):
-            rest = tuple(a - g for a, g in zip(alpha, gamma))
-            kinv = lusztig_kostant_poly(rest, cap=cap).negate_exponents()
-            for k, count in sorted(kostant_count_profile(gamma).items()):
-                lead = d - height(gamma) - k
-                total = total + (kinv * winv).shift(2 * lead) * count
-    return total
+    for gamma in iter_subvectors(alpha):
+        rest = tuple(a - g for a, g in zip(alpha, gamma))
+        kinv = {k - height(rest): c for k, c in kostant_count_profile(rest).items()}
+        shifts = {d - height(gamma) - k: c for k, c in profile(gamma).items()}
+        total = total + LaurentPoly.t_poly(kinv) * LaurentPoly.t_poly(shifts)
+    return total * weyl_poincare(n).negate_exponents()
 
 
 def shifted_poincare(alpha, cap=DEFAULT_WEIGHT_CAP):
     """laumon_poincare recentered around degree zero: multiply by q^{-dim}."""
     alpha = tuple(alpha)
-    n = len(alpha) + 1
-    d = dim_flag(n) + 2 * height(alpha)
+    d = dim_flag(len(alpha) + 1) + 2 * height(alpha)
     return laumon_poincare(alpha, cap=cap).shift(-d)
 
 

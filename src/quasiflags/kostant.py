@@ -10,6 +10,7 @@ whose value at t=1 is the Kostant partition count.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,11 +119,15 @@ def stats(kappa):
     return kappa.weight(), kappa.norm(), kappa.num_summands()
 
 
-def _check_cap(gamma, cap):
+def _checked(gamma, cap):
+    gamma = tuple(gamma)
+    if any(a < 0 for a in gamma):
+        raise ValueError("gamma must have nonnegative coordinates")
     if height(gamma) > cap:
         raise ResourceCapError(
             f"|gamma| = {height(gamma)} exceeds enumeration cap {cap}"
         )
+    return gamma
 
 
 def kostant_partitions(gamma, cap=DEFAULT_WEIGHT_CAP):
@@ -136,11 +141,7 @@ def kostant_partitions(gamma, cap=DEFAULT_WEIGHT_CAP):
     >>> [kappa.num_summands() for kappa in kostant_partitions((2, 1))]
     [2, 3]
     """
-    gamma = tuple(gamma)
-    if any(a < 0 for a in gamma):
-        raise ValueError("gamma must have nonnegative coordinates")
-    _check_cap(gamma, cap)
-    return list(_enumerate_partitions(gamma))
+    return list(_enumerate_partitions(_checked(gamma, cap)))
 
 
 @lru_cache(maxsize=None)
@@ -201,6 +202,22 @@ def kostant_count_profile(gamma):
     return dict(_count_profile(len(gamma) + 1, gamma))
 
 
+def enumerated_profile(gamma, cap=DEFAULT_WEIGHT_CAP):
+    """Map K -> number of enumerated Kostant partitions of gamma with K summands.
+
+    Counted once per gamma; every call checks gamma and the cap.
+
+    >>> enumerated_profile((2, 1))
+    {2: 1, 3: 1}
+    """
+    return dict(_enumerated_profile(_checked(gamma, cap)))
+
+
+@lru_cache(maxsize=None)
+def _enumerated_profile(gamma):
+    return Counter(kappa.num_summands() for kappa in _enumerate_partitions(gamma))
+
+
 def kostant_count(gamma):
     """Number of Kostant partitions of gamma (DP, cached)."""
     return sum(kostant_count_profile(gamma).values())
@@ -214,8 +231,6 @@ def lusztig_kostant_poly(alpha, cap=DEFAULT_WEIGHT_CAP):
     >>> lusztig_kostant_poly((0, 0)).pretty()
     '1'
     """
-    alpha = tuple(alpha)
-    _check_cap(alpha, cap)
-    h = height(alpha)
+    alpha = _checked(alpha, cap)
     profile = kostant_count_profile(alpha)
-    return LaurentPoly.t_poly({h - k: c for k, c in profile.items()})
+    return LaurentPoly.t_poly({height(alpha) - k: c for k, c in profile.items()})

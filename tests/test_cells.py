@@ -16,7 +16,11 @@ from quasiflags.cells import (
 )
 from quasiflags.charseries import LaurentPoly
 from quasiflags.cohomology import iter_subvectors, laumon_poincare
-from quasiflags.kostant import KostantPartition, kostant_partitions
+from quasiflags.kostant import (
+    KostantPartition,
+    enumerated_profile,
+    kostant_partitions,
+)
 from quasiflags.reports import CONJECTURE, THEOREM
 from quasiflags.rootdata import (
     ResourceCapError,
@@ -149,3 +153,8 @@ def test_factored_cell_sums_keep_validation_and_cap():
             check(3, (1,))
         with pytest.raises(ResourceCapError):
             check(3, (3, 3), cap=5)
+    # the sums above read the cached profiles; a warm profile keeps its cap
+    assert count_cells(3, (3, 3), cap=6) == len(enumerate_cells(3, (3, 3), cap=6))
+    assert sum(enumerated_profile((3, 3), cap=6).values()) == 4
+    with pytest.raises(ResourceCapError):
+        enumerated_profile((3, 3), cap=5)

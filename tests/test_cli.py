@@ -187,6 +187,30 @@ def test_route_disagreement_is_a_theorem_fail(monkeypatch, suite, route):
         assert any(r[route] == r["f2"] + 1 for r in _route_counts(suite, entry))
 
 
+def test_celldim_conjecture_failure_is_reported(monkeypatch):
+    from quasiflags import cells
+
+    cell_sum = cells.cell_dimension_poly
+
+    def every_cell_one_degree_up(n, alpha, cap=12):
+        return cell_sum(n, alpha, cap=cap).shift(2)
+
+    monkeypatch.setattr(cells, "cell_dimension_poly", every_cell_one_degree_up)
+    argv = ["verify", "--n", "2", "--degree", "4", "--suite", "celldim"]
+    code, doc = run_json(argv)
+    assert code == 3
+    assert doc["summary"]["status"] == "FAIL"
+    entries = doc["suites"][0]["entries"]
+    assert entries and all(e["status"] == FAIL for e in entries)
+    for entry in entries:
+        assert entry["category"] == CONJECTURE
+        # both sides are in the entry, one degree apart
+        details = entry["details"]
+        assert details["cell_sum"] == [[e + 2, c] for e, c in details["poincare"]]
+    code, _ = run_cli(argv + ["--strict"])
+    assert code == 1
+
+
 def test_bad_alpha_length_is_usage_error():
     code, _ = run_cli(["poincare", "--n", "3", "--alpha", "1"])
     assert code == 2

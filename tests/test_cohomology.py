@@ -14,7 +14,13 @@ from quasiflags.cohomology import (
     verify_generating_function,
 )
 from quasiflags.kostant import KostantPartition, kostant_partitions
-from quasiflags.rootdata import dim_flag, height, two_rho, weyl_poincare
+from quasiflags.rootdata import (
+    dim_flag,
+    height,
+    two_rho,
+    vectors_up_to,
+    weyl_poincare,
+)
 
 
 def projective_space_poincare(d):
@@ -74,6 +80,18 @@ def test_laumon_strata_vs_aggregated():
         assert laumon_poincare(alpha, method="strata") == laumon_poincare(
             alpha, method="aggregated"
         )
+
+
+@pytest.mark.parametrize("n,alpha_cap", [(2, 6), (3, 6), (4, 4)])
+def test_grouped_cousin_sum_matches_stratum_by_stratum(n, alpha_cap):
+    # oracle: the Cousin sum taken one defect stratum at a time
+    for alpha in vectors_up_to(n - 1, alpha_cap):
+        by_stratum = LaurentPoly.zero()
+        for gamma in iter_subvectors(alpha):
+            for kappa in kostant_partitions(gamma):
+                by_stratum = by_stratum + stratum_poincare_compact(n, alpha, kappa)
+        for method in ("strata", "aggregated"):
+            assert laumon_poincare(alpha, method=method) == by_stratum, (alpha, method)
 
 
 def test_laumon_unknown_method():

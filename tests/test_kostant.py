@@ -8,13 +8,14 @@ from quasiflags.charseries import LaurentPoly
 from quasiflags.cohomology import laumon_poincare
 from quasiflags.kostant import (
     KostantPartition,
+    enumerated_profile,
     kostant_count,
     kostant_count_profile,
     kostant_partitions,
     lusztig_kostant_poly,
     stats,
 )
-from quasiflags.rootdata import ResourceCapError, coroot_intervals
+from quasiflags.rootdata import ResourceCapError, coroot_intervals, vectors_up_to
 
 
 def brute_partitions(gamma):
@@ -96,6 +97,11 @@ def test_warm_poincare_cache_still_checks_cap():
             laumon_poincare((3, 3), cap=5, method=method)
         # exactly at the cap is allowed, as for the enumeration
         assert laumon_poincare((3, 3), cap=6, method=method).eval_at_one() > 0
+    # the strata route has cached the enumerated profiles by now
+    assert enumerated_profile((3, 3), cap=12) == {3: 1, 4: 1, 5: 1, 6: 1}
+    with pytest.raises(ResourceCapError):
+        enumerated_profile((3, 3), cap=5)
+    assert enumerated_profile((3, 3), cap=6) == enumerated_profile((3, 3))
 
 
 def test_stats():
@@ -150,6 +156,8 @@ def test_lusztig_kostant_poly_examples():
     for a in range(5):
         assert lusztig_kostant_poly((a,)) == LaurentPoly.one()
     assert lusztig_kostant_poly((1, 1)) == LaurentPoly.t_poly({0: 1, 1: 1})
+    with pytest.raises(ValueError):
+        lusztig_kostant_poly((1, -1))
 
 
 def test_lusztig_kostant_poly_counts_partitions_at_one():
@@ -170,12 +178,18 @@ def test_dp_count_matches_enumeration(n, cap):
 
 
 def test_count_profile_matches_enumeration_by_summands():
-    for gamma in [(2, 2), (3, 1), (1, 2, 1)]:
-        profile = {}
-        for kappa in kostant_partitions(gamma):
-            k = kappa.num_summands()
-            profile[k] = profile.get(k, 0) + 1
-        assert kostant_count_profile(gamma) == profile
+    for n in (2, 3, 4):
+        for gamma in vectors_up_to(n - 1, 6):
+            profile = {}
+            for kappa in kostant_partitions(gamma):
+                k = kappa.num_summands()
+                profile[k] = profile.get(k, 0) + 1
+            assert enumerated_profile(gamma) == kostant_count_profile(gamma) == profile
+    # a fresh dict every call, and the input is checked as for the enumeration
+    enumerated_profile((2, 2)).clear()
+    assert enumerated_profile((2, 2)) == kostant_count_profile((2, 2))
+    with pytest.raises(ValueError):
+        enumerated_profile((1, -1))
 
 
 def test_json_round_trip_shape():
