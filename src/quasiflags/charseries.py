@@ -49,10 +49,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def q_power(cls, e, coeff=1):
-        return cls({e: coeff})
-
-    @classmethod
     def t_power(cls, k, coeff=1):
         """coeff * t^k, i.e. coeff * q^(2k)."""
         return cls({2 * k: coeff})

@@ -54,8 +54,9 @@ def build_parser():
             p.add_argument("--gamma", type=str, required=True,
                            help="comma-separated coroot coordinates")
         p.add_argument("--format", choices=("json", "csv", "latex"), default="json")
-        p.add_argument("--cap", type=int, default=DEFAULT_WEIGHT_CAP,
-                       help="enumeration cap (default 12)")
+        if alpha or gamma:  # the one-vector commands enumerate under a cap
+            p.add_argument("--cap", type=int, default=DEFAULT_WEIGHT_CAP,
+                           help="enumeration cap (default 12)")
 
     p = sub.add_parser("kostant", help="list the Kostant partitions of gamma")
     common(p, gamma=True)
@@ -75,8 +76,11 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run identity suites")
     common(p, degree=True)
-    p.add_argument("--suite", default="all",
-                   help="one of %s or 'all'" % "|".join(suites.SUITE_NAMES))
+    p.add_argument("--suite", default="all", choices=(*suites.SUITE_NAMES, "all"),
+                   help="serre, pbw and commute have fixed sizes, recorded in "
+                   "their params, and ignore --degree")
+    p.add_argument("--cap", type=int, default=DEFAULT_WEIGHT_CAP,
+                   help="recorded in params only: no suite takes a cap (default 12)")
     p.add_argument("--strict", action="store_true",
                    help="treat conjecture-level failures as hard failures")
     return parser
@@ -171,14 +175,7 @@ def cmd_cells(args):
 def cmd_verify(args):
     if args.degree < 0:
         raise UsageError(f"--degree must be nonnegative, got {args.degree}")
-    if args.suite != "all" and args.suite not in suites.SUITE_NAMES:
-        raise UsageError(
-            "unknown suite %r (expected %s or 'all')"
-            % (args.suite, "|".join(suites.SUITE_NAMES))
-        )
-    reports = suites.run_suites(
-        args.n, args.degree, suite=args.suite, cap=args.cap
-    )
+    reports = suites.run_suites(args.n, args.degree, suite=args.suite)
     if not any(r.entries for r in reports):
         raise UsageError(
             f"suite {args.suite!r} has nothing to check at n={args.n}, "

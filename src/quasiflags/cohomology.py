@@ -125,7 +125,7 @@ def generating_function(n, bound):
     return series
 
 
-def verify_generating_function(n, bound, cap=DEFAULT_WEIGHT_CAP):
+def verify_generating_function(n, bound):
     """Compare closed-form coefficients with the Cousin-sum polynomials.
 
     For every alpha with |alpha + 2rho| <= bound the coefficient of
@@ -136,7 +136,7 @@ def verify_generating_function(n, bound, cap=DEFAULT_WEIGHT_CAP):
     entries = []
     for alpha in vectors_up_to(n - 1, bound - height(rho2)):
         lhs = closed.coefficient(tuple(x + y for x, y in zip(alpha, rho2)))
-        rhs = shifted_poincare(alpha, cap=max(cap, sum(alpha)))
+        rhs = shifted_poincare(alpha, cap=sum(alpha))
         ok = lhs == rhs
         details = {}
         if not ok:

@@ -110,9 +110,6 @@ class KostantPartition:
             if m
         ]
 
-    def __le__(self, other):
-        return self.mults <= other.mults
-
 
 def stats(kappa):
     """(|kappa|, ||kappa||, K(kappa))."""

@@ -61,10 +61,8 @@ def weight_space_check(n, bound):
     entries = []
     for alpha in vectors_up_to(n - 1, bound - height(rho2)):
         weight = tuple(a + r for a, r in zip(alpha, rho2))
-        from_char = char.coefficient(weight)
-        assert from_char.is_zero() or set(from_char.terms) == {0}
-        lhs = from_char.coeff(0)
-        mid = laumon_poincare(alpha, cap=max(12, sum(alpha))).eval_at_one()
+        lhs = char.coefficient(weight).eval_at_one()
+        mid = laumon_poincare(alpha, cap=sum(alpha)).eval_at_one()
         rhs = closed.coefficient(weight).eval_at_one()
         ok = lhs == mid == rhs
         entries.append(
@@ -89,9 +87,7 @@ def freeness_consistency_check(n, bound):
         rebuilt = rebuilt * geometric_inverse(1, theta, bound)
     entries = []
     for alpha in verma.support():
-        poly = verma.coefficient(alpha)
-        assert poly.is_zero() or set(poly.terms) == {0}
-        coeff = poly.coeff(0)
+        coeff = verma.coefficient(alpha).eval_at_one()
         ok = coeff >= 0
         entries.append(
             Entry(

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 PASS = "PASS"
 FAIL = "FAIL"
-UNKNOWN = "UNKNOWN"
 
 THEOREM = "THEOREM"
 CONJECTURE = "CONJECTURE"

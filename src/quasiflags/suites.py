@@ -13,40 +13,31 @@ from .reports import FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import height, two_rho, vectors_up_to
 
 PBW_MAX_TOTAL = 4
+COMMUTE_ALPHA_CAP = 6
+
+# Each per-case library call gets cap=|alpha| (pbw: |gamma|), so no cap
+# binds: a case enumerates only weights <= its own, and a pbw
+# representation has total dimension |gamma|.
 
 
-def _alpha_cap(n, degree):
-    return max(degree - height(two_rho(n)), -1)
+def run_genfunc(n, degree):
+    return cohomology.verify_generating_function(n, degree)
 
 
-def run_genfunc(n, degree, cap=12):
-    return cohomology.verify_generating_function(n, degree, cap=cap)
-
-
-def run_euler(n, degree=None, alpha_cap=None, cap=12):
-    if alpha_cap is None:
-        alpha_cap = _alpha_cap(n, degree)
+def _per_alpha(name, check, n, degree):
+    alpha_cap = max(degree - height(two_rho(n)), -1)
     entries = []
     for alpha in vectors_up_to(n - 1, alpha_cap):
-        entries.extend(cells.euler_check(n, alpha, cap=max(cap, sum(alpha))).entries)
-    return Report(
-        name="euler", params={"n": n, "alpha_cap": alpha_cap}, entries=entries
-    )
+        entries.extend(check(n, alpha, cap=sum(alpha)).entries)
+    return Report(name=name, params={"n": n, "alpha_cap": alpha_cap}, entries=entries)
 
 
-def run_celldim(n, degree=None, alpha_cap=None, cap=12):
-    if alpha_cap is None:
-        alpha_cap = _alpha_cap(n, degree)
-    entries = []
-    for alpha in vectors_up_to(n - 1, alpha_cap):
-        entries.extend(
-            cells.cell_dimension_conjecture_check(
-                n, alpha, cap=max(cap, sum(alpha))
-            ).entries
-        )
-    return Report(
-        name="celldim", params={"n": n, "alpha_cap": alpha_cap}, entries=entries
-    )
+def run_euler(n, degree):
+    return _per_alpha("euler", cells.euler_check, n, degree)
+
+
+def run_celldim(n, degree):
+    return _per_alpha("celldim", cells.cell_dimension_conjecture_check, n, degree)
 
 
 def _serre_entry(i, j, shape_name, rep, expected):
@@ -92,7 +83,7 @@ def run_serre(n):
     return Report(name="serre", params={"n": n}, entries=entries)
 
 
-def run_commute(n, alpha_cap=6):
+def run_commute(n):
     """Commutation identities: far-apart pairs and the [e_i, f_i] scalar.
 
     For |i-j| > 1 the two filtration orders on a two-point configuration
@@ -125,7 +116,7 @@ def run_commute(n, alpha_cap=6):
         [2 if r == c else (-1 if abs(r - c) == 1 else 0) for c in range(n - 1)]
         for r in range(n - 1)
     ]
-    for alpha in vectors_up_to(n - 1, alpha_cap):
+    for alpha in vectors_up_to(n - 1, COMMUTE_ALPHA_CAP):
         coords = tuple(a + r for a, r in zip(alpha, rho2))
         for i in range(1, n):
             got = quiverfilt.commutator_constant(i, alpha)
@@ -138,9 +129,8 @@ def run_commute(n, alpha_cap=6):
                     details={"value": got},
                 )
             )
-    return Report(
-        name="commute", params={"n": n, "alpha_cap": alpha_cap}, entries=entries
-    )
+    params = {"n": n, "alpha_cap": COMMUTE_ALPHA_CAP}
+    return Report(name="commute", params=params, entries=entries)
 
 
 def _label_partition(n, intervals):
@@ -149,7 +139,7 @@ def _label_partition(n, intervals):
     )
 
 
-def run_pbw(n, max_total=PBW_MAX_TOTAL, cap=12):
+def run_pbw(n):
     """Divided-power multiplicities over two coroot orders.
 
     For each exponent vector c: the matching labelled partition counts
@@ -163,20 +153,19 @@ def run_pbw(n, max_total=PBW_MAX_TOTAL, cap=12):
         ("by_upper_end", quiverfilt.alternative_coroot_order(n)),
     )
     for order_name, order in orders:
-        for c in vectors_up_to(len(order), max_total):
+        for c in vectors_up_to(len(order), PBW_MAX_TOTAL):
             gamma = [0] * (n - 1)
             for mult, (q, p) in zip(c, order):
                 for v in range(q, p + 1):
                     gamma[v - 1] += mult
             gamma = tuple(gamma)
-            dim_cap = max(cap, sum(gamma))
             steps = quiverfilt.pbw_steps(c, order)
             checked = []
             ok = True
-            for kappa in kostant_partitions(gamma, cap=max(12, sum(gamma))):
+            for kappa in kostant_partitions(gamma, cap=sum(gamma)):
                 rep = _label_partition(n, kappa.intervals())
                 expected = quiverfilt.pbw_expected(rep, c, order=order)
-                sym, f2, f3 = quiverfilt.filtration_counts(rep, steps, cap=dim_cap)
+                sym, f2, f3 = quiverfilt.filtration_counts(rep, steps, cap=sum(gamma))
                 ok = ok and sym == f2 == f3 == expected
                 case = {
                     "partition": [list(iv) for iv in kappa.intervals()],
@@ -201,7 +190,8 @@ def run_pbw(n, max_total=PBW_MAX_TOTAL, cap=12):
                     },
                 )
             )
-    return Report(name="pbw", params={"n": n, "max_total": max_total}, entries=entries)
+    params = {"n": n, "max_total": PBW_MAX_TOTAL}
+    return Report(name="pbw", params=params, entries=entries)
 
 
 def run_characters(n, degree):
@@ -212,27 +202,28 @@ def run_freeness(n, degree):
     return modchar.freeness_consistency_check(n, degree)
 
 
-# name -> runner(n, degree, cap), in the order `all` runs them
+# name -> runner(n, degree), in the order `all` runs them; serre, pbw and
+# commute have fixed sizes and ignore the degree
 _RUNNERS = {
-    "genfunc": lambda n, degree, cap: run_genfunc(n, degree, cap=cap),
-    "euler": lambda n, degree, cap: run_euler(n, degree=degree, cap=cap),
-    "celldim": lambda n, degree, cap: run_celldim(n, degree=degree, cap=cap),
-    "serre": lambda n, degree, cap: run_serre(n),
-    "pbw": lambda n, degree, cap: run_pbw(n, cap=cap),
-    "commute": lambda n, degree, cap: run_commute(n),
-    "characters": lambda n, degree, cap: run_characters(n, degree),
-    "freeness": lambda n, degree, cap: run_freeness(n, degree),
+    "genfunc": run_genfunc,
+    "euler": run_euler,
+    "celldim": run_celldim,
+    "serre": lambda n, degree: run_serre(n),
+    "pbw": lambda n, degree: run_pbw(n),
+    "commute": lambda n, degree: run_commute(n),
+    "characters": run_characters,
+    "freeness": run_freeness,
 }
 
 SUITE_NAMES = tuple(_RUNNERS)
 
 
-def run_suites(n, degree, suite="all", cap=12):
+def run_suites(n, degree, suite="all"):
     """Run one suite or all of them; returns the list of reports."""
     if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
     selected = SUITE_NAMES if suite == "all" else (suite,)
-    return [_RUNNERS[name](n, degree, cap) for name in selected]
+    return [_RUNNERS[name](n, degree) for name in selected]
 
 
 def exit_code(reports, strict=False):

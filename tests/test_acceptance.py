@@ -88,7 +88,7 @@ def test_criterion_3_palindromicity_and_parity():
 def test_criterion_4_cell_euler_identity():
     ok = True
     for n in (2, 3, 4):
-        report = run_euler(n, alpha_cap=5)
+        report = run_euler(n, height(two_rho(n)) + 5)
         ok = ok and report.passed()
         ok = ok and len(report.entries) == len(alphas_up_to(n, 5))
     record(4, "cell count = Euler characteristic (n<=4, |alpha|<=5)", ok)
@@ -97,7 +97,7 @@ def test_criterion_4_cell_euler_identity():
 def test_criterion_5_cell_dimension_conjecture():
     ok = True
     for n in (2, 3):
-        report = run_celldim(n, alpha_cap=5)
+        report = run_celldim(n, height(two_rho(n)) + 5)
         ok = ok and all(e.category == CONJECTURE for e in report.entries)
         ok = ok and report.passed()
         ok = ok and len(report.entries) == len(alphas_up_to(n, 5))

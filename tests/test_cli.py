@@ -77,6 +77,13 @@ def test_genfunc_degree_usage_error(capsys):
     assert code == 2
 
 
+def test_genfunc_has_no_cap_option(capsys):
+    code, out = run_cli(["genfunc", "--n", "2", "--degree", "4", "--cap", "5"])
+    assert code == 2
+    assert out == ""
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_cells_rows(schema):
     code, doc = run_json(["cells", "--n", "2", "--alpha", "1", "--dims"])
     assert code == 0

@@ -79,11 +79,12 @@ def test_module_character_matches_brute_expansion():
 
 
 def test_module_character_coefficients_are_plain_integers():
-    char = module_character(3, 7)
-    for alpha in char.support():
-        poly = char.coefficient(alpha)
-        assert set(poly.terms) == {0}
-        assert poly.coeff(0) > 0
+    for series in (module_character(3, 7), verma_multiplicity_series(3, 7)):
+        assert series.support()
+        for alpha in series.support():
+            poly = series.coefficient(alpha)
+            assert set(poly.terms) == {0}
+            assert poly.coeff(0) > 0
 
 
 def test_character_equals_cell_count_identity():

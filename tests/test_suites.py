@@ -1,5 +1,8 @@
 """Suite drivers: coverage of both coroot orders and report bookkeeping."""
 
+import inspect
+
+from quasiflags import suites
 from quasiflags.reports import THEOREM
 from quasiflags.suites import (
     SUITE_NAMES,
@@ -23,8 +26,17 @@ def test_suite_name_registry():
     )
 
 
+def test_each_suite_has_a_module_level_runner():
+    # a traced run reads per-suite time as suites.run_<name>
+    for name in SUITE_NAMES:
+        runner = vars(suites)[f"run_{name}"]
+        assert inspect.isfunction(runner) and runner.__name__ == f"run_{name}"
+        reports = run_suites(2, 9, suite=name)
+        assert [r.name for r in reports] == [name]
+
+
 def test_run_pbw_covers_both_orders():
-    report = run_pbw(3, max_total=3)
+    report = run_pbw(3)
     assert report.passed()
     orders = {e.case["order"] for e in report.entries}
     assert orders == {"canonical", "by_upper_end"}
@@ -46,7 +58,7 @@ def test_run_serre_entry_bookkeeping():
 
 
 def test_run_commute_has_both_check_kinds():
-    report = run_commute(4, alpha_cap=2)
+    report = run_commute(4)
     assert report.passed()
     kinds = {e.case["check"] for e in report.entries}
     assert kinds == {"far_pair", "commutator"}
