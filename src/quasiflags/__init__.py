@@ -22,7 +22,6 @@ from .cells import (
     conjectured_dim,
     enumerate_cells,
     euler_check,
-    fixed_point_datum,
 )
 from .kostant import (
     KostantPartition,
@@ -43,8 +42,6 @@ from .quiverfilt import (
     commutator_constant,
     count_filtrations,
     filtration_counts,
-    pbw_multiplicity,
-    serre_alternating_sum,
 )
 from .rootdata import (
     WeylElement,
@@ -72,7 +69,6 @@ __all__ = [
     "enumerate_cells",
     "euler_check",
     "filtration_counts",
-    "fixed_point_datum",
     "freeness_consistency_check",
     "generating_function",
     "geometric_inverse",
@@ -82,9 +78,7 @@ __all__ = [
     "lusztig_kostant_poly",
     "module_character",
     "pairing",
-    "pbw_multiplicity",
     "positive_coroots",
-    "serre_alternating_sum",
     "shifted_poincare",
     "stats",
     "stratum_poincare_compact",

@@ -11,6 +11,10 @@ The finer statement that the cell through (w, kappa0, kappaInf) has
 dimension l(w) + ||kappa0|| + ||kappaInf|| + K(kappa0) - K(kappaInf) is
 only expected, not proved; cell_dimension_conjecture_check tests it
 empirically and reports in the CONJECTURE category.
+
+enumerate_cells lists the labels for the cells command and as a test
+oracle; both checks sum over the cells in factored form (count_cells,
+cell_dimension_poly), without building them.
 """
 
 from __future__ import annotations
@@ -44,15 +48,6 @@ class Cell:
         )
 
 
-@dataclass(frozen=True)
-class FixedPointDatum:
-    """Local exponent matrices of the fixed quasiflag at 0 and at infinity."""
-
-    w: WeylElement
-    d0: dict
-    dInf: dict
-
-
 def _splits(n, alpha, cap, per_weight=kostant_partitions):
     """(per_weight(gamma0), per_weight(alpha - gamma0)) for every gamma0 <= alpha."""
     if len(alpha) != n - 1:
@@ -76,13 +71,6 @@ def enumerate_cells(n, alpha, cap=DEFAULT_WEIGHT_CAP):
                 for kinf in partsInf:
                     cells.append(Cell(w=w, kappa0=k0, kappaInf=kinf))
     return cells
-
-
-def fixed_point_datum(cell):
-    """Exponent matrices d0, dInf derived from the two partitions."""
-    return FixedPointDatum(
-        w=cell.w, d0=cell.kappa0.fixed_point_d(), dInf=cell.kappaInf.fixed_point_d()
-    )
 
 
 def conjectured_dim(cell):

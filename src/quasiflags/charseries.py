@@ -171,10 +171,6 @@ class LaurentPoly:
         """Sorted [[q-exponent, coefficient-as-decimal-string], ...]."""
         return [[e, str(c)] for e, c in self.sorted_terms()]
 
-    @classmethod
-    def from_json(cls, pairs):
-        return cls({int(e): int(c) for e, c in pairs})
-
     def pretty(self, var=None):
         """Human-readable string, ascending exponents.
 

@@ -4,7 +4,8 @@ All commands print one machine-readable document to stdout (json by
 default; csv and latex render the same rows).  Identical invocations
 produce byte-identical output.  Exit codes: 0 ok, 1 a theorem identity
 failed, 2 usage error (including a verify run with nothing to check),
-3 only conjecture-level checks failed (without --strict).
+3 only conjecture-level checks failed (without --strict), 4 internal
+error (one line on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -307,10 +308,14 @@ def main(argv=None, out=None):
         return 2
     try:
         doc, code = COMMANDS[args.command](args)
+        text = render(doc, args.format)
     except (UsageError, ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(doc, args.format), file=out)
+    except Exception as exc:  # exit 1 is reserved for a theorem failure
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
+    print(text, file=out)
     return code
 
 

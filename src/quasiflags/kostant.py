@@ -2,10 +2,11 @@
 
 A Kostant partition of a coroot vector gamma is a multiset of positive
 coroots summing to gamma, stored as multiplicities along the canonical
-interval order.  Besides the partitions themselves this module computes
-the derived collections mu(kappa) and the fixed-point exponents d(kappa),
-and the polynomial K_alpha(t) = t^{|alpha|} * sum_kappa t^{-K(kappa)}
-whose value at t=1 is the Kostant partition count.
+interval order.  Besides the partitions themselves this module gives
+their summand-count profile two independent ways (from the enumeration,
+and by a DP convolution) and, from the DP profile, the polynomial
+K_alpha(t) = t^{|alpha|} * sum_kappa t^{-K(kappa)} whose value at t=1 is
+the Kostant partition count.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class KostantPartition:
             mults[index[tuple(iv)]] += 1
         return cls(n, tuple(mults))
 
-    def multiplicity(self, q, p):
-        return self.mults[coroot_intervals(self.n).index((q, p))]
-
     def weight(self):
         """|kappa|: the coroot vector the partition sums to."""
         total = [0] * (self.n - 1)
@@ -76,30 +74,6 @@ class KostantPartition:
         out = []
         for (q, p), m in zip(coroot_intervals(self.n), self.mults):
             out.extend([(q, p)] * m)
-        return out
-
-    def mu(self):
-        """Collection mu_{p,q} = number of summand intervals containing [q, p]."""
-        out = {}
-        for q in range(1, self.n):
-            for p in range(q, self.n):
-                out[(p, q)] = sum(
-                    m
-                    for (r, s), m in zip(coroot_intervals(self.n), self.mults)
-                    if r <= q and p <= s
-                )
-        return out
-
-    def fixed_point_d(self):
-        """Exponents d_{p,q} = sum_{r=p}^{n-1} kappa_{r,q}."""
-        out = {}
-        for q in range(1, self.n):
-            for p in range(q, self.n):
-                out[(p, q)] = sum(
-                    m
-                    for (r2, s2), m in zip(coroot_intervals(self.n), self.mults)
-                    if r2 == q and s2 >= p
-                )
         return out
 
     def to_json(self):

@@ -81,10 +81,6 @@ def weight_space_check(n, bound):
 def freeness_consistency_check(n, bound):
     """Necessary conditions for freeness: nonnegativity and factorization."""
     verma = verma_multiplicity_series(n, bound)
-    char = module_character(n, bound)
-    rebuilt = verma
-    for theta in positive_coroots(n):
-        rebuilt = rebuilt * geometric_inverse(1, theta, bound)
     entries = []
     for alpha in verma.support():
         coeff = verma.coefficient(alpha).eval_at_one()
@@ -97,6 +93,12 @@ def freeness_consistency_check(n, bound):
                 details={"verma_multiplicity": coeff},
             )
         )
+    if not entries:  # bound < |2rho|: both series are zero, nothing to refactor
+        return Report(name="freeness", params={"n": n, "degree": bound}, entries=[])
+    char = module_character(n, bound)
+    rebuilt = verma
+    for theta in positive_coroots(n):
+        rebuilt = rebuilt * geometric_inverse(1, theta, bound)
     consistent = rebuilt == char
     entries.append(
         Entry(

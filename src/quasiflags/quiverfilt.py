@@ -90,19 +90,6 @@ class TorsionRep:
                 total[v - 1] += 1
         return tuple(total)
 
-    def local_dimension(self, label):
-        total = [0] * (self.n - 1)
-        for (q, p), pt in self.summands:
-            if pt == label:
-                for v in range(q, p + 1):
-                    total[v - 1] += 1
-        return tuple(total)
-
-    def relabel(self, mapping):
-        return TorsionRep.of(
-            self.n, [(iv, mapping.get(pt, pt)) for iv, pt in self.summands]
-        )
-
     def to_json(self):
         return [
             {"interval": list(iv), "point": str(pt)} for iv, pt in self.summands
@@ -426,23 +413,8 @@ def serre_steps(i, j):
     ]
 
 
-def serre_type_counts(i, j, rep, cap=DEFAULT_DIMENSION_CAP):
-    """Counts for the three arrangements ((i,i,j), (i,j,i), (j,i,i))."""
-    return tuple(count_filtrations(rep, steps, cap=cap) for _, steps in serre_steps(i, j))
-
-
-def serre_alternating_sum(i, j, rep, cap=DEFAULT_DIMENSION_CAP):
-    """N_(i,i,j) - 2 N_(i,j,i) + N_(j,i,i); NOT_RIGID propagates."""
-    if abs(i - j) != 1:
-        raise ValueError("serre_alternating_sum needs adjacent indices")
-    counts = serre_type_counts(i, j, rep, cap=cap)
-    if any(not is_rigid(c) for c in counts):
-        return NOT_RIGID
-    return counts[0] - 2 * counts[1] + counts[2]
-
-
 def canonical_coroot_order(n):
-    """Intervals sorted by (q, p): the default positive-coroot order."""
+    """Intervals sorted by (q, p): the canonical positive-coroot order."""
     return list(coroot_intervals(n))
 
 
@@ -459,29 +431,8 @@ def pbw_steps(exponents, order):
     return steps
 
 
-def pbw_multiplicity(rep, exponents, order=None, cap=DEFAULT_DIMENSION_CAP):
-    """Number of filtrations of divided-power type on a labelled partition.
-
-    exponents is aligned with `order` (default: canonical coroot order).
-    The points of rep must be pairwise distinct, which forces rigidity.
-    """
-    if order is None:
-        order = canonical_coroot_order(rep.n)
-    if len(exponents) != len(order):
-        raise ValueError("exponent vector does not match the coroot order")
-    points = [pt for _, pt in rep.summands]
-    if len(set(points)) != len(points):
-        raise ValueError("pbw_multiplicity requires pairwise distinct points")
-    steps = pbw_steps(exponents, order)
-    result = count_filtrations(rep, steps, cap=cap)
-    assert is_rigid(result), "distinct points cannot give a non-rigid family"
-    return result
-
-
-def pbw_expected(rep, exponents, order=None):
+def pbw_expected(rep, exponents, order):
     """prod c_k! when the labelled partition matches the exponents, else 0."""
-    if order is None:
-        order = canonical_coroot_order(rep.n)
     want = sorted(pbw_steps(exponents, order))
     have = sorted(iv for iv, _ in rep.summands)
     if want != have:

@@ -125,12 +125,14 @@ def inversions(perm):
 
 
 @lru_cache(maxsize=None)
-def weyl_elements(n, cap=WEYL_ENUMERATION_CAP):
+def weyl_elements(n):
     """All n! permutations with inversion counts, in lexicographic order."""
     if n < 1:
         raise RankError(f"n must be >= 1, got {n}")
-    if n > cap:
-        raise ResourceCapError(f"Weyl enumeration cap {cap} exceeded by n={n}")
+    if n > WEYL_ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"Weyl enumeration cap {WEYL_ENUMERATION_CAP} exceeded by n={n}"
+        )
     return tuple(
         WeylElement(perm=w, length=inversions(w))
         for w in permutations(range(1, n + 1))

@@ -26,13 +26,14 @@ from quasiflags.modchar import (
 from quasiflags.quiverfilt import (
     canonical_coroot_order,
     commutator_constant,
+    count_filtrations,
     count_filtrations_bruteforce,
     count_filtrations_symbolic,
     pbw_expected,
-    pbw_multiplicity,
+    pbw_steps,
     serre_extension_shape,
     serre_split_shape,
-    serre_type_counts,
+    serre_steps,
     simple_step,
     TorsionRep,
 )
@@ -113,8 +114,9 @@ def test_criterion_6_serre_and_commuting_relations():
                     continue
                 split = serre_split_shape(n, i, j)
                 ext = serre_extension_shape(n, i, j)
-                counts_split = serre_type_counts(i, j, split)
-                counts_ext = serre_type_counts(i, j, ext)
+                arrangements = [steps for _, steps in serre_steps(i, j)]
+                counts_split = tuple(count_filtrations(split, s) for s in arrangements)
+                counts_ext = tuple(count_filtrations(ext, s) for s in arrangements)
                 ok = ok and counts_split == (2, 2, 2)
                 expected_ext = (2, 1, 0) if j == i - 1 else (0, 1, 2)
                 ok = ok and counts_ext == expected_ext
@@ -156,7 +158,7 @@ def test_criterion_7_pbw_divided_power_multiplicities():
                 rep = TorsionRep.of(
                     n, [(iv, f"p{k}") for k, iv in enumerate(kappa.intervals())]
                 )
-                got = pbw_multiplicity(rep, c, order=order, cap=12)
+                got = count_filtrations(rep, pbw_steps(c, order), cap=12)
                 ok = ok and got == pbw_expected(rep, c, order=order)
     elapsed = time.monotonic() - start
     record(7, f"PBW divided-power multiplicities ({elapsed:.1f}s)", ok and elapsed < 60)

@@ -12,7 +12,6 @@ from quasiflags.cells import (
     count_cells,
     enumerate_cells,
     euler_check,
-    fixed_point_datum,
 )
 from quasiflags.charseries import LaurentPoly
 from quasiflags.cohomology import iter_subvectors, laumon_poincare
@@ -72,32 +71,6 @@ def test_cell_order_is_reproducible():
     assert once == again
     perms = [c.w.perm for c in once]
     assert perms == sorted(perms)  # w is the outermost key
-
-
-def test_fixed_point_datum():
-    w = weyl_elements(2)[0]
-    cell = Cell(
-        w=w,
-        kappa0=KostantPartition.from_intervals(2, [(1, 1)]),
-        kappaInf=KostantPartition.empty(2),
-    )
-    datum = fixed_point_datum(cell)
-    assert datum.d0 == {(1, 1): 1}
-    assert datum.dInf == {(1, 1): 0}
-
-    empty3 = KostantPartition.empty(3)
-    cell = Cell(w=weyl_elements(3)[0], kappa0=empty3, kappaInf=empty3)
-    datum = fixed_point_datum(cell)
-    assert all(v == 0 for v in datum.d0.values())
-    assert all(v == 0 for v in datum.dInf.values())
-
-    cell = Cell(
-        w=weyl_elements(3)[4],
-        kappa0=KostantPartition.from_intervals(3, [(1, 2)]),
-        kappaInf=empty3,
-    )
-    datum = fixed_point_datum(cell)
-    assert datum.d0 == {(1, 1): 1, (2, 1): 1, (2, 2): 0}
 
 
 def test_conjectured_dim_examples():

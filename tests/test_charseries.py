@@ -65,7 +65,6 @@ def test_poly_pretty_and_json():
     poly = LaurentPoly({-3: 1, -1: 1, 1: 1, 3: 1})
     assert poly.pretty() == "q^-3 + q^-1 + q + q^3"
     assert poly.to_json() == [[-3, "1"], [-1, "1"], [1, "1"], [3, "1"]]
-    assert LaurentPoly.from_json(poly.to_json()) == poly
     assert LaurentPoly.t_poly({0: 1, 1: 1}).pretty() == "1 + t"
     assert LaurentPoly.zero().pretty() == "0"
 

@@ -143,14 +143,39 @@ def test_verify_negative_degree_is_usage_error(capsys):
 
 @pytest.mark.parametrize(
     "n, degree, suite",
-    [(3, 3, "euler"), (9, 40, "euler"), (2, 5, "serre")],
+    [(3, 3, "euler"), (3, 3, "freeness"), (9, 40, "euler"), (2, 5, "serre")],
 )
 def test_verify_with_nothing_to_check_is_usage_error(capsys, n, degree, suite):
-    # euler: degree below |2rho| leaves no alpha; serre: n=2 has no adjacent pair
+    # euler, freeness: degree below |2rho| leaves no alpha and a zero Verma
+    # series; serre: n=2 has no adjacent pair
     code, out = run_cli(["verify", "--n", str(n), "--degree", str(degree), "--suite", suite])
     assert code == 2
     assert out == ""
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_deep_kostant_recursion_is_internal_error(capsys):
+    # one recursion level per coroot: 1,225 at n=50, past the interpreter limit
+    gamma = ",".join(["0"] * 48 + ["1"])
+    code, out = run_cli(["kostant", "--n", "50", "--gamma", gamma])
+    assert code == 4
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RecursionError")
+    assert err.count("\n") == 1
+
+
+def test_exception_in_a_suite_is_internal_error(monkeypatch, capsys):
+    from quasiflags import suites
+
+    def broken(n, degree):
+        raise RuntimeError("injected\nfault")
+
+    monkeypatch.setitem(suites._RUNNERS, "genfunc", broken)
+    code, out = run_cli(["verify", "--n", "2", "--degree", "9", "--suite", "genfunc"])
+    assert code == 4
+    assert out == ""
+    assert capsys.readouterr().err == "internal error: RuntimeError('injected\\nfault')\n"
 
 
 def _route_counts(suite, entry):

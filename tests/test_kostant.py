@@ -1,4 +1,4 @@
-"""Kostant partitions: enumeration, statistics, derived collections, K_alpha(t)."""
+"""Kostant partitions: enumeration, statistics, summand-count profiles, K_alpha(t)."""
 
 from itertools import product
 
@@ -110,45 +110,6 @@ def test_stats():
     kappa = KostantPartition.from_intervals(3, [(1, 1), (2, 2)])
     assert stats(kappa) == ((1, 1), 2, 2)
     assert stats(KostantPartition.empty(3)) == ((0, 0), 0, 0)
-
-
-def test_mu_collection():
-    kappa = KostantPartition.from_intervals(3, [(1, 2)])
-    assert kappa.mu() == {(1, 1): 1, (2, 1): 1, (2, 2): 1}
-    assert KostantPartition.empty(3).mu() == {(1, 1): 0, (2, 1): 0, (2, 2): 0}
-    kappa = KostantPartition.from_intervals(2, [(1, 1), (1, 1)])
-    assert kappa.mu() == {(1, 1): 2}
-
-
-def test_fixed_point_d():
-    kappa = KostantPartition.from_intervals(2, [(1, 1)])
-    assert kappa.fixed_point_d() == {(1, 1): 1}
-    kappa = KostantPartition.from_intervals(3, [(1, 2)])
-    assert kappa.fixed_point_d() == {(1, 1): 1, (2, 1): 1, (2, 2): 0}
-    assert KostantPartition.empty(3).fixed_point_d() == {
-        (1, 1): 0,
-        (2, 1): 0,
-        (2, 2): 0,
-    }
-
-
-def test_fixed_point_d_weakly_decreasing_in_p():
-    for gamma in [(2, 2), (1, 2, 1)]:
-        n = len(gamma) + 1
-        for kappa in kostant_partitions(gamma):
-            d = kappa.fixed_point_d()
-            for q in range(1, n):
-                for p in range(q, n - 1):
-                    assert d[(p, q)] >= d[(p + 1, q)]
-
-
-def test_mu_and_d_monotone_under_entrywise_increase():
-    base = KostantPartition.from_intervals(3, [(1, 2)])
-    bigger = KostantPartition.from_intervals(3, [(1, 2), (1, 1), (1, 2)])
-    assert base.mults <= bigger.mults
-    for key in base.mu():
-        assert base.mu()[key] <= bigger.mu()[key]
-        assert base.fixed_point_d()[key] <= bigger.fixed_point_d()[key]
 
 
 def test_lusztig_kostant_poly_examples():

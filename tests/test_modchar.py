@@ -177,11 +177,13 @@ def test_character_coefficients_are_partition_count_convolutions():
             assert char.coefficient(weight).coeff(0) == math.factorial(n) * conv
 
 
-@pytest.mark.parametrize("n,bound", [(2, 10), (3, 8), (4, 7)])
+@pytest.mark.parametrize("n,bound", [(2, 10), (3, 8), (4, 7), (4, 12)])
 def test_freeness_consistency_passes(n, bound):
     report = freeness_consistency_check(n, bound)
     assert report.passed()
     assert all(e.category == CONJECTURE_CONSISTENCY for e in report.entries)
+    # below |2rho| both series are zero and there is nothing to check
+    assert bool(report.entries) == (bound >= height(two_rho(n)))
 
 
 def test_freeness_nonnegative_and_factorization_details():

@@ -1,0 +1,74 @@
+"""Every public name in the package is read by the package or the benchmark.
+
+A public module-level function or class, or a public method, must be
+referenced (as an ``ast.Name`` or ``ast.Attribute``) somewhere in
+src/quasiflags outside its own definition, or in perfbench/*.py.  An
+``__init__`` import or an ``__all__`` string is not a reference.  Names
+kept only for the tests are listed in TEST_ONLY with the reason they stay.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "quasiflags").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+TEST_ONLY = {
+    "stratum_poincare_compact": "the per-stratum Cousin oracle; perfbench traces it by name",
+    "kostant_count": "the DP partition count that tests compare listings against",
+    "KostantPartition.empty": "the empty partition of hand-example tests",
+    "KostantPartition.from_intervals": "builds hand-example partitions in tests",
+    "LaurentPoly.min_exp": "degree bounds of Poincare polynomials in tests",
+    "LaurentPoly.max_exp": "degree bounds of Poincare polynomials in tests",
+    "LaurentPoly.support_parities": "the parity property of Poincare polynomials",
+    "LaurentPoly.is_palindromic": "the palindromicity of recentered polynomials",
+    "LaurentPoly.nonnegative": "the coefficient signs of series and K_alpha(t)",
+    "CharSeries.truncate": "the truncation law of series products",
+}
+
+
+def _definitions(tree):
+    """(qualified name, bare name, node) for each public def and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name, item
+
+
+def _referenced(node):
+    """Bare names read as ast.Name ids or ast.Attribute attrs under node."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+    return names
+
+
+def _unreferenced():
+    trees = [ast.parse(path.read_text()) for path in SRC]
+    src_refs = Counter(name for tree in trees for name in _referenced(tree))
+    bench_refs = {name for path in BENCH for name in _referenced(ast.parse(path.read_text()))}
+    unused = []
+    for tree in trees:
+        for qualname, name, node in _definitions(tree):
+            inside = _referenced(node).count(name)
+            if src_refs[name] == inside and name not in bench_refs:
+                unused.append(qualname)
+    return unused
+
+
+def test_every_public_name_is_read():
+    dead = [name for name in _unreferenced() if name not in TEST_ONLY]
+    assert dead == [], f"public names no module or benchmark reads: {dead}"
+
+
+def test_test_only_list_is_current():
+    # an entry the package now reads, or whose definition is gone, is stale
+    assert sorted(TEST_ONLY) == sorted(set(_unreferenced()) & set(TEST_ONLY))

@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("n,degree", [(2, 9), (3, 16), (3, 22)])
+@pytest.mark.parametrize("n,degree", [(2, 9), (3, 16), (3, 22), (4, 18)])
 def test_verify_all_stdout_matches_reference(n, degree):
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     expected = reference["cli"][f"{n},{degree}"]
