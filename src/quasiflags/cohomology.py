@@ -62,14 +62,13 @@ def stratum_poincare_compact(n, alpha, kappa, cap=DEFAULT_WEIGHT_CAP):
     return (kinv * weyl_poincare(n).negate_exponents()).shift(2 * lead)
 
 
-def laumon_poincare(alpha, cap=DEFAULT_WEIGHT_CAP, method="strata"):
+def laumon_poincare(alpha, cap=DEFAULT_WEIGHT_CAP):
     """Poincare polynomial of the degree-alpha quasiflag space (in t).
 
     The Cousin sum grouped by defect weight: W(1/t) sum_{gamma <= alpha}
     K_{alpha-gamma}(1/t) sum_K c_K t^{dimB + 2|alpha| - |gamma| - K}, where
-    c_K defects of weight gamma have K summands ("strata": enumerated,
-    "aggregated": the DP profile).  Computed once per (alpha, method) in a
-    process; the cap is checked on every call.
+    c_K enumerated defects of weight gamma have K summands.  Computed once
+    per alpha in a process; the cap is checked on every call.
 
     >>> laumon_poincare((1,)).pretty()
     '1 + t + t^2 + t^3'
@@ -81,22 +80,19 @@ def laumon_poincare(alpha, cap=DEFAULT_WEIGHT_CAP, method="strata"):
         raise ResourceCapError(
             f"|alpha| = {height(alpha)} exceeds enumeration cap {cap}"
         )
-    if method not in ("strata", "aggregated"):
-        raise ValueError(f"unknown method {method!r}")
-    return _laumon_poincare(alpha, method)
+    return _laumon_poincare(alpha)
 
 
 @lru_cache(maxsize=None)
-def _laumon_poincare(alpha, method):
+def _laumon_poincare(alpha):
     # the caller checked |alpha| against the cap, and every gamma is <= alpha
-    profile = _enumerated_profile if method == "strata" else kostant_count_profile
     n = len(alpha) + 1
     d = dim_flag(n) + 2 * height(alpha)
     total = LaurentPoly.zero()
     for gamma in iter_subvectors(alpha):
         rest = tuple(a - g for a, g in zip(alpha, gamma))
         kinv = {k - height(rest): c for k, c in kostant_count_profile(rest).items()}
-        shifts = {d - height(gamma) - k: c for k, c in profile(gamma).items()}
+        shifts = {d - height(gamma) - k: c for k, c in _enumerated_profile(gamma).items()}
         total = total + LaurentPoly.t_poly(kinv) * LaurentPoly.t_poly(shifts)
     return total * weyl_poincare(n).negate_exponents()
 

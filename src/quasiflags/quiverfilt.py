@@ -14,9 +14,9 @@ The count is computed two independent ways:
   * a symbolic interval calculus: quotienting an interval [q,b] by its
     head [q,p] leaves the tail [p+1,b]; a step is rigid when exactly one
     summand at the chosen point can map onto the step interval;
-  * exhaustive linear algebra over F_2 and over F_3: subrepresentations
-    of prescribed codimension are enumerated as kernels of functionals,
-    with arrow-stability and quotient-isomorphism checked on matrices.
+  * exhaustive linear algebra over F_2 and over F_3 in fixed coordinates,
+    one per summand: a subrepresentation is a list of constraint rows per
+    vertex, and each step appends the functional of one quotient map.
 
 filtration_counts returns all three counts.  count_filtrations returns
 NOT_RIGID (a result, not an error) when the two field counts differ, as
@@ -135,7 +135,6 @@ def count_filtrations_symbolic(rep, steps):
 
     def rec(state, k):
         if k < 0:
-            assert not state
             return 1
         q, p = steps[k]
         total = 0
@@ -156,7 +155,6 @@ def count_filtrations_symbolic(rep, steps):
             rest.remove((iv, x))
             if p < iv[1]:
                 rest.append(((p + 1, iv[1]), x))
-            rest.sort(key=lambda s: (str(s[1]), s[0]))
             total += rec(rest, k - 1)
         return total
 
@@ -169,169 +167,75 @@ def count_filtrations_symbolic(rep, steps):
 # ---------------------------------------------------------------------------
 # finite-field brute force
 
-# A point state is (dims, mats): dims[v-1] is the space dimension at
-# vertex v; mats[v-1] is the matrix of the arrow v -> v+1 as a tuple of
-# rows.  The full state maps point label -> point state.
+# Fixed coordinates: at a point with summands ivs there is one coordinate
+# per summand.  The space at vertex v is F_p on the summands covering v,
+# and the arrow v -> v+1 keeps the coordinates of the summands that go on
+# to v+1.  A subrepresentation at the point is a tuple over the vertices
+# of constraint rows: the subspace at v is the common kernel of rows[v-1].
+# Each row is 1 at its pivot, its first nonzero entry, and 0 at the
+# pivots of the rows before it.
 
 
-def _mat_rows(rows):
-    return tuple(tuple(r) for r in rows)
+def _reduced(phi, ivs, v, rows, p):
+    """phi at vertex v reduced by the rows there: zero iff phi vanishes on their kernel.
 
-
-def _row_times_mat(f, mat, p):
-    # f: functional on the target; result: functional f o A on the source
-    if not mat:
-        return ()
-    cols = len(mat[0])
-    return tuple(
-        sum(f[i] * mat[i][j] for i in range(len(mat))) % p for j in range(cols)
-    )
-
-
-def _normalize(vec, p):
-    lead = next((c for c in vec if c), None)
-    if lead is None:
-        return None
-    inv = pow(lead, p - 2, p)
-    return tuple(c * inv % p for c in vec)
-
-
-def _functionals(dim, p):
-    """All nonzero functionals on F_p^dim, normalized (first nonzero = 1)."""
-    out = []
-    for vec in iproduct(range(p), repeat=dim):
-        if any(vec) and _normalize(vec, p) == vec:
-            out.append(vec)
-    return out
-
-
-def _kernel_basis(f, p):
-    """RREF basis of ker f; pivots are all indices except f's pivot."""
-    d = len(f)
-    j0 = next(j for j in range(d) if f[j])
-    assert f[j0] == 1
-    basis = []
-    for j in range(d):
-        if j == j0:
-            continue
-        vec = [0] * d
-        vec[j] = 1
-        vec[j0] = (-f[j]) % p
-        basis.append(tuple(vec))
-    return basis, [j for j in range(d) if j != j0]
-
-
-def _rep_state(rep):
-    """Initial matrix model: one basis line per summand covering a vertex."""
-    state = {}
-    for x in rep.points():
-        ivs = [iv for iv, pt in rep.summands if pt == x]
-        cover = [[r for r, (q, p) in enumerate(ivs) if q <= v <= p] for v in range(1, rep.n)]
-        dims = [len(c) for c in cover]
-        mats = []
-        for v in range(rep.n - 2):
-            rows = []
-            for r_idx in cover[v + 1]:
-                rows.append(tuple(1 if r_idx == s_idx else 0 for s_idx in cover[v]))
-            mats.append(_mat_rows(rows))
-        state[x] = (tuple(dims), tuple(mats))
-    return state
-
-
-def _peel_point(dims, mats, q, p_end, p):
-    """All subrep states of one point with quotient iso to interval [q, p_end].
-
-    Yields (new_dims, new_mats).  The subspace at each vertex in the
-    interval is the kernel of a functional; functionals are forced down
-    the interval by the arrow maps, so only the one at p_end is free.
+    At v the functional loses the summands that start above v; the
+    result is zero at every pivot of rows.
     """
-    nverts = len(dims)
-    if any(dims[v - 1] == 0 for v in range(q, p_end + 1)):
-        return
-    for f_top in _functionals(dims[p_end - 1], p):
-        funcs = {p_end: f_top}
-        ok = True
-        for v in range(p_end - 1, q - 1, -1):
-            g = _row_times_mat(funcs[v + 1], mats[v - 1], p)
-            g = _normalize(g, p)
-            if g is None:
-                ok = False
-                break
-            funcs[v] = g
-        if not ok:
-            continue
-        if q >= 2 and dims[q - 2] > 0:
-            incoming = _row_times_mat(funcs[q], mats[q - 2], p)
-            if any(incoming):
+    vec = [c if a <= v else 0 for c, (a, _) in zip(phi, ivs)]
+    for row in rows:
+        c = vec[row.index(1)]
+        if c:
+            vec = [(a - c * b) % p for a, b in zip(vec, row)]
+    return vec
+
+
+def _peel_point(ivs, rows, q, p_end, p):
+    """Each subrep of one point whose quotient is iso to the interval [q, p_end].
+
+    A quotient map is fixed by its functional phi at p_end, up to a
+    scalar: phi runs over the free (non-pivot) coordinates there with its
+    first nonzero entry 1.  At each v in [q, p_end] the reduced phi must
+    be nonzero, and it is appended as a new row; on the arrow into q it
+    must vanish.
+    """
+    pivots = {row.index(1) for row in rows[p_end - 1]}
+    free = [j for j, (a, b) in enumerate(ivs) if a <= p_end <= b and j not in pivots]
+    for first in range(len(free)):
+        for tail in iproduct(range(p), repeat=len(free) - first - 1):
+            phi = [0] * len(ivs)
+            for j, c in zip(free[first:], (1,) + tail):
+                phi[j] = c
+            if q > 1 and any(_reduced(phi, ivs, q - 1, rows[q - 2], p)):
                 continue
-        kernels = {}
-        pivots = {}
-        for v in range(q, p_end + 1):
-            kernels[v], pivots[v] = _kernel_basis(funcs[v], p)
-        new_dims = list(dims)
-        for v in range(q, p_end + 1):
-            new_dims[v - 1] -= 1
-
-        def basis_at(v):
-            if q <= v <= p_end:
-                return kernels[v]
-            return [
-                tuple(1 if i == j else 0 for j in range(dims[v - 1]))
-                for i in range(dims[v - 1])
-            ]
-
-        def coords_at(v, vec):
-            if q <= v <= p_end:
-                cs = tuple(vec[j] for j in pivots[v])
-                if __debug__:
-                    f = funcs[v]
-                    assert sum(a * b for a, b in zip(f, vec)) % p == 0
-                return cs
-            return vec
-
-        new_mats = []
-        for v in range(1, nverts):
-            if not (q <= v <= p_end or q <= v + 1 <= p_end):
-                new_mats.append(mats[v - 1])
-                continue
-            rows_t = []
-            for u in basis_at(v):
-                img = tuple(
-                    sum(mats[v - 1][i][j] * u[j] for j in range(len(u))) % p
-                    for i in range(dims[v])
-                )
-                rows_t.append(coords_at(v + 1, img))
-            # rows_t holds images column-wise; transpose into row form
-            r = new_dims[v]
-            c = new_dims[v - 1]
-            new_mats.append(
-                _mat_rows(
-                    [[rows_t[j][i] for j in range(c)] for i in range(r)]
-                )
-            )
-        yield tuple(new_dims), tuple(new_mats)
+            new = list(rows)
+            for v in range(q, p_end + 1):
+                g = _reduced(phi, ivs, v, rows[v - 1], p)
+                lead = next((c for c in g if c), 0)
+                if not lead:
+                    break
+                inv = pow(lead, p - 2, p)
+                new[v - 1] += (tuple(c * inv % p for c in g),)
+            else:
+                yield tuple(new)
 
 
 def count_filtrations_bruteforce(rep, steps, p):
     """Exhaustive chain count over the field F_p."""
     _validate_steps(rep, steps)
-    state = _rep_state(rep)
-    labels = sorted(state, key=str)
+    points = [[iv for iv, pt in rep.summands if pt == x] for x in rep.points()]
 
-    def rec(st, k):
+    def rec(state, k):
         if k < 0:
             return 1
         q, p_end = steps[k]
         total = 0
-        for x in labels:
-            dims, mats = st[x]
-            for new_dims, new_mats in _peel_point(dims, mats, q, p_end, p):
-                nxt = dict(st)
-                nxt[x] = (new_dims, new_mats)
-                total += rec(nxt, k - 1)
+        for i, ivs in enumerate(points):
+            for sub in _peel_point(ivs, state[i], q, p_end, p):
+                total += rec(state[:i] + (sub,) + state[i + 1 :], k - 1)
         return total
 
-    return rec(state, len(steps) - 1)
+    return rec(tuple(((),) * (rep.n - 1) for _ in points), len(steps) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,6 @@ def test_laumon_n3_example():
     )
 
 
-def test_laumon_strata_vs_aggregated():
-    cases = [(3,), (1, 1), (2, 1), (2, 2), (3, 3), (1, 0, 1), (1, 1, 1), (2, 1, 1)]
-    for alpha in cases:
-        assert laumon_poincare(alpha, method="strata") == laumon_poincare(
-            alpha, method="aggregated"
-        )
-
-
 @pytest.mark.parametrize("n,alpha_cap", [(2, 6), (3, 6), (4, 4)])
 def test_grouped_cousin_sum_matches_stratum_by_stratum(n, alpha_cap):
     # oracle: the Cousin sum taken one defect stratum at a time
@@ -90,13 +82,7 @@ def test_grouped_cousin_sum_matches_stratum_by_stratum(n, alpha_cap):
         for gamma in iter_subvectors(alpha):
             for kappa in kostant_partitions(gamma):
                 by_stratum = by_stratum + stratum_poincare_compact(n, alpha, kappa)
-        for method in ("strata", "aggregated"):
-            assert laumon_poincare(alpha, method=method) == by_stratum, (alpha, method)
-
-
-def test_laumon_unknown_method():
-    with pytest.raises(ValueError):
-        laumon_poincare((1,), method="fast")
+        assert laumon_poincare(alpha) == by_stratum, alpha
 
 
 def test_laumon_euler_is_weyl_times_partition_convolution():

@@ -91,13 +91,12 @@ def test_returned_partition_list_is_a_fresh_copy():
 
 
 def test_warm_poincare_cache_still_checks_cap():
-    for method in ("strata", "aggregated"):
-        laumon_poincare((3, 3), cap=12, method=method)
-        with pytest.raises(ResourceCapError):
-            laumon_poincare((3, 3), cap=5, method=method)
-        # exactly at the cap is allowed, as for the enumeration
-        assert laumon_poincare((3, 3), cap=6, method=method).eval_at_one() > 0
-    # the strata route has cached the enumerated profiles by now
+    laumon_poincare((3, 3), cap=12)
+    with pytest.raises(ResourceCapError):
+        laumon_poincare((3, 3), cap=5)
+    # exactly at the cap is allowed, as for the enumeration
+    assert laumon_poincare((3, 3), cap=6).eval_at_one() > 0
+    # laumon_poincare has cached the enumerated profiles by now
     assert enumerated_profile((3, 3), cap=12) == {3: 1, 4: 1, 5: 1, 6: 1}
     with pytest.raises(ResourceCapError):
         enumerated_profile((3, 3), cap=5)

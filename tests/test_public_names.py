@@ -1,10 +1,13 @@
-"""Every public name in the package is read by the package or the benchmark.
+"""Every name in the package is read by the package or the benchmark.
 
 A public module-level function or class, or a public method, must be
 referenced (as an ``ast.Name`` or ``ast.Attribute``) somewhere in
 src/quasiflags outside its own definition, or in perfbench/*.py.  An
 ``__init__`` import or an ``__all__`` string is not a reference.  Names
 kept only for the tests are listed in TEST_ONLY with the reason they stay.
+A private module-level helper (``_name``, not a dunder) must be read in
+src/quasiflags outside its own definition, so that a rewrite cannot leave
+one orphaned.
 """
 
 import ast
@@ -67,6 +70,21 @@ def _unreferenced():
 def test_every_public_name_is_read():
     dead = [name for name in _unreferenced() if name not in TEST_ONLY]
     assert dead == [], f"public names no module or benchmark reads: {dead}"
+
+
+def test_every_private_helper_is_read():
+    trees = [ast.parse(path.read_text()) for path in SRC]
+    refs = Counter(name for tree in trees for name in _referenced(tree))
+    dead = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and refs[node.name] == _referenced(node).count(node.name)
+    ]
+    assert dead == [], f"private helpers no module reads: {dead}"
 
 
 def test_test_only_list_is_current():

@@ -1,5 +1,7 @@
 """Filtration counting: spec'd multiplicities, rigidity, dual-route agreement."""
 
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -148,25 +150,41 @@ def test_single_interval_chain_is_unique():
     assert count_filtrations(rep, [(1, 1), (2, 2), (3, 3)]) == 0
 
 
-def interval_strategy(n):
-    return st.tuples(
-        st.integers(min_value=1, max_value=n - 1),
-        st.integers(min_value=1, max_value=n - 1),
-    ).map(lambda qp: (min(qp), max(qp)))
+def interval_strategy(n, longest=None):
+    longest = n - 1 if longest is None else longest
+    return (
+        st.tuples(
+            st.integers(min_value=1, max_value=n - 1),
+            st.integers(min_value=1, max_value=n - 1),
+        )
+        .map(lambda qp: (min(qp), max(qp)))
+        .filter(lambda iv: iv[1] - iv[0] < longest)
+    )
+
+
+SHARED_DIMENSION_CAP = 5
 
 
 @st.composite
 def point_configurations(draw, n=4, max_summands=3, shared_point=False):
-    """A rep with one interval per point, plus a valid random step list.
+    """A rep of up to max_summands intervals, plus a valid random step list.
 
-    With shared_point, the first two summands may sit at one point, so
-    that NOT_RIGID cases are drawn too.
+    Each summand has its own point.  With shared_point, the summands
+    fall into points in any grouping instead, up
+    to all of them at one point, so that NOT_RIGID cases are drawn too;
+    the total dimension is then at most SHARED_DIMENSION_CAP.
     """
     count = draw(st.integers(min_value=1, max_value=max_summands))
-    intervals = [draw(interval_strategy(n)) for _ in range(count)]
-    labels = [f"p{k}" for k in range(count)]
-    if shared_point and count >= 2 and draw(st.booleans()):
-        labels[1] = labels[0]
+    if shared_point:
+        intervals, left = [], SHARED_DIMENSION_CAP
+        for k in range(count):
+            q, p = draw(interval_strategy(n, longest=left - (count - k - 1)))
+            intervals.append((q, p))
+            left -= p - q + 1
+        labels = [f"p{draw(st.integers(min_value=0, max_value=k))}" for k in range(count)]
+    else:
+        intervals = [draw(interval_strategy(n)) for _ in range(count)]
+        labels = [f"p{k}" for k in range(count)]
     rep = TorsionRep.of(n, list(zip(intervals, labels)))
     # cut each summand into consecutive pieces, then interleave them
     pieces = []
@@ -217,6 +235,89 @@ def test_filtration_counts_is_the_three_routes(case):
     else:
         assert result == f2
         assert sym in (None, f2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_complete_flags_at_one_point(d):
+    # d simples at one point: the chains are the complete flags of F_p^d
+    rep = TorsionRep.of(2, [((1, 1), "x")] * d)
+    for p in (2, 3):
+        flags = 1
+        for k in range(1, d + 1):
+            flags *= (p**k - 1) // (p - 1)
+        assert count_filtrations_bruteforce(rep, [(1, 1)] * d, p) == flags
+
+
+def subspace_oracle_count(rep, steps, p):
+    """Chain count over F_p with each subspace kept as the set of its vectors.
+
+    At a point with summands ivs a vector is a tuple over ivs; the space
+    at v holds the vectors zero off the summands covering v, and the arrow
+    v -> v+1 zeroes the summands that end at v.  Hyperplanes are found by
+    trying every functional on the ambient tuples.
+    """
+    points = [[iv for iv, pt in rep.summands if pt == x] for x in rep.points()]
+
+    def arrow(ivs, v, vecs):
+        return {tuple(c if b > v else 0 for c, (_, b) in zip(x, ivs)) for x in vecs}
+
+    def hyperplanes(sub, size):
+        found = set()
+        for f in product(range(p), repeat=size):
+            ker = frozenset(x for x in sub if sum(a * b for a, b in zip(f, x)) % p == 0)
+            if len(ker) * p == len(sub):
+                found.add(ker)
+        return found
+
+    def peel(ivs, spaces, q, top):
+        # a choice of hyperplanes on [q, top] is a subrep with quotient the
+        # interval module when the arrows map hyperplane into hyperplane,
+        # space onto quotient line, and the space at q-1 into the hyperplane
+        choices = [hyperplanes(spaces[v - 1], len(ivs)) for v in range(q, top + 1)]
+        for hs in product(*choices):
+            if q > 1 and not arrow(ivs, q - 1, spaces[q - 2]) <= hs[0]:
+                continue
+            if all(
+                arrow(ivs, v, hs[v - q]) <= hs[v - q + 1]
+                and not arrow(ivs, v, spaces[v - 1]) <= hs[v - q + 1]
+                for v in range(q, top)
+            ):
+                yield spaces[: q - 1] + hs + spaces[top:]
+
+    def rec(state, k):
+        if k < 0:
+            return 1
+        q, top = steps[k]
+        total = 0
+        for i, ivs in enumerate(points):
+            for sub in peel(ivs, state[i], q, top):
+                total += rec(state[:i] + (sub,) + state[i + 1 :], k - 1)
+        return total
+
+    start = tuple(
+        tuple(
+            frozenset(
+                x
+                for x in product(range(p), repeat=len(ivs))
+                if all(a <= v <= b or c == 0 for c, (a, b) in zip(x, ivs))
+            )
+            for v in range(1, rep.n)
+        )
+        for ivs in points
+    )
+    return rec(start, len(steps) - 1)
+
+
+@given(point_configurations(shared_point=True))
+@example((TorsionRep.of(2, [((1, 1), "x")] * 3), [(1, 1)] * 3))
+@example((TorsionRep.of(4, [((1, 3), "x"), ((2, 2), "x")]), [(2, 2), (3, 3), (1, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_field_counts_match_subspace_oracle(case):
+    rep, steps = case
+    for p in (2, 3):
+        assert count_filtrations_bruteforce(rep, steps, p) == subspace_oracle_count(
+            rep, steps, p
+        )
 
 
 # --- PBW multiplicities ----------------------------------------------------
