@@ -126,10 +126,16 @@ def _enumerate_partitions(gamma):
         if not any(remaining):
             results.append(KostantPartition(n, tuple(mults)))
             return
-        if idx == len(intervals):
-            return
-        q, p = intervals[idx]
-        limit = min(remaining[i - 1] for i in range(q, p + 1))
+        # a coroot that cannot fit takes multiplicity 0: step past it here,
+        # so the depth is the number of coroots that fit, not all of them
+        while True:
+            if idx == len(intervals):
+                return
+            q, p = intervals[idx]
+            limit = min(remaining[i - 1] for i in range(q, p + 1))
+            if limit:
+                break
+            idx += 1
         for m in range(limit + 1):
             mults[idx] = m
             rem = list(remaining)

@@ -15,8 +15,14 @@ The count is computed two independent ways:
     head [q,p] leaves the tail [p+1,b]; a step is rigid when exactly one
     summand at the chosen point can map onto the step interval;
   * exhaustive linear algebra over F_2 and over F_3 in fixed coordinates,
-    one per summand: a subrepresentation is a list of constraint rows per
-    vertex, and each step appends the functional of one quotient map.
+    one per summand: a subrepresentation is a list of fully reduced
+    constraint rows per vertex, and each step adds the functional of one
+    quotient map.
+
+Both recursions count per state, not per chain: a count below step k
+depends only on the multiset of label-free point states, so each route
+keeps one memo keyed on (k, sorted point states) for the length of a
+single call.  The routes share no table.
 
 filtration_counts returns all three counts.  count_filtrations returns
 NOT_RIGID (a result, not an error) when the two field counts differ, as
@@ -132,34 +138,36 @@ def count_filtrations_symbolic(rep, steps):
     more eligible summands at one point give a projective family.
     """
     _validate_steps(rep, steps)
+    memo = {}
 
-    def rec(state, k):
+    def rec(k, state):
+        # state: sorted tuple of per-point sorted interval tuples.  A state
+        # in the memo was explored in full without raising _Ambiguous.
         if k < 0:
             return 1
+        if (k, state) in memo:
+            return memo[k, state]
         q, p = steps[k]
         total = 0
-        points = []
-        for _, pt in state:
-            if pt not in points:
-                points.append(pt)
-        for x in points:
-            at_x = [iv for iv, pt in state if pt == x]
+        for i, at_x in enumerate(state):
             eligible = [iv for iv in at_x if iv[0] >= q and iv[0] <= p <= iv[1]]
-            onto = [iv for iv in eligible if iv[0] == q]
-            if not onto:
+            if not any(iv[0] == q for iv in eligible):
                 continue
             if len(eligible) > 1:
                 raise _Ambiguous
             iv = eligible[0]
-            rest = list(state)
-            rest.remove((iv, x))
+            rest = list(at_x)
+            rest.remove(iv)
             if p < iv[1]:
-                rest.append(((p + 1, iv[1]), x))
-            total += rec(rest, k - 1)
+                rest.append((p + 1, iv[1]))
+            peeled = state[:i] + (tuple(sorted(rest)),) + state[i + 1 :]
+            total += rec(k - 1, tuple(sorted(peeled)))
+        memo[k, state] = total
         return total
 
+    start = [tuple(iv for iv, pt in rep.summands if pt == x) for x in rep.points()]
     try:
-        return rec(list(rep.summands), len(steps) - 1)
+        return rec(len(steps) - 1, tuple(sorted(start)))
     except _Ambiguous:
         return None
 
@@ -172,8 +180,11 @@ def count_filtrations_symbolic(rep, steps):
 # and the arrow v -> v+1 keeps the coordinates of the summands that go on
 # to v+1.  A subrepresentation at the point is a tuple over the vertices
 # of constraint rows: the subspace at v is the common kernel of rows[v-1].
-# Each row is 1 at its pivot, its first nonzero entry, and 0 at the
-# pivots of the rows before it.
+# The rows are fully reduced and sorted by pivot: each row is 1 at its
+# pivot, its first nonzero entry, and 0 at the pivots of all the other
+# rows, so one row tuple stands for one subspace and a point state
+# (ivs, rows) has no labels; count_filtrations_bruteforce memoizes on
+# the multiset of point states for the length of one call.
 
 
 def _reduced(phi, ivs, v, rows, p):
@@ -196,8 +207,8 @@ def _peel_point(ivs, rows, q, p_end, p):
     A quotient map is fixed by its functional phi at p_end, up to a
     scalar: phi runs over the free (non-pivot) coordinates there with its
     first nonzero entry 1.  At each v in [q, p_end] the reduced phi must
-    be nonzero, and it is appended as a new row; on the arrow into q it
-    must vanish.
+    be nonzero; normalized to 1 at its pivot j, it clears column j of
+    the rows there and joins them.  On the arrow into q it must vanish.
     """
     pivots = {row.index(1) for row in rows[p_end - 1]}
     free = [j for j, (a, b) in enumerate(ivs) if a <= p_end <= b and j not in pivots]
@@ -211,31 +222,51 @@ def _peel_point(ivs, rows, q, p_end, p):
             new = list(rows)
             for v in range(q, p_end + 1):
                 g = _reduced(phi, ivs, v, rows[v - 1], p)
-                lead = next((c for c in g if c), 0)
-                if not lead:
+                j = next((j for j, c in enumerate(g) if c), None)
+                if j is None:
                     break
-                inv = pow(lead, p - 2, p)
-                new[v - 1] += (tuple(c * inv % p for c in g),)
+                inv = pow(g[j], p - 2, p)
+                g = tuple(c * inv % p for c in g)
+                cleared = [
+                    tuple((a - r[j] * b) % p for a, b in zip(r, g)) for r in rows[v - 1]
+                ]
+                new[v - 1] = tuple(sorted(cleared + [g], key=lambda r: r.index(1)))
             else:
                 yield tuple(new)
 
 
 def count_filtrations_bruteforce(rep, steps, p):
-    """Exhaustive chain count over the field F_p."""
-    _validate_steps(rep, steps)
-    points = [[iv for iv, pt in rep.summands if pt == x] for x in rep.points()]
+    """Exhaustive chain count over the field F_p.
 
-    def rec(state, k):
+    The count below step k depends only on the multiset of point states,
+    so each (k, sorted states) is counted once per call, as is each peel.
+    """
+    _validate_steps(rep, steps)
+    memo, peels = {}, {}
+
+    def peel(ivs, rows, q, p_end):
+        key = (ivs, rows, q, p_end)
+        if key not in peels:
+            peels[key] = tuple(_peel_point(ivs, rows, q, p_end, p))
+        return peels[key]
+
+    def rec(k, state):
         if k < 0:
             return 1
+        if (k, state) in memo:
+            return memo[k, state]
         q, p_end = steps[k]
         total = 0
-        for i, ivs in enumerate(points):
-            for sub in _peel_point(ivs, state[i], q, p_end, p):
-                total += rec(state[:i] + (sub,) + state[i + 1 :], k - 1)
+        for i, (ivs, rows) in enumerate(state):
+            for sub in peel(ivs, rows, q, p_end):
+                peeled = state[:i] + ((ivs, sub),) + state[i + 1 :]
+                total += rec(k - 1, tuple(sorted(peeled)))
+        memo[k, state] = total
         return total
 
-    return rec(tuple(((),) * (rep.n - 1) for _ in points), len(steps) - 1)
+    points = [tuple(iv for iv, pt in rep.summands if pt == x) for x in rep.points()]
+    start = sorted((ivs, ((),) * (rep.n - 1)) for ivs in points)
+    return rec(len(steps) - 1, tuple(start))
 
 
 # ---------------------------------------------------------------------------

@@ -154,15 +154,21 @@ def test_verify_with_nothing_to_check_is_usage_error(capsys, n, degree, suite):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_deep_kostant_recursion_is_internal_error(capsys):
-    # one recursion level per coroot: 1,225 at n=50, past the interpreter limit
+def test_deep_rank_enumeration_succeeds(schema):
+    # 1,225 coroots at n=50: the enumeration must not take one recursion
+    # level per coroot that cannot fit
     gamma = ",".join(["0"] * 48 + ["1"])
-    code, out = run_cli(["kostant", "--n", "50", "--gamma", gamma])
-    assert code == 4
-    assert out == ""
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: RecursionError")
-    assert err.count("\n") == 1
+    code, doc = run_json(["kostant", "--n", "50", "--gamma", gamma])
+    assert code == 0
+    partitions = [row["partition"] for row in doc["rows"]]
+    assert partitions == [[{"coroot": [49, 49], "mult": 1}]]
+    jsonschema.validate(doc, schema)
+
+    alpha = ",".join(["0"] * 45 + ["1"])
+    code, doc = run_json(["poincare", "--n", "47", "--alpha", alpha])
+    assert code == 0
+    assert doc["result"]["dimension"] == 47 * 46 // 2 + 2  # dim B + 2|alpha|
+    jsonschema.validate(doc, schema)
 
 
 def test_exception_in_a_suite_is_internal_error(monkeypatch, capsys):
