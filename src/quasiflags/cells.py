@@ -42,11 +42,6 @@ class Cell:
     kappa0: KostantPartition
     kappaInf: KostantPartition
 
-    def alpha(self):
-        return tuple(
-            a + b for a, b in zip(self.kappa0.weight(), self.kappaInf.weight())
-        )
-
 
 def _splits(n, alpha, cap, per_weight=kostant_partitions):
     """(per_weight(gamma0), per_weight(alpha - gamma0)) for every gamma0 <= alpha."""

@@ -5,13 +5,15 @@ default; csv and latex render the same rows).  Identical invocations
 produce byte-identical output.  Exit codes: 0 ok, 1 a theorem identity
 failed, 2 usage error (including a verify run with nothing to check),
 3 only conjecture-level checks failed (without --strict), 4 internal
-error (one line on stderr, nothing on stdout).
+error (one line on stderr, nothing on stdout) or stdout closed before
+the document was written (one line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cells as cells_mod
@@ -315,7 +317,15 @@ def main(argv=None, out=None):
     except Exception as exc:  # exit 1 is reserved for a theorem failure
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
-    print(text, file=out)
+    try:
+        print(text, file=out)
+        out.flush()
+    except BrokenPipeError:
+        print("error: output closed before the document was written", file=sys.stderr)
+        if out is sys.stdout:
+            # the interpreter flushes stdout again at exit; let that succeed
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 4
     return code
 
 

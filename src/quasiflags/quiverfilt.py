@@ -1,10 +1,13 @@
 """Filtration counting for torsion representations of the linear A-quiver.
 
 A torsion representation here is a direct sum of interval indecomposables
-placed at labelled points: summand ([q,p], x) contributes a line at each
-vertex q..p, with identity arrow maps inside the interval.  Subobjects
-split point by point (a subsheaf of a sum of skyscrapers is the sum of
-its parts), so only spaces at the same point can mix.
+placed at points: summand ([q,p], x) contributes a line at each vertex
+q..p, with identity arrow maps inside the interval.  Subobjects split
+point by point (a subsheaf of a sum of skyscrapers is the sum of its
+parts), so only spaces at the same point can mix, and a count depends on
+the points only as a grouping of summands.  TorsionRep.of drops the
+labels: a rep is the sorted tuple of its points, each the sorted tuple
+of its intervals.
 
 count_filtrations counts increasing chains 0 = G_0 < G_1 < ... < G_m = T
 of subrepresentations whose k-th subquotient G_k/G_{k-1} is isomorphic to
@@ -20,13 +23,15 @@ The count is computed two independent ways:
     quotient map.
 
 Both recursions count per state, not per chain: a count below step k
-depends only on the multiset of label-free point states, so each route
-keeps one memo keyed on (k, sorted point states) for the length of a
-single call.  The routes share no table.
+depends only on the multiset of point states, so each route starts from
+rep.points and keeps one memo keyed on (k, sorted point states) for the
+length of a single call.  The routes share no table.
 
-filtration_counts returns all three counts.  count_filtrations returns
-NOT_RIGID (a result, not an error) when the two field counts differ, as
-the family is then positive-dimensional; a symbolic number must agree.
+filtration_counts is the one entry point to the routes: it validates the
+steps and the dimension cap once, and the routes trust its steps.  It
+returns all three counts.  count_filtrations returns NOT_RIGID (a
+result, not an error) when the two field counts differ, as the family is
+then positive-dimensional; a symbolic number must agree.
 """
 
 from __future__ import annotations
@@ -42,14 +47,7 @@ BRUTE_FORCE_FIELDS = (2, 3)
 
 
 class _NotRigidType:
-    """Singleton marker: the filtration family is not field-independent."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The type of NOT_RIGID: the filtration family is not field-independent."""
 
     def __repr__(self):
         return "NOT_RIGID"
@@ -64,42 +62,36 @@ def is_rigid(result):
 
 @dataclass(frozen=True)
 class TorsionRep:
-    """Multiset of (interval, point-label) summands for the rank-n quiver."""
+    """A torsion rep of the rank-n quiver as its label-free point grouping.
+
+    points is the sorted tuple of points, each the sorted tuple of the
+    (q, p) intervals of its summands: which label a point had does not
+    change any count.
+    """
 
     n: int
-    summands: tuple
+    points: tuple
 
     @classmethod
     def of(cls, n, summands):
-        """Build from an iterable of ((q, p), label) pairs."""
-        clean = []
+        """Build from an iterable of ((q, p), label) pairs; labels only group."""
+        by_label = {}
         for iv, label in summands:
             q, p = iv
             if not 1 <= q <= p <= n - 1:
                 raise ValueError(f"bad interval {iv} for n={n}")
-            clean.append(((q, p), label))
-        clean.sort(key=lambda s: (str(s[1]), s[0]))
-        return cls(n=n, summands=tuple(clean))
-
-    def points(self):
-        seen = []
-        for _, label in self.summands:
-            if label not in seen:
-                seen.append(label)
-        return seen
+            by_label.setdefault(label, []).append((q, p))
+        points = sorted(tuple(sorted(ivs)) for ivs in by_label.values())
+        return cls(n=n, points=tuple(points))
 
     def dimension(self):
         """Dimension vector as a coroot vector."""
         total = [0] * (self.n - 1)
-        for (q, p), _ in self.summands:
-            for v in range(q, p + 1):
-                total[v - 1] += 1
+        for ivs in self.points:
+            for q, p in ivs:
+                for v in range(q, p + 1):
+                    total[v - 1] += 1
         return tuple(total)
-
-    def to_json(self):
-        return [
-            {"interval": list(iv), "point": str(pt)} for iv, pt in self.summands
-        ]
 
 
 def simple_step(i):
@@ -108,16 +100,17 @@ def simple_step(i):
 
 
 def _validate_steps(rep, steps):
+    """The dimension vector of rep, once the steps are checked to add up to it."""
     total = [0] * (rep.n - 1)
     for q, p in steps:
         if not 1 <= q <= p <= rep.n - 1:
             raise ValueError(f"bad step interval ({q},{p}) for n={rep.n}")
         for v in range(q, p + 1):
             total[v - 1] += 1
-    if tuple(total) != rep.dimension():
-        raise ValueError(
-            f"step dimensions {tuple(total)} do not sum to dim T = {rep.dimension()}"
-        )
+    dim = rep.dimension()
+    if tuple(total) != dim:
+        raise ValueError(f"step dimensions {tuple(total)} do not sum to dim T = {dim}")
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +128,9 @@ def count_filtrations_symbolic(rep, steps):
     summand [a,b] can carry a surjection onto the step interval [q,p]
     iff q <= a <= p <= b, and the map can be onto only when a == q.  A
     unique eligible summand gives a unique kernel (tail [p+1,b]); two or
-    more eligible summands at one point give a projective family.
+    more eligible summands at one point give a projective family.  The
+    steps are trusted: filtration_counts has validated them.
     """
-    _validate_steps(rep, steps)
     memo = {}
 
     def rec(k, state):
@@ -165,9 +158,8 @@ def count_filtrations_symbolic(rep, steps):
         memo[k, state] = total
         return total
 
-    start = [tuple(iv for iv, pt in rep.summands if pt == x) for x in rep.points()]
     try:
-        return rec(len(steps) - 1, tuple(sorted(start)))
+        return rec(len(steps) - 1, rep.points)
     except _Ambiguous:
         return None
 
@@ -240,8 +232,8 @@ def count_filtrations_bruteforce(rep, steps, p):
 
     The count below step k depends only on the multiset of point states,
     so each (k, sorted states) is counted once per call, as is each peel.
+    The steps are trusted: filtration_counts has validated them.
     """
-    _validate_steps(rep, steps)
     memo, peels = {}, {}
 
     def peel(ivs, rows, q, p_end):
@@ -264,9 +256,8 @@ def count_filtrations_bruteforce(rep, steps, p):
         memo[k, state] = total
         return total
 
-    points = [tuple(iv for iv, pt in rep.summands if pt == x) for x in rep.points()]
-    start = sorted((ivs, ((),) * (rep.n - 1)) for ivs in points)
-    return rec(len(steps) - 1, tuple(start))
+    start = tuple((ivs, ((),) * (rep.n - 1)) for ivs in rep.points)
+    return rec(len(steps) - 1, start)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +268,16 @@ def filtration_counts(rep, steps, cap=DEFAULT_DIMENSION_CAP):
     """The three independent routes: (symbolic, F_2 count, F_3 count).
 
     The one entry point to the routes.  It validates the steps and the
-    dimension cap, and never raises when the routes disagree; the
-    symbolic count is None where it abstains.
+    dimension cap once, and the routes trust the steps it passes.  It
+    never raises when the routes disagree; the symbolic count is None
+    where it abstains.
 
     >>> same_point = TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")])
     >>> filtration_counts(same_point, [(1, 1), (1, 1)])
     (None, 3, 4)
     """
     steps = tuple((int(q), int(p)) for q, p in steps)
-    _validate_steps(rep, steps)
-    total_dim = sum(rep.dimension())
+    total_dim = sum(_validate_steps(rep, steps))
     if total_dim > cap:
         raise ResourceCapError(
             f"total dimension {total_dim} exceeds brute-force cap {cap}"
@@ -367,9 +358,9 @@ def pbw_steps(exponents, order):
 
 
 def pbw_expected(rep, exponents, order):
-    """prod c_k! when the labelled partition matches the exponents, else 0."""
+    """prod c_k! when the rep's intervals match the exponents, else 0."""
     want = sorted(pbw_steps(exponents, order))
-    have = sorted(iv for iv, _ in rep.summands)
+    have = sorted(iv for ivs in rep.points for iv in ivs)
     if want != have:
         return 0
     return prod(factorial(c) for c in exponents)

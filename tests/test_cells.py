@@ -62,7 +62,8 @@ def test_cell_counts_match_convolution_oracle():
 
 def test_cells_have_consistent_weights():
     for cell in enumerate_cells(3, (2, 1)):
-        assert cell.alpha() == (2, 1)
+        weights = zip(cell.kappa0.weight(), cell.kappaInf.weight())
+        assert tuple(a + b for a, b in weights) == (2, 1)
 
 
 def test_cell_order_is_reproducible():

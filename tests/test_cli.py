@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -182,6 +185,33 @@ def test_exception_in_a_suite_is_internal_error(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert capsys.readouterr().err == "internal error: RuntimeError('injected\\nfault')\n"
+
+
+CLOSED_OUTPUT = "error: output closed before the document was written\n"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_output_is_exit_4(capsys):
+    code = cli.main(["kostant", "--n", "3", "--gamma", "1,1"], out=_ClosedPipe())
+    assert code == 4
+    assert capsys.readouterr().err == CLOSED_OUTPUT
+
+
+def test_closed_stdout_exits_4_without_a_traceback():
+    argv = [sys.executable, "-m", "quasiflags.cli", "kostant", "--n", "3", "--gamma", "1,1"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to stdout fails
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    # one line, and no "Exception ignored" from the flush at shutdown
+    assert proc.stderr.decode() == CLOSED_OUTPUT
 
 
 def _route_counts(suite, entry):

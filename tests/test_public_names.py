@@ -1,10 +1,12 @@
 """Every name in the package is read by the package or the benchmark.
 
-A public module-level function or class, or a public method, must be
-referenced (as an ``ast.Name`` or ``ast.Attribute``) somewhere in
-src/quasiflags outside its own definition, or in perfbench/*.py.  An
-``__init__`` import or an ``__all__`` string is not a reference.  Names
-kept only for the tests are listed in TEST_ONLY with the reason they stay.
+A public module-level function or class must be referenced (as an
+``ast.Name`` or ``ast.Attribute``) somewhere in src/quasiflags outside its
+own definition, or in perfbench/*.py; a public method only counts as read
+through an ``ast.Attribute``, since a local variable of the same name does
+not call it.  An ``__init__`` import or an ``__all__`` string is not a
+reference.  Names kept only for the tests are listed in TEST_ONLY with the
+reason they stay.
 A private module-level helper (``_name``, not a dunder) must be read in
 src/quasiflags outside its own definition, so that a rewrite cannot leave
 one orphaned.
@@ -23,6 +25,7 @@ TEST_ONLY = {
     "kostant_count": "the DP partition count that tests compare listings against",
     "KostantPartition.empty": "the empty partition of hand-example tests",
     "KostantPartition.from_intervals": "builds hand-example partitions in tests",
+    "LaurentPoly.coeff": "single coefficients of Poincare polynomials and characters in tests",
     "LaurentPoly.min_exp": "degree bounds of Poincare polynomials in tests",
     "LaurentPoly.max_exp": "degree bounds of Poincare polynomials in tests",
     "LaurentPoly.support_parities": "the parity property of Poincare polynomials",
@@ -43,11 +46,11 @@ def _definitions(tree):
                         yield f"{node.name}.{item.name}", item.name, item
 
 
-def _referenced(node):
-    """Bare names read as ast.Name ids or ast.Attribute attrs under node."""
+def _referenced(node, attrs_only=False):
+    """Bare names read as ast.Attribute attrs, and ast.Name ids unless attrs_only."""
     names = []
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not attrs_only:
             names.append(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.append(sub.attr)
@@ -56,13 +59,22 @@ def _referenced(node):
 
 def _unreferenced():
     trees = [ast.parse(path.read_text()) for path in SRC]
-    src_refs = Counter(name for tree in trees for name in _referenced(tree))
-    bench_refs = {name for path in BENCH for name in _referenced(ast.parse(path.read_text()))}
+    benches = [ast.parse(path.read_text()) for path in BENCH]
+    # keyed by attrs_only: a method is read only as an attribute
+    src_refs = {
+        only: Counter(name for tree in trees for name in _referenced(tree, only))
+        for only in (False, True)
+    }
+    bench_refs = {
+        only: {name for tree in benches for name in _referenced(tree, only)}
+        for only in (False, True)
+    }
     unused = []
     for tree in trees:
         for qualname, name, node in _definitions(tree):
-            inside = _referenced(node).count(name)
-            if src_refs[name] == inside and name not in bench_refs:
+            method = "." in qualname
+            inside = _referenced(node, method).count(name)
+            if src_refs[method][name] == inside and name not in bench_refs[method]:
                 unused.append(qualname)
     return unused
 

@@ -261,7 +261,7 @@ def test_filtration_counts_is_the_three_routes(case):
 
 
 def unmemoized_symbolic_count(rep, steps):
-    """The symbolic interval calculus with labelled summands and no memo."""
+    """The symbolic interval calculus on (interval, point index) summands, no memo."""
 
     class Ambiguous(Exception):
         pass
@@ -287,7 +287,8 @@ def unmemoized_symbolic_count(rep, steps):
         return total
 
     try:
-        return rec(list(rep.summands), len(steps) - 1)
+        state = [(iv, x) for x, ivs in enumerate(rep.points) for iv in ivs]
+        return rec(state, len(steps) - 1)
     except Ambiguous:
         return None
 
@@ -328,7 +329,7 @@ def subspace_oracle_count(rep, steps, p):
     v -> v+1 zeroes the summands that end at v.  Hyperplanes are found by
     trying every functional on the ambient tuples.
     """
-    points = [[iv for iv, pt in rep.summands if pt == x] for x in rep.points()]
+    points = rep.points
 
     def arrow(ivs, v, vecs):
         return {tuple(c if b > v else 0 for c, (_, b) in zip(x, ivs)) for x in vecs}
@@ -462,8 +463,25 @@ def test_commutator_constant_equals_pairing(n):
 def test_torsion_rep_dimensions():
     rep = TorsionRep.of(3, [((1, 2), "x"), ((2, 2), "y")])
     assert rep.dimension() == (1, 2)
-    assert rep.points() == ["x", "y"]
+    assert rep.points == (((1, 2),), ((2, 2),))
 
+
+@given(
+    st.lists(st.tuples(interval_strategy(5), st.sampled_from("abc")), max_size=6),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_torsion_rep_is_its_label_free_point_grouping(summands, rng):
+    # both routes start from rep.points, so the grouping is checked on its own
+    rep = TorsionRep.of(5, summands)
+    labels = sorted({x for _, x in summands})
+    per_label = sorted(sorted(iv for iv, x in summands if x == y) for y in labels)
+    assert [list(ivs) for ivs in rep.points] == per_label
+    shuffled = list(summands)
+    rng.shuffle(shuffled)
+    assert TorsionRep.of(5, shuffled) == rep
+    renamed = dict(zip(labels, rng.sample(range(100), len(labels))))
+    assert TorsionRep.of(5, [(iv, renamed[x]) for iv, x in summands]) == rep
 
 def test_torsion_rep_rejects_bad_interval():
     with pytest.raises(ValueError):
