@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 from .charseries import LaurentPoly
 from .cohomology import iter_subvectors, laumon_poincare
-from .kostant import (
-    DEFAULT_WEIGHT_CAP,
-    KostantPartition,
-    enumerated_profile,
-    kostant_partitions,
-)
+from .kostant import KostantPartition, enumerated_profile, kostant_partitions
 from .reports import CONJECTURE, FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import WeylElement, height, weyl_elements
 
@@ -43,22 +38,22 @@ class Cell:
     kappaInf: KostantPartition
 
 
-def _splits(n, alpha, cap, per_weight=kostant_partitions):
+def _splits(n, alpha, per_weight=kostant_partitions):
     """(per_weight(gamma0), per_weight(alpha - gamma0)) for every gamma0 <= alpha."""
     if len(alpha) != n - 1:
         raise ValueError(f"alpha must have length {n - 1}")
     for gamma0 in iter_subvectors(alpha):
         gammaInf = tuple(a - g for a, g in zip(alpha, gamma0))
-        yield per_weight(gamma0, cap=cap), per_weight(gammaInf, cap=cap)
+        yield per_weight(gamma0), per_weight(gammaInf)
 
 
-def enumerate_cells(n, alpha, cap=DEFAULT_WEIGHT_CAP):
+def enumerate_cells(n, alpha):
     """All cells for the degree-alpha space, in reproducible order.
 
     Order: w lexicographic, then the weight split gamma0 <= alpha
     lexicographic, then the two partitions in enumeration order.
     """
-    splits = list(_splits(n, tuple(alpha), cap))
+    splits = list(_splits(n, tuple(alpha)))
     cells = []
     for w in weyl_elements(n):
         for parts0, partsInf in splits:
@@ -79,18 +74,18 @@ def conjectured_dim(cell):
     )
 
 
-def count_cells(n, alpha, cap=DEFAULT_WEIGHT_CAP):
+def count_cells(n, alpha):
     """Number of cells, without building them.
 
     The cells are the product set W x {(kappa0, kappaInf)}, so they
     number |W| times the sum over the splits of the two partition counts.
     """
-    splits = _splits(n, tuple(alpha), cap, enumerated_profile)
+    splits = _splits(n, tuple(alpha), enumerated_profile)
     pairs = sum(sum(p0.values()) * sum(pInf.values()) for p0, pInf in splits)
     return len(weyl_elements(n)) * pairs
 
 
-def cell_dimension_poly(n, alpha, cap=DEFAULT_WEIGHT_CAP):
+def cell_dimension_poly(n, alpha):
     """sum over the cells of t^conjectured_dim, without building them.
 
     ||kappa0|| + ||kappaInf|| = |alpha| on every cell, and the rest of the
@@ -100,18 +95,18 @@ def cell_dimension_poly(n, alpha, cap=DEFAULT_WEIGHT_CAP):
     """
     alpha = tuple(alpha)
     pair_sum = LaurentPoly.zero()
-    for p0, pInf in _splits(n, alpha, cap, enumerated_profile):
+    for p0, pInf in _splits(n, alpha, enumerated_profile):
         inverse = LaurentPoly.t_poly({-k: c for k, c in pInf.items()})
         pair_sum = pair_sum + LaurentPoly.t_poly(p0) * inverse
     weyl = LaurentPoly.t_poly(Counter(w.length for w in weyl_elements(n)))
     return (weyl * pair_sum).shift(2 * height(alpha))
 
 
-def euler_check(n, alpha, cap=DEFAULT_WEIGHT_CAP):
+def euler_check(n, alpha):
     """Cell count vs Poincare polynomial at t=1 for one alpha."""
     alpha = tuple(alpha)
-    ncells = count_cells(n, alpha, cap=cap)
-    euler = laumon_poincare(alpha, cap=cap).eval_at_one()
+    ncells = count_cells(n, alpha)
+    euler = laumon_poincare(alpha).eval_at_one()
     ok = ncells == euler
     entry = Entry(
         case={"alpha": list(alpha)},
@@ -122,11 +117,11 @@ def euler_check(n, alpha, cap=DEFAULT_WEIGHT_CAP):
     return Report(name="euler", params={"n": n, "alpha": list(alpha)}, entries=[entry])
 
 
-def cell_dimension_conjecture_check(n, alpha, cap=DEFAULT_WEIGHT_CAP):
+def cell_dimension_conjecture_check(n, alpha):
     """Compare sum_cells t^dim with the Poincare polynomial (CONJECTURE)."""
     alpha = tuple(alpha)
-    lhs = cell_dimension_poly(n, alpha, cap=cap)
-    rhs = laumon_poincare(alpha, cap=cap)
+    lhs = cell_dimension_poly(n, alpha)
+    rhs = laumon_poincare(alpha)
     ok = lhs == rhs
     entry = Entry(
         case={"alpha": list(alpha)},

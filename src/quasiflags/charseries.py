@@ -49,9 +49,9 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def t_power(cls, k, coeff=1):
-        """coeff * t^k, i.e. coeff * q^(2k)."""
-        return cls({2 * k: coeff})
+    def t_power(cls, k):
+        """t^k, i.e. q^(2k)."""
+        return cls({2 * k: 1})
 
     @classmethod
     def t_poly(cls, tcoeffs):

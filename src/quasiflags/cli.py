@@ -18,15 +18,19 @@ import sys
 
 from . import cells as cells_mod
 from . import cohomology, suites
-from .kostant import DEFAULT_WEIGHT_CAP, kostant_partitions, stats
+from .kostant import kostant_partitions, stats
 from .rootdata import ResourceCapError, dim_flag, height, two_rho
+
+# The largest |vector| the one-vector commands accept unless --cap says
+# otherwise; the library enumerates whatever it is given.
+DEFAULT_WEIGHT_CAP = 12
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_vector(text, rank, what):
+def _parse_vector(text, rank, what, cap):
     try:
         vec = tuple(int(part) for part in text.split(","))
     except ValueError:
@@ -35,6 +39,10 @@ def _parse_vector(text, rank, what):
         raise UsageError(f"--{what} must have {rank} coordinates, got {len(vec)}")
     if any(a < 0 for a in vec):
         raise UsageError(f"--{what} coordinates must be nonnegative")
+    if height(vec) > cap:
+        raise ResourceCapError(
+            f"|{what}| = {height(vec)} exceeds enumeration cap {cap}"
+        )
     return vec
 
 
@@ -57,9 +65,10 @@ def build_parser():
             p.add_argument("--gamma", type=str, required=True,
                            help="comma-separated coroot coordinates")
         p.add_argument("--format", choices=("json", "csv", "latex"), default="json")
-        if alpha or gamma:  # the one-vector commands enumerate under a cap
+        if alpha or gamma:  # the one-vector commands bound the vector they read
             p.add_argument("--cap", type=int, default=DEFAULT_WEIGHT_CAP,
-                           help="enumeration cap (default 12)")
+                           help="largest |vector| accepted, checked once before "
+                           "any enumeration (default 12)")
 
     p = sub.add_parser("kostant", help="list the Kostant partitions of gamma")
     common(p, gamma=True)
@@ -90,9 +99,9 @@ def build_parser():
 
 
 def cmd_kostant(args):
-    gamma = _parse_vector(args.gamma, args.n - 1, "gamma")
+    gamma = _parse_vector(args.gamma, args.n - 1, "gamma", args.cap)
     rows = []
-    for kappa in kostant_partitions(gamma, cap=args.cap):
+    for kappa in kostant_partitions(gamma):
         weight, norm, summands = stats(kappa)
         rows.append(
             {
@@ -111,11 +120,11 @@ def cmd_kostant(args):
 
 
 def cmd_poincare(args):
-    alpha = _parse_vector(args.alpha, args.n - 1, "alpha")
+    alpha = _parse_vector(args.alpha, args.n - 1, "alpha", args.cap)
     if args.shifted:
-        poly = cohomology.shifted_poincare(alpha, cap=args.cap)
+        poly = cohomology.shifted_poincare(alpha)
     else:
-        poly = cohomology.laumon_poincare(alpha, cap=args.cap)
+        poly = cohomology.laumon_poincare(alpha)
     doc = {
         "command": "poincare",
         "params": {
@@ -150,9 +159,9 @@ def cmd_genfunc(args):
 
 
 def cmd_cells(args):
-    alpha = _parse_vector(args.alpha, args.n - 1, "alpha")
+    alpha = _parse_vector(args.alpha, args.n - 1, "alpha", args.cap)
     rows = []
-    for cell in cells_mod.enumerate_cells(args.n, alpha, cap=args.cap):
+    for cell in cells_mod.enumerate_cells(args.n, alpha):
         row = {
             "w": list(cell.w.perm),
             "length": cell.w.length,

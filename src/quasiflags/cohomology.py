@@ -22,15 +22,9 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .charseries import CharSeries, LaurentPoly, geometric_inverse
-from .kostant import (
-    DEFAULT_WEIGHT_CAP,
-    _enumerated_profile,
-    kostant_count_profile,
-    lusztig_kostant_poly,
-)
+from .kostant import _enumerated_profile, kostant_count_profile, lusztig_kostant_poly
 from .reports import FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import (
-    ResourceCapError,
     dim_flag,
     height,
     positive_coroots,
@@ -45,7 +39,7 @@ def iter_subvectors(alpha):
     return iproduct(*(range(a + 1) for a in alpha))
 
 
-def stratum_poincare_compact(n, alpha, kappa, cap=DEFAULT_WEIGHT_CAP):
+def stratum_poincare_compact(n, alpha, kappa):
     """Compactly supported Poincare polynomial of the defect-kappa stratum.
 
     Equals t^{dimB + 2|alpha| - ||kappa|| - K(kappa)}
@@ -58,34 +52,25 @@ def stratum_poincare_compact(n, alpha, kappa, cap=DEFAULT_WEIGHT_CAP):
     if any(c < 0 for c in rest):
         raise ValueError("stratum requires |kappa| <= alpha coordinatewise")
     lead = dim_flag(n) + 2 * height(alpha) - height(weight) - kappa.num_summands()
-    kinv = lusztig_kostant_poly(rest, cap=cap).negate_exponents()
+    kinv = lusztig_kostant_poly(rest).negate_exponents()
     return (kinv * weyl_poincare(n).negate_exponents()).shift(2 * lead)
 
 
-def laumon_poincare(alpha, cap=DEFAULT_WEIGHT_CAP):
+@lru_cache(maxsize=None)
+def laumon_poincare(alpha):
     """Poincare polynomial of the degree-alpha quasiflag space (in t).
 
     The Cousin sum grouped by defect weight: W(1/t) sum_{gamma <= alpha}
     K_{alpha-gamma}(1/t) sum_K c_K t^{dimB + 2|alpha| - |gamma| - K}, where
-    c_K enumerated defects of weight gamma have K summands.  Computed once
-    per alpha in a process; the cap is checked on every call.
+    c_K enumerated defects of weight gamma have K summands.  alpha is a
+    tuple; the polynomial is computed once per alpha in a process.  No
+    cap applies here: the CLI bounds |alpha| where it reads the vector.
 
     >>> laumon_poincare((1,)).pretty()
     '1 + t + t^2 + t^3'
     >>> laumon_poincare((1, 0)).pretty()
     '1 + 2*t + 3*t^2 + 3*t^3 + 2*t^4 + t^5'
     """
-    alpha = tuple(alpha)
-    if height(alpha) > cap:
-        raise ResourceCapError(
-            f"|alpha| = {height(alpha)} exceeds enumeration cap {cap}"
-        )
-    return _laumon_poincare(alpha)
-
-
-@lru_cache(maxsize=None)
-def _laumon_poincare(alpha):
-    # the caller checked |alpha| against the cap, and every gamma is <= alpha
     n = len(alpha) + 1
     d = dim_flag(n) + 2 * height(alpha)
     total = LaurentPoly.zero()
@@ -97,11 +82,11 @@ def _laumon_poincare(alpha):
     return total * weyl_poincare(n).negate_exponents()
 
 
-def shifted_poincare(alpha, cap=DEFAULT_WEIGHT_CAP):
+def shifted_poincare(alpha):
     """laumon_poincare recentered around degree zero: multiply by q^{-dim}."""
     alpha = tuple(alpha)
     d = dim_flag(len(alpha) + 1) + 2 * height(alpha)
-    return laumon_poincare(alpha, cap=cap).shift(-d)
+    return laumon_poincare(alpha).shift(-d)
 
 
 def generating_function(n, bound):
@@ -132,7 +117,7 @@ def verify_generating_function(n, bound):
     entries = []
     for alpha in vectors_up_to(n - 1, bound - height(rho2)):
         lhs = closed.coefficient(tuple(x + y for x, y in zip(alpha, rho2)))
-        rhs = shifted_poincare(alpha, cap=sum(alpha))
+        rhs = shifted_poincare(alpha)
         ok = lhs == rhs
         details = {}
         if not ok:

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .charseries import LaurentPoly
-from .rootdata import ResourceCapError, coroot_intervals, height
-
-DEFAULT_WEIGHT_CAP = 12
+from .rootdata import coroot_intervals, height, interval_sum, positive_coroots
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,7 @@ class KostantPartition:
 
     def weight(self):
         """|kappa|: the coroot vector the partition sums to."""
-        total = [0] * (self.n - 1)
-        for (q, p), m in zip(coroot_intervals(self.n), self.mults):
-            if m:
-                for i in range(q, p + 1):
-                    total[i - 1] += m
-        return tuple(total)
+        return interval_sum(self.n, self.intervals())
 
     def norm(self):
         """||kappa|| = |weight|."""
@@ -90,29 +83,27 @@ def stats(kappa):
     return kappa.weight(), kappa.norm(), kappa.num_summands()
 
 
-def _checked(gamma, cap):
+def _checked(gamma):
     gamma = tuple(gamma)
     if any(a < 0 for a in gamma):
         raise ValueError("gamma must have nonnegative coordinates")
-    if height(gamma) > cap:
-        raise ResourceCapError(
-            f"|gamma| = {height(gamma)} exceeds enumeration cap {cap}"
-        )
     return gamma
 
 
-def kostant_partitions(gamma, cap=DEFAULT_WEIGHT_CAP):
+def kostant_partitions(gamma):
     """All Kostant partitions of gamma, lexicographic in the multiplicity vector.
 
     gamma is a coroot vector for rank n = len(gamma) + 1.  The
     enumeration runs once per gamma; every call returns a fresh list.
+    Nothing here bounds |gamma|: the CLI checks the weight cap where a
+    vector comes in.
 
     >>> [kappa.intervals() for kappa in kostant_partitions((1, 1))]
     [[(1, 2)], [(1, 1), (2, 2)]]
     >>> [kappa.num_summands() for kappa in kostant_partitions((2, 1))]
     [2, 3]
     """
-    return list(_enumerate_partitions(_checked(gamma, cap)))
+    return list(_enumerate_partitions(_checked(gamma)))
 
 
 @lru_cache(maxsize=None)
@@ -155,11 +146,9 @@ def _count_profile(n, gamma):
     Dynamic-programming convolution along the canonical coroot list;
     independent of the recursive enumeration above.
     """
-    intervals = coroot_intervals(n)
     # profiles: weight-so-far -> {summand count: ways}; only weights <= gamma kept
     profiles = {(0,) * (n - 1): {0: 1}}
-    for q, p in intervals:
-        theta = tuple(1 if q <= i <= p else 0 for i in range(1, n))
+    for theta in positive_coroots(n):
         updated = {}
         for beta, prof in profiles.items():
             cur, m = beta, 0
@@ -179,15 +168,15 @@ def kostant_count_profile(gamma):
     return dict(_count_profile(len(gamma) + 1, gamma))
 
 
-def enumerated_profile(gamma, cap=DEFAULT_WEIGHT_CAP):
+def enumerated_profile(gamma):
     """Map K -> number of enumerated Kostant partitions of gamma with K summands.
 
-    Counted once per gamma; every call checks gamma and the cap.
+    Counted once per gamma; every call checks gamma and returns a fresh dict.
 
     >>> enumerated_profile((2, 1))
     {2: 1, 3: 1}
     """
-    return dict(_enumerated_profile(_checked(gamma, cap)))
+    return dict(_enumerated_profile(_checked(gamma)))
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +189,7 @@ def kostant_count(gamma):
     return sum(kostant_count_profile(gamma).values())
 
 
-def lusztig_kostant_poly(alpha, cap=DEFAULT_WEIGHT_CAP):
+def lusztig_kostant_poly(alpha):
     """K_alpha(t) = t^{|alpha|} sum_{kappa} t^{-K(kappa)} as an even q-polynomial.
 
     >>> lusztig_kostant_poly((1, 1)).pretty()
@@ -208,6 +197,6 @@ def lusztig_kostant_poly(alpha, cap=DEFAULT_WEIGHT_CAP):
     >>> lusztig_kostant_poly((0, 0)).pretty()
     '1'
     """
-    alpha = _checked(alpha, cap)
+    alpha = _checked(alpha)
     profile = kostant_count_profile(alpha)
     return LaurentPoly.t_poly({height(alpha) - k: c for k, c in profile.items()})

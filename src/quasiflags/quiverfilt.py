@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import factorial, prod
 
-from .rootdata import ResourceCapError, coroot_intervals, pairing, two_rho
+from .rootdata import ResourceCapError, coroot_intervals, interval_sum, pairing, two_rho
 
 DEFAULT_DIMENSION_CAP = 8
 BRUTE_FORCE_FIELDS = (2, 3)
@@ -86,12 +86,7 @@ class TorsionRep:
 
     def dimension(self):
         """Dimension vector as a coroot vector."""
-        total = [0] * (self.n - 1)
-        for ivs in self.points:
-            for q, p in ivs:
-                for v in range(q, p + 1):
-                    total[v - 1] += 1
-        return tuple(total)
+        return interval_sum(self.n, (iv for ivs in self.points for iv in ivs))
 
 
 def simple_step(i):
@@ -101,15 +96,12 @@ def simple_step(i):
 
 def _validate_steps(rep, steps):
     """The dimension vector of rep, once the steps are checked to add up to it."""
-    total = [0] * (rep.n - 1)
     for q, p in steps:
         if not 1 <= q <= p <= rep.n - 1:
             raise ValueError(f"bad step interval ({q},{p}) for n={rep.n}")
-        for v in range(q, p + 1):
-            total[v - 1] += 1
-    dim = rep.dimension()
-    if tuple(total) != dim:
-        raise ValueError(f"step dimensions {tuple(total)} do not sum to dim T = {dim}")
+    total, dim = interval_sum(rep.n, steps), rep.dimension()
+    if total != dim:
+        raise ValueError(f"step dimensions {total} do not sum to dim T = {dim}")
     return dim
 
 
@@ -315,17 +307,15 @@ def count_filtrations(rep, steps, cap=DEFAULT_DIMENSION_CAP):
 # the identity inputs
 
 
-def serre_split_shape(n, i, j, labels=("x", "y", "z")):
+def serre_split_shape(n, i, j):
     """Three simples at three distinct points: O_x[j] + O_y[i] + O_z[i]."""
-    x, y, z = labels
-    return TorsionRep.of(n, [((j, j), x), ((i, i), y), ((i, i), z)])
+    return TorsionRep.of(n, [((j, j), "x"), ((i, i), "y"), ((i, i), "z")])
 
 
-def serre_extension_shape(n, i, j, labels=("x", "y")):
-    """The interval module of dimension i+j at one point, plus O_y[i]."""
-    x, y = labels
+def serre_extension_shape(n, i, j):
+    """The interval module of dimension i+j at one point x, plus O_y[i]."""
     lo, hi = min(i, j), max(i, j)
-    return TorsionRep.of(n, [((lo, hi), x), ((i, i), y)])
+    return TorsionRep.of(n, [((lo, hi), "x"), ((i, i), "y")])
 
 
 SERRE_ARRANGEMENTS = ("iij", "iji", "jii")

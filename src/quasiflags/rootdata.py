@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from .charseries import LaurentPoly
 
@@ -39,11 +39,25 @@ def coroot_intervals(n):
     return tuple((q, p) for q in range(1, n) for p in range(q, n))
 
 
+def interval_sum(n, intervals):
+    """Coordinate vector of the sum of the coroots of (q, p) intervals, with repetition.
+
+    >>> interval_sum(4, [(1, 2), (2, 3), (2, 2)])
+    (1, 3, 1)
+    """
+    # each interval adds 1 on coordinates q..p: a difference array, summed once
+    diff = [0] * n
+    for q, p in intervals:
+        diff[q - 1] += 1
+        diff[p] -= 1
+    return tuple(accumulate(diff[:-1]))
+
+
 def interval_to_coroot(n, q, p):
     """Coordinate vector of the positive coroot i_q + ... + i_p."""
     if not 1 <= q <= p <= n - 1:
         raise ValueError(f"bad coroot interval ({q},{p}) for n={n}")
-    return tuple(1 if q <= i <= p else 0 for i in range(1, n))
+    return interval_sum(n, [(q, p)])
 
 
 @lru_cache(maxsize=None)
@@ -55,11 +69,7 @@ def positive_coroots(n):
 @lru_cache(maxsize=None)
 def two_rho(n):
     """Sum of all positive coroots; coordinate i equals i*(n-i)."""
-    total = [0] * (n - 1)
-    for theta in positive_coroots(n):
-        for i, a in enumerate(theta):
-            total[i] += a
-    return tuple(total)
+    return interval_sum(n, coroot_intervals(n))
 
 
 def height(alpha):

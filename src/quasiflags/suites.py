@@ -12,14 +12,10 @@ from math import factorial, prod
 from . import cells, cohomology, modchar, quiverfilt
 from .kostant import kostant_partitions
 from .reports import FAIL, PASS, THEOREM, Entry, Report
-from .rootdata import height, two_rho, vectors_up_to
+from .rootdata import height, interval_sum, two_rho, vectors_up_to
 
 PBW_MAX_TOTAL = 4
 COMMUTE_ALPHA_CAP = 6
-
-# Each per-case library call gets cap=|alpha| (pbw: |gamma|), so no cap
-# binds: a case enumerates only weights <= its own, and a pbw
-# representation has total dimension |gamma|.
 
 
 def run_genfunc(n, degree):
@@ -30,7 +26,7 @@ def _per_alpha(name, check, n, degree):
     alpha_cap = max(degree - height(two_rho(n)), -1)
     entries = []
     for alpha in vectors_up_to(n - 1, alpha_cap):
-        entries.extend(check(n, alpha, cap=sum(alpha)).entries)
+        entries.extend(check(n, alpha).entries)
     return Report(name=name, params={"n": n, "alpha_cap": alpha_cap}, entries=entries)
 
 
@@ -150,18 +146,19 @@ def run_pbw(n):
     )
     for order_name, order in orders:
         for c in vectors_up_to(len(order), PBW_MAX_TOTAL):
-            gamma = [0] * (n - 1)
-            for mult, (q, p) in zip(c, order):
-                for v in range(q, p + 1):
-                    gamma[v - 1] += mult
-            gamma = tuple(gamma)
             steps = quiverfilt.pbw_steps(c, order)
+            gamma = interval_sum(n, steps)
+            # the partition of the steps themselves is the diagonal;
+            # kappa.intervals() is sorted, so == compares multisets
+            want = sorted(steps)
+            diagonal = prod(factorial(m) for m in c)
             checked = []
             ok = True
-            for kappa in kostant_partitions(gamma, cap=sum(gamma)):
+            for kappa in kostant_partitions(gamma):
                 intervals = kappa.intervals()
                 rep = quiverfilt.TorsionRep.of(n, [(iv, k) for k, iv in enumerate(intervals)])
-                expected = quiverfilt.pbw_expected(rep, c, order=order)
+                expected = diagonal if intervals == want else 0
+                # a pbw rep has total dimension |gamma|: the cap admits it
                 sym, f2, f3 = quiverfilt.filtration_counts(rep, steps, cap=sum(gamma))
                 ok = ok and sym == f2 == f3 == expected
                 case = {
@@ -173,8 +170,6 @@ def run_pbw(n):
                 if f3 != f2:
                     case["f3"] = f3
                 checked.append(case)
-            # the partition of the steps themselves is the diagonal
-            diagonal = prod(factorial(m) for m in c)
             entries.append(
                 Entry(
                     case={"order": order_name, "exponents": list(c)},

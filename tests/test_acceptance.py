@@ -80,7 +80,7 @@ def test_criterion_3_palindromicity_and_parity():
     for n, alpha_cap in GENFUNC_RANGES:
         parity = dim_flag(n) % 2
         for alpha in alphas_up_to(n, alpha_cap):
-            poly = shifted_poincare(alpha, cap=max(12, sum(alpha)))
+            poly = shifted_poincare(alpha)
             ok = ok and poly.is_palindromic()
             ok = ok and poly.support_parities() == {parity}
     record(3, "palindromicity and single-parity support", ok)

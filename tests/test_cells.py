@@ -15,19 +15,9 @@ from quasiflags.cells import (
 )
 from quasiflags.charseries import LaurentPoly
 from quasiflags.cohomology import iter_subvectors, laumon_poincare
-from quasiflags.kostant import (
-    KostantPartition,
-    enumerated_profile,
-    kostant_partitions,
-)
+from quasiflags.kostant import KostantPartition, kostant_partitions
 from quasiflags.reports import CONJECTURE, THEOREM
-from quasiflags.rootdata import (
-    ResourceCapError,
-    dim_flag,
-    height,
-    vectors_up_to,
-    weyl_elements,
-)
+from quasiflags.rootdata import dim_flag, height, vectors_up_to, weyl_elements
 
 
 def brute_cell_count(n, alpha):
@@ -121,14 +111,7 @@ def test_factored_cell_sums_match_enumerated_cells(n, alpha_cap):
         assert cell_dimension_poly(n, alpha) == enumerated_dim_poly(n, alpha)
 
 
-def test_factored_cell_sums_keep_validation_and_cap():
+def test_factored_cell_sums_validate_alpha_length():
     for check in (count_cells, cell_dimension_poly, euler_check):
         with pytest.raises(ValueError):
             check(3, (1,))
-        with pytest.raises(ResourceCapError):
-            check(3, (3, 3), cap=5)
-    # the sums above read the cached profiles; a warm profile keeps its cap
-    assert count_cells(3, (3, 3), cap=6) == len(enumerate_cells(3, (3, 3), cap=6))
-    assert sum(enumerated_profile((3, 3), cap=6).values()) == 4
-    with pytest.raises(ResourceCapError):
-        enumerated_profile((3, 3), cap=5)

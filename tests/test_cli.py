@@ -260,8 +260,8 @@ def test_celldim_conjecture_failure_is_reported(monkeypatch):
 
     cell_sum = cells.cell_dimension_poly
 
-    def every_cell_one_degree_up(n, alpha, cap=12):
-        return cell_sum(n, alpha, cap=cap).shift(2)
+    def every_cell_one_degree_up(n, alpha):
+        return cell_sum(n, alpha).shift(2)
 
     monkeypatch.setattr(cells, "cell_dimension_poly", every_cell_one_degree_up)
     argv = ["verify", "--n", "2", "--degree", "4", "--suite", "celldim"]
@@ -293,12 +293,40 @@ def test_rank_too_small_is_usage_error():
     assert code == 2
 
 
-def test_cap_exceeded_is_usage_error_and_overridable():
-    code, _ = run_cli(["kostant", "--n", "2", "--gamma", "13"])
+# the one-vector commands and the flag that carries their vector
+CAPPED = {"kostant": "--gamma", "poincare": "--alpha", "cells": "--alpha"}
+
+
+def _assert_cap_error(capsys, code, out, size, cap):
     assert code == 2
-    code, doc = run_json(["kostant", "--n", "2", "--gamma", "13", "--cap", "13"])
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"= {size} exceeds enumeration cap {cap}" in err
+
+
+@pytest.mark.parametrize("command", sorted(CAPPED))
+def test_cap_exceeded_is_usage_error_and_overridable(command, capsys):
+    argv = [command, "--n", "2", CAPPED[command]]
+    # the default cap admits a vector exactly at it
+    code, doc = run_json(argv + ["12"])
     assert code == 0
-    assert len(doc["rows"]) == 1
+    assert doc["params"]["cap"] == 12
+    code, out = run_cli(argv + ["13"])
+    _assert_cap_error(capsys, code, out, 13, 12)
+    code, doc = run_json(argv + ["13", "--cap", "13"])
+    assert code == 0
+    code, out = run_cli(argv + ["13", "--cap", "12"])
+    _assert_cap_error(capsys, code, out, 13, 12)
+
+
+def test_warm_cache_does_not_lift_the_cap(capsys):
+    # the library caches per vector; the cap is checked before any lookup
+    for command, flag in CAPPED.items():
+        code, _ = run_cli([command, "--n", "3", flag, "6,6", "--cap", "12"])
+        assert code == 0
+        code, out = run_cli([command, "--n", "3", flag, "6,6", "--cap", "5"])
+        _assert_cap_error(capsys, code, out, 12, 5)
 
 
 def test_missing_command_is_usage_error(capsys):

@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 from quasiflags.charseries import LaurentPoly
-from quasiflags.cohomology import laumon_poincare
 from quasiflags.kostant import (
     KostantPartition,
     enumerated_profile,
@@ -15,7 +14,7 @@ from quasiflags.kostant import (
     lusztig_kostant_poly,
     stats,
 )
-from quasiflags.rootdata import ResourceCapError, coroot_intervals, vectors_up_to
+from quasiflags.rootdata import coroot_intervals, vectors_up_to
 
 
 def brute_partitions(gamma):
@@ -67,16 +66,7 @@ def test_every_partition_has_correct_weight():
             assert kappa.weight() == gamma
 
 
-def test_enumeration_cap():
-    with pytest.raises(ResourceCapError):
-        kostant_partitions((13,))
-    assert len(kostant_partitions((13,), cap=13)) == 1
-
-
-def test_warm_enumeration_still_checks_cap_and_input():
-    assert len(kostant_partitions((6,), cap=12)) == 1
-    with pytest.raises(ResourceCapError):
-        kostant_partitions((6,), cap=5)
+def test_enumeration_rejects_negative_input():
     with pytest.raises(ValueError):
         kostant_partitions((1, -1))
 
@@ -88,19 +78,6 @@ def test_returned_partition_list_is_a_fresh_copy():
     first.append(KostantPartition.empty(3))
     assert kostant_partitions((2, 2)) == expected
     assert kostant_partitions((2, 2)) is not kostant_partitions((2, 2))
-
-
-def test_warm_poincare_cache_still_checks_cap():
-    laumon_poincare((3, 3), cap=12)
-    with pytest.raises(ResourceCapError):
-        laumon_poincare((3, 3), cap=5)
-    # exactly at the cap is allowed, as for the enumeration
-    assert laumon_poincare((3, 3), cap=6).eval_at_one() > 0
-    # laumon_poincare has cached the enumerated profiles by now
-    assert enumerated_profile((3, 3), cap=12) == {3: 1, 4: 1, 5: 1, 6: 1}
-    with pytest.raises(ResourceCapError):
-        enumerated_profile((3, 3), cap=5)
-    assert enumerated_profile((3, 3), cap=6) == enumerated_profile((3, 3))
 
 
 def test_stats():

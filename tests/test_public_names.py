@@ -7,6 +7,11 @@ through an ``ast.Attribute``, since a local variable of the same name does
 not call it.  An ``__init__`` import or an ``__all__`` string is not a
 reference.  Names kept only for the tests are listed in TEST_ONLY with the
 reason they stay.
+A defaulted parameter of a public function or method (``__init__``
+included, called by its class name) must be set, by keyword or by
+position, by some call in src/quasiflags or perfbench/*.py: a knob no
+caller turns is dead weight.  Parameters set only by the tests are
+listed in TEST_ONLY_PARAMS with the reason they stay.
 A private module-level helper (``_name``, not a dunder) must be read in
 src/quasiflags outside its own definition, so that a rewrite cannot leave
 one orphaned.
@@ -32,6 +37,12 @@ TEST_ONLY = {
     "LaurentPoly.is_palindromic": "the palindromicity of recentered polynomials",
     "LaurentPoly.nonnegative": "the coefficient signs of series and K_alpha(t)",
     "CharSeries.truncate": "the truncation law of series products",
+    "pbw_expected": "the pbw oracle of the tests; run_pbw compares intervals once per entry",
+}
+
+TEST_ONLY_PARAMS = {
+    "main.out": "the tests' substitute for sys.stdout",
+    "count_filtrations.cap": "tests lower and raise the dimension cap of the public counter",
 }
 
 
@@ -102,3 +113,85 @@ def test_every_private_helper_is_read():
 def test_test_only_list_is_current():
     # an entry the package now reads, or whose definition is gone, is stale
     assert sorted(TEST_ONLY) == sorted(set(_unreferenced()) & set(TEST_ONLY))
+
+
+def _defaulted_params(tree):
+    """(qualified name, callee, method, [(position or None, param)]) per public def.
+
+    Positions count from the first argument a call passes, so a method
+    skips self or cls; a keyword-only parameter has no position.
+    """
+    for qualname, name, node in _definitions(tree):
+        if isinstance(node, ast.ClassDef):
+            init = [i for i in node.body if isinstance(i, ast.FunctionDef) and i.name == "__init__"]
+            if init:
+                yield from _params(f"{name}.__init__", name, False, init[0], skip=1)
+            continue
+        method = "." in qualname
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        yield from _params(qualname, name, method, node, skip=int(method and not static))
+
+
+def _params(qualname, callee, method, node, skip):
+    args = node.args
+    positional = (args.posonlyargs + args.args)[skip:]
+    found = [
+        (k, arg.arg)
+        for k, arg in enumerate(positional)
+        if k >= len(positional) - len(args.defaults)
+    ]
+    found += [
+        (None, arg.arg)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    if found:
+        yield qualname, callee, method, found
+
+
+def _calls(trees):
+    """callee name -> [(is attribute call, ast.Call)] over the trees."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                calls.setdefault(func.id, []).append((False, node))
+            elif isinstance(func, ast.Attribute):
+                calls.setdefault(func.attr, []).append((True, node))
+    return calls
+
+
+def _sets(call, position, param):
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    starred = [k for k, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+    return position < len(call.args) or bool(starred and starred[0] <= position)
+
+
+def _unset_params():
+    trees = [ast.parse(path.read_text()) for path in SRC]
+    calls = _calls(trees + [ast.parse(path.read_text()) for path in BENCH])
+    unset = []
+    for tree in trees:
+        for qualname, callee, method, params in _defaulted_params(tree):
+            # a method is called only as an attribute
+            sites = [call for is_attr, call in calls.get(callee, []) if is_attr or not method]
+            for position, param in params:
+                if not any(_sets(call, position, param) for call in sites):
+                    unset.append(f"{qualname}.{param}")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set():
+    knobs = [name for name in _unset_params() if name not in TEST_ONLY_PARAMS]
+    assert knobs == [], f"defaulted parameters no call sets: {knobs}"
+
+
+def test_test_only_params_list_is_current():
+    # an entry a call now sets, or whose parameter is gone, is stale
+    assert sorted(TEST_ONLY_PARAMS) == sorted(set(_unset_params()) & set(TEST_ONLY_PARAMS))

@@ -115,8 +115,8 @@ def test_not_rigid_nested_intervals_same_point():
 
 
 def test_relabeling_invariance():
-    rep = serre_extension_shape(3, 2, 1, labels=("x", "y"))
-    swapped = serre_extension_shape(3, 2, 1, labels=("u", "v"))
+    rep = serre_extension_shape(3, 2, 1)
+    swapped = TorsionRep.of(3, [((1, 2), "u"), ((2, 2), "v")])
     for ty in ((2, 2, 1), (2, 1, 2), (1, 2, 2)):
         steps = [simple_step(k) for k in ty]
         assert count_filtrations(rep, steps) == count_filtrations(swapped, steps)
