@@ -228,14 +228,6 @@ class CharSeries:
         self.coeffs = clean
 
     @classmethod
-    def zero(cls, rank, bound):
-        return cls(rank, bound)
-
-    @classmethod
-    def one(cls, rank, bound):
-        return cls(rank, bound, {(0,) * rank: LaurentPoly.one()})
-
-    @classmethod
     def monomial(cls, rank, bound, alpha, poly):
         return cls(rank, bound, {tuple(alpha): poly})
 
@@ -261,26 +253,6 @@ class CharSeries:
             self.rank == other.rank
             and self.bound == other.bound
             and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for alpha, poly in other.coeffs.items():
-            s = out.get(alpha, LaurentPoly.zero()) + poly
-            if s.is_zero():
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
-        return CharSeries(self.rank, self.bound, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        """Multiply by an integer or a LaurentPoly scalar."""
-        return CharSeries(
-            self.rank, self.bound, {a: p * c for a, p in self.coeffs.items()}
         )
 
     def __mul__(self, other):

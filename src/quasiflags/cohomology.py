@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .charseries import CharSeries, LaurentPoly, geometric_inverse
-from .kostant import _enumerated_profile, kostant_count_profile, lusztig_kostant_poly
+from .kostant import _enumerated_profile, _profile_table, lusztig_kostant_poly
 from .reports import FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import (
     dim_flag,
@@ -62,7 +62,8 @@ def laumon_poincare(alpha):
 
     The Cousin sum grouped by defect weight: W(1/t) sum_{gamma <= alpha}
     K_{alpha-gamma}(1/t) sum_K c_K t^{dimB + 2|alpha| - |gamma| - K}, where
-    c_K enumerated defects of weight gamma have K summands.  alpha is a
+    c_K enumerated defects of weight gamma have K summands.  One DP pass
+    over the box below alpha gives every K_{alpha-gamma}.  alpha is a
     tuple; the polynomial is computed once per alpha in a process.  No
     cap applies here: the CLI bounds |alpha| where it reads the vector.
 
@@ -73,10 +74,11 @@ def laumon_poincare(alpha):
     """
     n = len(alpha) + 1
     d = dim_flag(n) + 2 * height(alpha)
+    table = _profile_table(alpha)
     total = LaurentPoly.zero()
     for gamma in iter_subvectors(alpha):
         rest = tuple(a - g for a, g in zip(alpha, gamma))
-        kinv = {k - height(rest): c for k, c in kostant_count_profile(rest).items()}
+        kinv = {k - height(rest): c for k, c in table[rest].items()}
         shifts = {d - height(gamma) - k: c for k, c in _enumerated_profile(gamma).items()}
         total = total + LaurentPoly.t_poly(kinv) * LaurentPoly.t_poly(shifts)
     return total * weyl_poincare(n).negate_exponents()

@@ -139,13 +139,14 @@ def _enumerate_partitions(gamma):
     return tuple(results)
 
 
-@lru_cache(maxsize=None)
-def _count_profile(n, gamma):
-    """Map K -> number of Kostant partitions of gamma with K summands.
+def _profile_table(gamma):
+    """Map each beta <= gamma to its profile {K: Kostant partitions with K summands}.
 
-    Dynamic-programming convolution along the canonical coroot list;
-    independent of the recursive enumeration above.
+    Dynamic-programming convolution along the canonical coroot list over
+    the box below gamma; independent of the recursive enumeration above.
+    Nothing is cached: every call builds a fresh table.
     """
+    n = len(gamma) + 1
     # profiles: weight-so-far -> {summand count: ways}; only weights <= gamma kept
     profiles = {(0,) * (n - 1): {0: 1}}
     for theta in positive_coroots(n):
@@ -159,13 +160,13 @@ def _count_profile(n, gamma):
                 cur = tuple(c + t for c, t in zip(cur, theta))
                 m += 1
         profiles = updated
-    return profiles.get(tuple(gamma), {})
+    return profiles
 
 
 def kostant_count_profile(gamma):
     """Summand-count profile of K(gamma) via the DP convolution."""
-    gamma = tuple(gamma)
-    return dict(_count_profile(len(gamma) + 1, gamma))
+    gamma = _checked(gamma)
+    return _profile_table(gamma)[gamma]
 
 
 def enumerated_profile(gamma):
@@ -185,7 +186,7 @@ def _enumerated_profile(gamma):
 
 
 def kostant_count(gamma):
-    """Number of Kostant partitions of gamma (DP, cached)."""
+    """Number of Kostant partitions of gamma (one DP pass, not cached)."""
     return sum(kostant_count_profile(gamma).values())
 
 

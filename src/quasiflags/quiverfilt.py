@@ -25,7 +25,9 @@ The count is computed two independent ways:
 Both recursions count per state, not per chain: a count below step k
 depends only on the multiset of point states, so each route starts from
 rep.points and keeps one memo keyed on (k, sorted point states) for the
-length of a single call.  The routes share no table.
+length of a single call.  The field route also reads one process-wide
+peel table, keyed by (point state, step, field); the symbolic route
+never reads it, so the routes share no table.
 
 filtration_counts is the one entry point to the routes: it validates the
 steps and the dimension cap once, and the routes trust its steps.  It
@@ -37,6 +39,7 @@ then positive-dimensional; a symbolic number must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial, prod
 
@@ -167,8 +170,9 @@ def count_filtrations_symbolic(rep, steps):
 # The rows are fully reduced and sorted by pivot: each row is 1 at its
 # pivot, its first nonzero entry, and 0 at the pivots of all the other
 # rows, so one row tuple stands for one subspace and a point state
-# (ivs, rows) has no labels; count_filtrations_bruteforce memoizes on
-# the multiset of point states for the length of one call.
+# (ivs, rows) has no labels.  A peel depends on nothing else: _peel_point
+# is memoized for the process (the field is in its key), and
+# count_filtrations_bruteforce memoizes per call on point-state multisets.
 
 
 def _reduced(phi, ivs, v, rows, p):
@@ -185,8 +189,9 @@ def _reduced(phi, ivs, v, rows, p):
     return vec
 
 
+@lru_cache(maxsize=None)
 def _peel_point(ivs, rows, q, p_end, p):
-    """Each subrep of one point whose quotient is iso to the interval [q, p_end].
+    """The subreps of one point whose quotient is iso to the interval [q, p_end].
 
     A quotient map is fixed by its functional phi at p_end, up to a
     scalar: phi runs over the free (non-pivot) coordinates there with its
@@ -196,6 +201,7 @@ def _peel_point(ivs, rows, q, p_end, p):
     """
     pivots = {row.index(1) for row in rows[p_end - 1]}
     free = [j for j, (a, b) in enumerate(ivs) if a <= p_end <= b and j not in pivots]
+    subs = []
     for first in range(len(free)):
         for tail in iproduct(range(p), repeat=len(free) - first - 1):
             phi = [0] * len(ivs)
@@ -216,23 +222,19 @@ def _peel_point(ivs, rows, q, p_end, p):
                 ]
                 new[v - 1] = tuple(sorted(cleared + [g], key=lambda r: r.index(1)))
             else:
-                yield tuple(new)
+                subs.append(tuple(new))
+    return tuple(subs)
 
 
 def count_filtrations_bruteforce(rep, steps, p):
     """Exhaustive chain count over the field F_p.
 
     The count below step k depends only on the multiset of point states,
-    so each (k, sorted states) is counted once per call, as is each peel.
-    The steps are trusted: filtration_counts has validated them.
+    so each (k, sorted states) is counted once per call; each peel is
+    computed once per process and field.  The steps are trusted:
+    filtration_counts has validated them.
     """
-    memo, peels = {}, {}
-
-    def peel(ivs, rows, q, p_end):
-        key = (ivs, rows, q, p_end)
-        if key not in peels:
-            peels[key] = tuple(_peel_point(ivs, rows, q, p_end, p))
-        return peels[key]
+    memo = {}
 
     def rec(k, state):
         if k < 0:
@@ -242,7 +244,7 @@ def count_filtrations_bruteforce(rep, steps, p):
         q, p_end = steps[k]
         total = 0
         for i, (ivs, rows) in enumerate(state):
-            for sub in peel(ivs, rows, q, p_end):
+            for sub in _peel_point(ivs, rows, q, p_end, p):
                 peeled = state[:i] + ((ivs, sub),) + state[i + 1 :]
                 total += rec(k - 1, tuple(sorted(peeled)))
         memo[k, state] = total

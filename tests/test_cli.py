@@ -173,6 +173,14 @@ def test_deep_rank_enumeration_succeeds(schema):
     assert doc["result"]["dimension"] == 47 * 46 // 2 + 2  # dim B + 2|alpha|
     jsonschema.validate(doc, schema)
 
+    # the Cousin sum's DP stays in the box below alpha (7 weights here),
+    # not the simplex of all rank-49 weights of height <= 6
+    alpha = ",".join(["6"] + ["0"] * 48)
+    code, doc = run_json(["poincare", "--n", "50", "--alpha", alpha])
+    assert code == 0
+    assert doc["result"]["dimension"] == 50 * 49 // 2 + 12
+    jsonschema.validate(doc, schema)
+
 
 def test_exception_in_a_suite_is_internal_error(monkeypatch, capsys):
     from quasiflags import suites

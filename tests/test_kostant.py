@@ -7,6 +7,7 @@ import pytest
 from quasiflags.charseries import LaurentPoly
 from quasiflags.kostant import (
     KostantPartition,
+    _profile_table,
     enumerated_profile,
     kostant_count,
     kostant_count_profile,
@@ -116,15 +117,22 @@ def test_dp_count_matches_enumeration(n, cap):
 
 def test_count_profile_matches_enumeration_by_summands():
     for n in (2, 3, 4):
-        for gamma in vectors_up_to(n - 1, 6):
+        for alpha in vectors_up_to(n - 1, 6):
             profile = {}
-            for kappa in kostant_partitions(gamma):
+            for kappa in kostant_partitions(alpha):
                 k = kappa.num_summands()
                 profile[k] = profile.get(k, 0) + 1
-            assert enumerated_profile(gamma) == kostant_count_profile(gamma) == profile
+            assert enumerated_profile(alpha) == kostant_count_profile(alpha) == profile
+            # one DP pass fills the box below alpha, entry by entry
+            table = _profile_table(alpha)
+            assert sorted(table) == list(product(*(range(a + 1) for a in alpha)))
+            for beta, entry in table.items():
+                assert entry == enumerated_profile(beta)
     # a fresh dict every call, and the input is checked as for the enumeration
+    assert kostant_count_profile((2, 2)) is not kostant_count_profile((2, 2))
     enumerated_profile((2, 2)).clear()
-    assert enumerated_profile((2, 2)) == kostant_count_profile((2, 2))
+    kostant_count_profile((2, 2)).clear()
+    assert enumerated_profile((2, 2)) == kostant_count_profile((2, 2)) == {2: 1, 3: 1, 4: 1}
     with pytest.raises(ValueError):
         enumerated_profile((1, -1))
 

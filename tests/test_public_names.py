@@ -4,9 +4,11 @@ A public module-level function or class must be referenced (as an
 ``ast.Name`` or ``ast.Attribute``) somewhere in src/quasiflags outside its
 own definition, or in perfbench/*.py; a public method only counts as read
 through an ``ast.Attribute``, since a local variable of the same name does
-not call it.  An ``__init__`` import or an ``__all__`` string is not a
-reference.  Names kept only for the tests are listed in TEST_ONLY with the
-reason they stay.
+not call it.  An attribute read through the name of a package class,
+``Class.attr``, reads that class's member only: ``LaurentPoly.zero()``
+does not read ``CharSeries.zero``.  An ``__init__`` import or an
+``__all__`` string is not a reference.  Names kept only for the tests
+are listed in TEST_ONLY with the reason they stay.
 A defaulted parameter of a public function or method (``__init__``
 included, called by its class name) must be set, by keyword or by
 position, by some call in src/quasiflags or perfbench/*.py: a knob no
@@ -57,35 +59,50 @@ def _definitions(tree):
                         yield f"{node.name}.{item.name}", item.name, item
 
 
-def _referenced(node, attrs_only=False):
-    """Bare names read as ast.Attribute attrs, and ast.Name ids unless attrs_only."""
+def _classes(trees):
+    return {node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def _referenced(node, attrs_only=False, classes=frozenset()):
+    """Names read: ast.Attribute attrs, and ast.Name ids unless attrs_only.
+
+    An attribute of one of `classes`, read through the class name, is
+    recorded qualified, as "Class.attr".
+    """
     names = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not attrs_only:
             names.append(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.append(sub.attr)
+            value = sub.value
+            if isinstance(value, ast.Name) and value.id in classes:
+                names.append(f"{value.id}.{sub.attr}")
+            else:
+                names.append(sub.attr)
     return names
 
 
 def _unreferenced():
     trees = [ast.parse(path.read_text()) for path in SRC]
     benches = [ast.parse(path.read_text()) for path in BENCH]
+    classes = _classes(trees)
     # keyed by attrs_only: a method is read only as an attribute
     src_refs = {
-        only: Counter(name for tree in trees for name in _referenced(tree, only))
+        only: Counter(name for tree in trees for name in _referenced(tree, only, classes))
         for only in (False, True)
     }
     bench_refs = {
-        only: {name for tree in benches for name in _referenced(tree, only)}
+        only: {name for tree in benches for name in _referenced(tree, only, classes)}
         for only in (False, True)
     }
     unused = []
     for tree in trees:
         for qualname, name, node in _definitions(tree):
             method = "." in qualname
-            inside = _referenced(node, method).count(name)
-            if src_refs[method][name] == inside and name not in bench_refs[method]:
+            # a method is read bare (obj.name) or through its own class
+            keys = {name, qualname}
+            inside = Counter(_referenced(node, method, classes))
+            if all(src_refs[method][k] == inside[k] for k in keys) and not keys & bench_refs[method]:
                 unused.append(qualname)
     return unused
 

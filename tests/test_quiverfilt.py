@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from quasiflags.quiverfilt import (
     NOT_RIGID,
     TorsionRep,
+    _peel_point,
     alternative_coroot_order,
     canonical_coroot_order,
     commutator_constant,
@@ -386,11 +387,17 @@ def subspace_oracle_count(rep, steps, p):
 @example((TorsionRep.of(4, [((1, 3), "x"), ((2, 2), "x")]), [(2, 2), (3, 3), (1, 2)]))
 @settings(max_examples=60, deadline=None)
 def test_field_counts_match_subspace_oracle(case):
+    # the peel table lives for the process: counts from a cold table and
+    # from a warm one, filled in either field order, all equal the oracle
     rep, steps = case
-    for p in (2, 3):
-        assert count_filtrations_bruteforce(rep, steps, p) == subspace_oracle_count(
-            rep, steps, p
-        )
+    oracle = {p: subspace_oracle_count(rep, steps, p) for p in (2, 3)}
+    _peel_point.cache_clear()
+    for p in (3, 2, 2, 3):
+        assert count_filtrations_bruteforce(rep, steps, p) == oracle[p]
+    # the symbolic route never reads the table
+    before = _peel_point.cache_info()
+    count_filtrations_symbolic(rep, steps)
+    assert _peel_point.cache_info() == before
 
 
 # --- PBW multiplicities ----------------------------------------------------
