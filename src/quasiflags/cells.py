@@ -14,7 +14,8 @@ empirically and reports in the CONJECTURE category.
 
 enumerate_cells lists the labels for the cells command and as a test
 oracle; both checks sum over the cells in factored form (count_cells,
-cell_dimension_poly), without building them.
+cell_dimension_poly), without building them, reading only the Kostant
+listing and its per-gamma summand counts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .charseries import LaurentPoly
 from .cohomology import iter_subvectors, laumon_poincare
-from .kostant import KostantPartition, enumerated_profile, kostant_partitions
+from .kostant import KostantPartition, _enumerate_partitions, _enumerated_profile
 from .reports import CONJECTURE, FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import WeylElement, height, weyl_elements
 
@@ -38,7 +39,7 @@ class Cell:
     kappaInf: KostantPartition
 
 
-def _splits(n, alpha, per_weight=kostant_partitions):
+def _splits(n, alpha, per_weight):
     """(per_weight(gamma0), per_weight(alpha - gamma0)) for every gamma0 <= alpha."""
     if len(alpha) != n - 1:
         raise ValueError(f"alpha must have length {n - 1}")
@@ -53,7 +54,7 @@ def enumerate_cells(n, alpha):
     Order: w lexicographic, then the weight split gamma0 <= alpha
     lexicographic, then the two partitions in enumeration order.
     """
-    splits = list(_splits(n, tuple(alpha)))
+    splits = list(_splits(n, tuple(alpha), _enumerate_partitions))
     cells = []
     for w in weyl_elements(n):
         for parts0, partsInf in splits:
@@ -80,8 +81,8 @@ def count_cells(n, alpha):
     The cells are the product set W x {(kappa0, kappaInf)}, so they
     number |W| times the sum over the splits of the two partition counts.
     """
-    splits = _splits(n, tuple(alpha), enumerated_profile)
-    pairs = sum(sum(p0.values()) * sum(pInf.values()) for p0, pInf in splits)
+    splits = _splits(n, tuple(alpha), _enumerate_partitions)
+    pairs = sum(len(p0) * len(pInf) for p0, pInf in splits)
     return len(weyl_elements(n)) * pairs
 
 
@@ -90,16 +91,22 @@ def cell_dimension_poly(n, alpha):
 
     ||kappa0|| + ||kappaInf|| = |alpha| on every cell, and the rest of the
     statistic is additive over (w, kappa0, kappaInf).  So the sum is
-    t^|alpha| W(t) sum_splits P_gamma0(t) P_gammaInf(1/t), with W(t) =
-    sum_w t^l(w) and P_gamma(t) = sum_K c_K t^K, c = enumerated_profile(gamma).
+    W(t) sum_splits t^|alpha| P_gamma0(t) P_gammaInf(1/t), with W(t) =
+    sum_w t^l(w) and P_gamma(t) = sum_K c_K t^K, c_K the number of listed
+    partitions of gamma with K summands.  The split sum is one dense list,
+    slot |alpha| + K0 - KInf in [0, 2|alpha|]; the only polynomial product
+    is the one by W.
     """
     alpha = tuple(alpha)
-    pair_sum = LaurentPoly.zero()
-    for p0, pInf in _splits(n, alpha, enumerated_profile):
-        inverse = LaurentPoly.t_poly({-k: c for k, c in pInf.items()})
-        pair_sum = pair_sum + LaurentPoly.t_poly(p0) * inverse
+    size = height(alpha)
+    acc = [0] * (2 * size + 1)
+    for p0, pInf in _splits(n, alpha, _enumerated_profile):
+        for k0, c0 in p0.items():
+            for kinf, cinf in pInf.items():
+                acc[size + k0 - kinf] += c0 * cinf
+    pair_sum = LaurentPoly.t_poly(dict(enumerate(acc)))
     weyl = LaurentPoly.t_poly(Counter(w.length for w in weyl_elements(n)))
-    return (weyl * pair_sum).shift(2 * height(alpha))
+    return weyl * pair_sum
 
 
 def euler_check(n, alpha):

@@ -5,9 +5,12 @@ The space of degree-alpha quasiflags is smooth projective of dimension
 at the marked point, and the compactly supported cohomology of a stratum
 is pure, so the Poincare polynomial of the whole space is the plain sum
 of the stratum polynomials (the Cousin sum).  laumon_poincare groups the
-strata by (|kappa|, K(kappa)), all a stratum polynomial depends on, and is
-tested against the per-stratum stratum_poincare_compact.  The closed form
-collects all degrees at once:
+strata by (|kappa|, K(kappa)), all a stratum polynomial depends on, sums
+them in packed plain integers (Kronecker substitution, one bignum product
+per defect weight), and is tested against the per-stratum
+stratum_poincare_compact.  The closed form collects all degrees at once,
+in CharSeries and LaurentPoly arithmetic, which the Cousin sum never
+uses:
 
     e^{2rho} * q^{-dim B} * W_n(t) / prod_{theta>0} (1-t e^theta)(1-1/t e^theta)
 
@@ -56,16 +59,46 @@ def stratum_poincare_compact(n, alpha, kappa):
     return (kinv * weyl_poincare(n).negate_exponents()).shift(2 * lead)
 
 
+def _pack(coeffs, width, top=None):
+    """sum_K c_K 2^(width K), or 2^(width (top - K)) when top is given."""
+    if top is None:
+        return sum(c << (width * k) for k, c in coeffs.items())
+    return sum(c << (width * (top - k)) for k, c in coeffs.items())
+
+
+def _unpack(packed, width):
+    """{slot: value} for the nonzero `width`-bit slots of a packed integer."""
+    mask = (1 << width) - 1
+    out = {}
+    slot = 0
+    while packed:
+        value = packed & mask
+        if value:
+            out[slot] = value
+        packed >>= width
+        slot += 1
+    return out
+
+
 @lru_cache(maxsize=None)
 def laumon_poincare(alpha):
     """Poincare polynomial of the degree-alpha quasiflag space (in t).
 
-    The Cousin sum grouped by defect weight: W(1/t) sum_{gamma <= alpha}
-    K_{alpha-gamma}(1/t) sum_K c_K t^{dimB + 2|alpha| - |gamma| - K}, where
-    c_K enumerated defects of weight gamma have K summands.  One DP pass
-    over the box below alpha gives every K_{alpha-gamma}.  alpha is a
-    tuple; the polynomial is computed once per alpha in a process.  No
-    cap applies here: the CLI bounds |alpha| where it reads the vector.
+    The Cousin sum grouped by defect weight:
+    t^{d - |alpha|} W(1/t) sum_{gamma <= alpha} A_{alpha-gamma}(t) Q_gamma(1/t),
+    with d = dimB + 2|alpha|, A_beta(t) = sum_K a_K t^K the DP profile of
+    beta (one DP pass over the box below alpha gives every A) and
+    Q_gamma(t) = sum_K c_K t^K the enumerated profile of gamma.
+
+    The sum is taken in plain integers by Kronecker substitution: A packs
+    to sum a_K 2^{wK}, Q_gamma reversed to sum c_K 2^{w(|alpha|-K)}, W(1/t)
+    to sum w_l 2^{w(dimB-l)}, so slot e of the product is the coefficient
+    of t^e.  Every coefficient is nonnegative, so each one, in every
+    partial sum too, is at most the total at t=1, the Euler characteristic
+    n! sum_gamma #P(alpha-gamma) #P(gamma); a slot of its bit length
+    cannot carry into the next.  alpha is a tuple; the polynomial is
+    computed once per alpha in a process.  No cap applies here: the CLI
+    bounds |alpha| where it reads the vector.
 
     >>> laumon_poincare((1,)).pretty()
     '1 + t + t^2 + t^3'
@@ -73,15 +106,23 @@ def laumon_poincare(alpha):
     '1 + 2*t + 3*t^2 + 3*t^3 + 2*t^4 + t^5'
     """
     n = len(alpha) + 1
-    d = dim_flag(n) + 2 * height(alpha)
+    size = height(alpha)
     table = _profile_table(alpha)
-    total = LaurentPoly.zero()
+    pairs = []
     for gamma in iter_subvectors(alpha):
         rest = tuple(a - g for a, g in zip(alpha, gamma))
-        kinv = {k - height(rest): c for k, c in table[rest].items()}
-        shifts = {d - height(gamma) - k: c for k, c in _enumerated_profile(gamma).items()}
-        total = total + LaurentPoly.t_poly(kinv) * LaurentPoly.t_poly(shifts)
-    return total * weyl_poincare(n).negate_exponents()
+        pairs.append((table[rest], _enumerated_profile(gamma)))
+    weyl = {e // 2: c for e, c in weyl_poincare(n).terms.items()}
+    # the value at t=1; W(1) = n!
+    euler = sum(weyl.values()) * sum(
+        sum(dp.values()) * sum(listed.values()) for dp, listed in pairs
+    )
+    width = euler.bit_length()
+    total = 0
+    for dp, listed in pairs:
+        total += _pack(dp, width) * _pack(listed, width, size)
+    total *= _pack(weyl, width, dim_flag(n))
+    return LaurentPoly.t_poly(_unpack(total, width))
 
 
 def shifted_poincare(alpha):
@@ -91,11 +132,14 @@ def shifted_poincare(alpha):
     return laumon_poincare(alpha).shift(-d)
 
 
+@lru_cache(maxsize=None)
 def generating_function(n, bound):
     """Closed-form generating function as a CharSeries truncated at `bound`.
 
     Expansion of e^{2rho} q^{-dimB} W_n(t)
     * prod_{theta in R+} (1 - t e^theta)^{-1} (1 - t^{-1} e^theta)^{-1}.
+    Built once per (n, bound) in a process; every caller shares the one
+    series, so none may mutate it.
     """
     rank = n - 1
     rho2 = two_rho(n)

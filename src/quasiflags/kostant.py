@@ -169,19 +169,13 @@ def kostant_count_profile(gamma):
     return _profile_table(gamma)[gamma]
 
 
-def enumerated_profile(gamma):
-    """Map K -> number of enumerated Kostant partitions of gamma with K summands.
-
-    Counted once per gamma; every call checks gamma and returns a fresh dict.
-
-    >>> enumerated_profile((2, 1))
-    {2: 1, 3: 1}
-    """
-    return dict(_enumerated_profile(_checked(gamma)))
-
-
 @lru_cache(maxsize=None)
 def _enumerated_profile(gamma):
+    """Map K -> number of listed Kostant partitions of gamma with K summands.
+
+    Counted once per gamma (a tuple, not checked); callers share the
+    Counter and must not mutate it.
+    """
     return Counter(kappa.num_summands() for kappa in _enumerate_partitions(gamma))
 
 

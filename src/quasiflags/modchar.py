@@ -17,6 +17,7 @@ character); it reports in the CONJECTURE-CONSISTENCY category.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .charseries import CharSeries, LaurentPoly, geometric_inverse
@@ -32,7 +33,13 @@ from .reports import (
 from .rootdata import height, positive_coroots, two_rho, vectors_up_to
 
 
+@lru_cache(maxsize=None)
 def _character_series(n, bound, denominator_power):
+    """|W| e^{2rho} / prod (1 - e^theta)^power, truncated at `bound`.
+
+    Built once per (n, bound, power) in a process; the characters and
+    freeness checks share the one series, so no caller may mutate it.
+    """
     rank = n - 1
     series = CharSeries.monomial(
         rank, bound, two_rho(n), LaurentPoly({0: factorial(n)})

@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, schema validation, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -174,10 +175,15 @@ def test_deep_rank_enumeration_succeeds(schema):
     jsonschema.validate(doc, schema)
 
     # the Cousin sum's DP stays in the box below alpha (7 weights here),
-    # not the simplex of all rank-49 weights of height <= 6
+    # not the simplex of all rank-49 weights of height <= 6; the digest
+    # pins the packed W(1/t) of S_50, 1,226 slots wide
     alpha = ",".join(["6"] + ["0"] * 48)
-    code, doc = run_json(["poincare", "--n", "50", "--alpha", alpha])
+    code, text = run_cli(["poincare", "--n", "50", "--alpha", alpha])
     assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3c5f733214b0ae4950168756e8c649b243f8f4bc4a39a7189ec5e736cae14b7c"
+    )
+    doc = json.loads(text)
     assert doc["result"]["dimension"] == 50 * 49 // 2 + 12
     jsonschema.validate(doc, schema)
 

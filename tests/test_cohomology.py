@@ -4,8 +4,10 @@ from itertools import product
 
 import pytest
 
-from quasiflags.charseries import LaurentPoly
+from quasiflags.charseries import CharSeries, LaurentPoly
 from quasiflags.cohomology import (
+    _pack,
+    _unpack,
     generating_function,
     iter_subvectors,
     laumon_poincare,
@@ -13,7 +15,12 @@ from quasiflags.cohomology import (
     stratum_poincare_compact,
     verify_generating_function,
 )
-from quasiflags.kostant import KostantPartition, kostant_partitions
+from quasiflags.kostant import (
+    KostantPartition,
+    _enumerated_profile,
+    kostant_count_profile,
+    kostant_partitions,
+)
 from quasiflags.rootdata import (
     dim_flag,
     height,
@@ -74,7 +81,7 @@ def test_laumon_n3_example():
     )
 
 
-@pytest.mark.parametrize("n,alpha_cap", [(2, 6), (3, 6), (4, 4)])
+@pytest.mark.parametrize("n,alpha_cap", [(2, 10), (3, 7), (4, 5)])
 def test_grouped_cousin_sum_matches_stratum_by_stratum(n, alpha_cap):
     # oracle: the Cousin sum taken one defect stratum at a time
     for alpha in vectors_up_to(n - 1, alpha_cap):
@@ -83,6 +90,41 @@ def test_grouped_cousin_sum_matches_stratum_by_stratum(n, alpha_cap):
             for kappa in kostant_partitions(gamma):
                 by_stratum = by_stratum + stratum_poincare_compact(n, alpha, kappa)
         assert laumon_poincare(alpha) == by_stratum, alpha
+
+
+def test_packed_product_needs_its_slot_width():
+    # one real pair of the (3,3,3) Cousin sum: the DP profile of (2,2,2)
+    # times the reversed listed profile of (1,1,1)
+    alpha, gamma = (3, 3, 3), (1, 1, 1)
+    rest = tuple(a - g for a, g in zip(alpha, gamma))
+    dp, listed = kostant_count_profile(rest), _enumerated_profile(gamma)
+    size = height(alpha)
+    expected = LaurentPoly.t_poly(dp) * LaurentPoly.t_poly({size - k: c for k, c in listed.items()})
+
+    def packed_product(width):
+        product = _pack(dp, width) * _pack(listed, width, size)
+        return LaurentPoly.t_poly(_unpack(product, width))
+
+    proven = (sum(dp.values()) * sum(listed.values())).bit_length()
+    assert packed_product(proven) == expected
+    largest = max(expected.terms.values())
+    assert largest >= 4  # so the narrow slot below is still 2 bits wide
+    # one bit short of the largest coefficient, that slot carries into the next
+    assert packed_product(largest.bit_length() - 1) != expected
+
+
+def test_cousin_sum_shares_no_series_arithmetic(monkeypatch):
+    alphas = [alpha for n in (2, 3, 4) for alpha in vectors_up_to(n - 1, 5)]
+    expected = {alpha: laumon_poincare.__wrapped__(alpha) for alpha in alphas}
+
+    def refuse(*args):
+        raise AssertionError("the Cousin sum must not use series arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    monkeypatch.setattr(CharSeries, "__mul__", refuse)
+    for alpha in alphas:
+        assert laumon_poincare.__wrapped__(alpha) == expected[alpha], alpha
 
 
 def test_laumon_euler_is_weyl_times_partition_convolution():

@@ -2,7 +2,9 @@
 
 perfbench/reference.json holds the sha256 and byte size of the stdout of
 `python -m quasiflags.cli verify --n N --degree D --suite all`; this reads
-it and changes nothing there.
+it and changes nothing there.  One larger size, (4, 26), is pinned here
+by a test-local digest: its profiles are wider than those of the
+reference sizes.
 """
 
 import hashlib
@@ -17,10 +19,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("n,degree", [(2, 9), (3, 16), (3, 22), (4, 18)])
-def test_verify_all_stdout_matches_reference(n, degree):
-    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
-    expected = reference["cli"][f"{n},{degree}"]
+# stdout of `verify --n 4 --degree 26 --suite all`, recorded at a4acb86
+N4_DEGREE26 = {
+    "sha256": "8c3855caf2121e844f3ec597d926b578e70a204d3972e1f9f3c1ec1df9c076b7",
+    "bytes": 3446618,
+}
+
+
+def check_verify_all(n, degree, expected):
     argv = ["verify", "--n", str(n), "--degree", str(degree), "--suite", "all"]
     proc = subprocess.run(
         [sys.executable, "-m", "quasiflags.cli", *argv],
@@ -31,3 +37,13 @@ def test_verify_all_stdout_matches_reference(n, degree):
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert len(proc.stdout) == expected["bytes"]
     assert hashlib.sha256(proc.stdout).hexdigest() == expected["sha256"]
+
+
+@pytest.mark.parametrize("n,degree", [(2, 9), (3, 16), (3, 22), (4, 18)])
+def test_verify_all_stdout_matches_reference(n, degree):
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    check_verify_all(n, degree, reference["cli"][f"{n},{degree}"])
+
+
+def test_verify_all_stdout_at_n4_degree26():
+    check_verify_all(4, 26, N4_DEGREE26)
