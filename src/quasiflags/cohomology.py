@@ -87,7 +87,8 @@ def laumon_poincare(alpha):
     The Cousin sum grouped by defect weight:
     t^{d - |alpha|} W(1/t) sum_{gamma <= alpha} A_{alpha-gamma}(t) Q_gamma(1/t),
     with d = dimB + 2|alpha|, A_beta(t) = sum_K a_K t^K the DP profile of
-    beta (one DP pass over the box below alpha gives every A) and
+    beta (read from the rank's shared DP table, grown to the box below
+    alpha) and
     Q_gamma(t) = sum_K c_K t^K the enumerated profile of gamma.
 
     The sum is taken in plain integers by Kronecker substitution: A packs
@@ -111,7 +112,7 @@ def laumon_poincare(alpha):
     pairs = []
     for gamma in iter_subvectors(alpha):
         rest = tuple(a - g for a, g in zip(alpha, gamma))
-        pairs.append((table[rest], _enumerated_profile(gamma)))
+        pairs.append((table[rest][-1], _enumerated_profile(gamma)))
     weyl = {e // 2: c for e, c in weyl_poincare(n).terms.items()}
     # the value at t=1; W(1) = n!
     euler = sum(weyl.values()) * sum(

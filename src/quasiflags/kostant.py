@@ -7,6 +7,12 @@ their summand-count profile two independent ways (from the enumeration,
 and by a DP convolution) and, from the DP profile, the polynomial
 K_alpha(t) = t^{|alpha|} * sum_kappa t^{-K(kappa)} whose value at t=1 is
 the Kostant partition count.
+
+Both routes compute each weight once per process.  The listing is cached
+per gamma, and its recursion drops a branch at the last coroot through
+a coordinate it cannot clear.  The DP keeps one shared table per rank, grown on demand to
+the box below each gamma asked for: a downward-closed union of boxes,
+never a whole simplex.  Neither route reads the other.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .charseries import LaurentPoly
-from .rootdata import coroot_intervals, height, interval_sum, positive_coroots
+from .rootdata import coroot_intervals, height, interval_sum
 
 
 @dataclass(frozen=True)
@@ -123,15 +130,19 @@ def _enumerate_partitions(gamma):
             if idx == len(intervals):
                 return
             q, p = intervals[idx]
-            limit = min(remaining[i - 1] for i in range(q, p + 1))
+            limit = min(remaining[q - 1 : p])
+            # (q, n-1) is the last coroot through coordinate q: it must clear it
+            last = p == n - 1
+            if last and remaining[q - 1] > limit:
+                return
             if limit:
                 break
             idx += 1
-        for m in range(limit + 1):
+        for m in range(limit if last else 0, limit + 1):
             mults[idx] = m
             rem = list(remaining)
-            for i in range(q, p + 1):
-                rem[i - 1] -= m
+            for i in range(q - 1, p):
+                rem[i] -= m
             descend(idx + 1, rem)
         mults[idx] = 0
 
@@ -139,34 +150,52 @@ def _enumerate_partitions(gamma):
     return tuple(results)
 
 
-def _profile_table(gamma):
-    """Map each beta <= gamma to its profile {K: Kostant partitions with K summands}.
+# rank n -> {beta: [profile of beta over the first i coroots, i = 0..L]}
+_PROFILES = {}
 
-    Dynamic-programming convolution along the canonical coroot list over
-    the box below gamma; independent of the recursive enumeration above.
-    Nothing is cached: every call builds a fresh table.
+
+def _profile_table(gamma):
+    """The rank's shared table, grown to hold every beta <= gamma.
+
+    Maps beta to its layers: entry i is the profile {K: Kostant partitions
+    with K summands} of beta using only the first i coroots of the
+    canonical list, so entry -1 is the full profile.  One DP convolution
+    along the coroot list, f(i, beta) = f(i-1, beta) + x f(i, beta - theta_i),
+    independent of the recursive enumeration above.
+
+    The table lives for the process, one per rank, and each weight is
+    computed once.  It only ever holds the boxes below the gammas asked
+    for, so it is downward closed but never a whole simplex (the box below
+    (6, 0, ..., 0) at n = 50 is 7 weights).  Callers share the profiles
+    and must not mutate them.
     """
     n = len(gamma) + 1
-    # profiles: weight-so-far -> {summand count: ways}; only weights <= gamma kept
-    profiles = {(0,) * (n - 1): {0: 1}}
-    for theta in positive_coroots(n):
-        updated = {}
-        for beta, prof in profiles.items():
-            cur, m = beta, 0
-            while all(c <= g for c, g in zip(cur, gamma)):
-                tgt = updated.setdefault(cur, {})
-                for k, ways in prof.items():
-                    tgt[k + m] = tgt.get(k + m, 0) + ways
-                cur = tuple(c + t for c, t in zip(cur, theta))
-                m += 1
-        profiles = updated
-    return profiles
+    table = _PROFILES.setdefault(n, {})
+    if gamma in table:
+        # a downward-closed table that holds gamma holds its box
+        return table
+    intervals = coroot_intervals(n)
+    # lexicographic order: each beta - theta_i is stored before beta
+    for beta in product(*(range(g + 1) for g in gamma)):
+        if beta in table:
+            continue
+        layer = {0: 1} if not any(beta) else {}
+        layers = [layer]
+        for i, (q, p) in enumerate(intervals, 1):
+            if min(beta[q - 1 : p]):
+                lower = beta[: q - 1] + tuple(b - 1 for b in beta[q - 1 : p]) + beta[p:]
+                layer = dict(layer)
+                for k, ways in table[lower][i].items():
+                    layer[k + 1] = layer.get(k + 1, 0) + ways
+            layers.append(layer)
+        table[beta] = layers
+    return table
 
 
 def kostant_count_profile(gamma):
-    """Summand-count profile of K(gamma) via the DP convolution."""
+    """Summand-count profile of K(gamma) via the DP convolution, as a fresh dict."""
     gamma = _checked(gamma)
-    return _profile_table(gamma)[gamma]
+    return dict(_profile_table(gamma)[gamma][-1])
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +209,7 @@ def _enumerated_profile(gamma):
 
 
 def kostant_count(gamma):
-    """Number of Kostant partitions of gamma (one DP pass, not cached)."""
+    """Number of Kostant partitions of gamma (read from the shared DP table)."""
     return sum(kostant_count_profile(gamma).values())
 
 

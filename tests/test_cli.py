@@ -188,6 +188,17 @@ def test_deep_rank_enumeration_succeeds(schema):
     jsonschema.validate(doc, schema)
 
 
+def test_poincare_over_many_simple_coordinates():
+    # 2^10 weights in the box below alpha, each listed past many dead
+    # branches at n=11; the digest pins the output
+    alpha = ",".join(["1"] * 10)
+    code, text = run_cli(["poincare", "--n", "11", "--alpha", alpha])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "deed4c7e68a9cdf0bd125e4ad7306115aeccecab40a4fa3bd2474b519e7bdab5"
+    )
+
+
 def test_exception_in_a_suite_is_internal_error(monkeypatch, capsys):
     from quasiflags import suites
 

@@ -3,11 +3,15 @@
 from collections import Counter
 from itertools import product
 
+import random
+
 import pytest
 
+from quasiflags import kostant
 from quasiflags.charseries import LaurentPoly
 from quasiflags.kostant import (
     KostantPartition,
+    _enumerate_partitions,
     _enumerated_profile,
     _profile_table,
     kostant_count,
@@ -16,7 +20,7 @@ from quasiflags.kostant import (
     lusztig_kostant_poly,
     stats,
 )
-from quasiflags.rootdata import coroot_intervals, vectors_up_to
+from quasiflags.rootdata import coroot_intervals, positive_coroots, vectors_up_to
 
 
 def brute_partitions(gamma):
@@ -126,11 +130,13 @@ def test_count_profile_matches_enumeration_by_summands():
         for alpha in vectors_up_to(n - 1, 6):
             profile = listed_profile(alpha)
             assert _enumerated_profile(alpha) == kostant_count_profile(alpha) == profile
-            # one DP pass fills the box below alpha, entry by entry
+            # from an empty store, one call fills exactly the box below alpha
+            kostant._PROFILES.clear()
             table = _profile_table(alpha)
             assert sorted(table) == list(product(*(range(a + 1) for a in alpha)))
-            for beta, entry in table.items():
-                assert entry == listed_profile(beta)
+            for beta, layers in table.items():
+                assert len(layers) == len(coroot_intervals(n)) + 1
+                assert layers[-1] == listed_profile(beta)
     # a fresh dict every call, and the input is checked as for the enumeration
     assert kostant_count_profile((2, 2)) is not kostant_count_profile((2, 2))
     kostant_count_profile((2, 2)).clear()
@@ -138,6 +144,90 @@ def test_count_profile_matches_enumeration_by_summands():
     for negative in (kostant_count_profile, kostant_partitions):
         with pytest.raises(ValueError):
             negative((1, -1))
+
+
+def box_profile_table(gamma):
+    """Oracle: the per-call box DP, a fresh table below gamma on every call."""
+    n = len(gamma) + 1
+    profiles = {(0,) * (n - 1): {0: 1}}
+    for theta in positive_coroots(n):
+        updated = {}
+        for beta, prof in profiles.items():
+            cur, m = beta, 0
+            while all(c <= g for c, g in zip(cur, gamma)):
+                tgt = updated.setdefault(cur, {})
+                for k, ways in prof.items():
+                    tgt[k + m] = tgt.get(k + m, 0) + ways
+                cur = tuple(c + t for c, t in zip(cur, theta))
+                m += 1
+        profiles = updated
+    return profiles
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shared_profile_table_equals_box_dp_in_any_order(n):
+    sweep = list(vectors_up_to(n - 1, 6))
+    shuffled = list(sweep)
+    random.Random(1997 + n).shuffle(shuffled)
+    oracle = {alpha: box_profile_table(alpha) for alpha in sweep}
+    for order in (sweep, sweep[::-1], shuffled):
+        kostant._PROFILES.clear()
+        for alpha in order:
+            table = _profile_table(alpha)
+            for beta, entry in oracle[alpha].items():
+                assert table[beta][-1] == entry == listed_profile(beta)
+        # the store is the union of the boxes asked for: the whole |v| <= 6 set
+        assert sorted(table) == sorted(sweep)
+
+
+def test_profile_table_stays_a_union_of_boxes():
+    kostant._PROFILES.clear()
+    alpha = (6,) + (0,) * 48
+    table = _profile_table(alpha)
+    assert sorted(table) == [(k,) + (0,) * 48 for k in range(7)]
+    assert kostant._PROFILES[50] is table
+    assert table[alpha][-1] == {6: 1}
+    # asking again, or for a weight inside the box, adds nothing
+    assert _profile_table((3,) + (0,) * 48) is table
+    assert len(table) == 7
+
+
+def unpruned_partitions(gamma):
+    """Oracle: the listing recursion that tries every multiplicity of every coroot."""
+    n = len(gamma) + 1
+    intervals = coroot_intervals(n)
+    results = []
+    mults = [0] * len(intervals)
+
+    def descend(idx, remaining):
+        if not any(remaining):
+            results.append(KostantPartition(n, tuple(mults)))
+            return
+        while True:
+            if idx == len(intervals):
+                return
+            q, p = intervals[idx]
+            limit = min(remaining[i - 1] for i in range(q, p + 1))
+            if limit:
+                break
+            idx += 1
+        for m in range(limit + 1):
+            mults[idx] = m
+            rem = list(remaining)
+            for i in range(q, p + 1):
+                rem[i - 1] -= m
+            descend(idx + 1, rem)
+        mults[idx] = 0
+
+    descend(0, list(gamma))
+    return tuple(results)
+
+
+def test_pruned_listing_equals_unpruned_in_order():
+    gammas = [g for n in range(2, 6) for g in vectors_up_to(n - 1, 7)]
+    gammas += [(1,) * 7]  # n = 8
+    for gamma in gammas:
+        assert _enumerate_partitions(gamma) == unpruned_partitions(gamma)
 
 
 def test_json_round_trip_shape():
