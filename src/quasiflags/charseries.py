@@ -269,6 +269,43 @@ class CharSeries:
                 out[ab] = prod if s is None else s + prod
         return CharSeries(self.rank, self.bound, out)
 
+    def divide_geometric(self, coeff, theta):
+        """self * (1 - coeff * e^theta)^{-1}, in one pass over the support.
+
+        The quotient T satisfies T(beta) = S(beta) + coeff * T(beta - theta),
+        truncated at the bound.  coeff must be a power of q (the int 1, or a
+        LaurentPoly q^e), so multiplying by it is a shift, and by 1 nothing;
+        |theta| >= 1, as for geometric_inverse.  Returns a new series.
+        """
+        theta = tuple(theta)
+        if len(theta) != self.rank:
+            raise ValueError(f"theta {theta} has wrong rank (expected {self.rank})")
+        if sum(theta) < 1:
+            raise ValueError("cannot invert along a direction with |theta| = 0")
+        if isinstance(coeff, int):
+            coeff = LaurentPoly({0: coeff})
+        if list(coeff.terms.values()) != [1]:
+            raise ValueError("geometric factor coefficient must be a power of q")
+        (e,) = coeff.terms
+        coeffs = self.coeffs
+        out = {}
+        # lexicographic order: beta - theta comes before beta
+        for beta in sorted(coeffs):
+            below = out.get(tuple(b - x for b, x in zip(beta, theta)))
+            poly = coeffs[beta]
+            if below is not None:
+                poly = poly + (below.shift(e) if e else below)
+            # the points beta + k theta up to the next support point take
+            # coeff * T(. - theta) alone; that support point continues the chain
+            while poly:
+                out[beta] = poly
+                beta = tuple(b + x for b, x in zip(beta, theta))
+                if sum(beta) > self.bound or beta in coeffs:
+                    break
+                if e:
+                    poly = poly.shift(e)
+        return CharSeries(self.rank, self.bound, out)
+
     def truncate(self, bound):
         """Restriction to a smaller total-degree bound."""
         if bound > self.bound:
@@ -299,7 +336,9 @@ def geometric_inverse(coeff, theta, bound):
     """Expansion of (1 - coeff * e^theta)^{-1} up to total degree `bound`.
 
     coeff must be a monomial LaurentPoly (or an int); theta must have
-    |theta| >= 1 so that the expansion terminates at the bound.
+    |theta| >= 1 so that the expansion terminates at the bound.  The
+    library divides in place (CharSeries.divide_geometric); this product
+    is the reference the division is tested against.
     """
     theta = tuple(theta)
     rank = len(theta)

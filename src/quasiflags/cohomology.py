@@ -7,25 +7,32 @@ is pure, so the Poincare polynomial of the whole space is the plain sum
 of the stratum polynomials (the Cousin sum).  laumon_poincare groups the
 strata by (|kappa|, K(kappa)), all a stratum polynomial depends on, sums
 them in packed plain integers (Kronecker substitution, one bignum product
-per defect weight), and is tested against the per-stratum
-stratum_poincare_compact.  The closed form collects all degrees at once,
-in CharSeries and LaurentPoly arithmetic, which the Cousin sum never
-uses:
+per defect weight, each profile packed once per weight and slot width),
+and is tested against the per-stratum stratum_poincare_compact.  The
+closed form collects all degrees at once, in CharSeries and LaurentPoly
+arithmetic, which the Cousin sum never uses:
 
     e^{2rho} * q^{-dim B} * W_n(t) / prod_{theta>0} (1-t e^theta)(1-1/t e^theta)
 
 with the coefficient of e^{alpha+2rho} equal to the recentered Poincare
-polynomial of the degree-alpha space.  verify_generating_function checks
-that identity coefficient by coefficient.
+polynomial of the degree-alpha space; it divides by each factor in place
+(CharSeries.divide_geometric).  verify_generating_function checks that
+identity coefficient by coefficient.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import product as iproduct, repeat
+from operator import mul
 
-from .charseries import CharSeries, LaurentPoly, geometric_inverse
-from .kostant import _enumerated_profile, _profile_table, lusztig_kostant_poly
+from .charseries import CharSeries, LaurentPoly
+from .kostant import (
+    _enumerate_partitions,
+    _enumerated_profile,
+    _profile_table,
+    lusztig_kostant_poly,
+)
 from .reports import FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import (
     dim_flag,
@@ -81,6 +88,27 @@ def _unpack(packed, width):
 
 
 @lru_cache(maxsize=None)
+def _packed_dp(beta, width):
+    """t^{|beta|} A_beta(t) packed: sum a_K 2^(width (|beta| + K)).
+
+    A_beta is read from the rank's shared DP table, which must hold beta.
+    """
+    return _pack(_profile_table(beta)[beta][-1], width) << (width * height(beta))
+
+
+@lru_cache(maxsize=None)
+def _packed_listed(gamma, width):
+    """t^{|gamma|} Q_gamma(1/t) packed: sum c_K 2^(width (|gamma| - K))."""
+    return _pack(_enumerated_profile(gamma), width, height(gamma))
+
+
+@lru_cache(maxsize=None)
+def _dp_count(beta):
+    """#P(beta) from the rank's shared DP table, which must hold beta."""
+    return sum(_profile_table(beta)[beta][-1].values())
+
+
+@lru_cache(maxsize=None)
 def laumon_poincare(alpha):
     """Poincare polynomial of the degree-alpha quasiflag space (in t).
 
@@ -91,9 +119,13 @@ def laumon_poincare(alpha):
     alpha) and
     Q_gamma(t) = sum_K c_K t^K the enumerated profile of gamma.
 
-    The sum is taken in plain integers by Kronecker substitution: A packs
-    to sum a_K 2^{wK}, Q_gamma reversed to sum c_K 2^{w(|alpha|-K)}, W(1/t)
-    to sum w_l 2^{w(dimB-l)}, so slot e of the product is the coefficient
+    The sum is taken in plain integers by Kronecker substitution.  With
+    t^{|alpha|} = t^{|alpha-gamma|} t^{|gamma|}, a term is the product of
+    t^{|beta|} A_beta(t), packed to sum a_K 2^{w(|beta|+K)}, and
+    t^{|gamma|} Q_gamma(1/t), packed to sum c_K 2^{w(|gamma|-K)}; both
+    depend only on their weight and the slot width w, so each is packed
+    once per (weight, w) in a process.  W(1/t) packs to
+    sum w_l 2^{w(dimB-l)}, so slot e of the product is the coefficient
     of t^e.  Every coefficient is nonnegative, so each one, in every
     partial sum too, is at most the total at t=1, the Euler characteristic
     n! sum_gamma #P(alpha-gamma) #P(gamma); a slot of its bit length
@@ -107,21 +139,20 @@ def laumon_poincare(alpha):
     '1 + 2*t + 3*t^2 + 3*t^3 + 2*t^4 + t^5'
     """
     n = len(alpha) + 1
-    size = height(alpha)
-    table = _profile_table(alpha)
-    pairs = []
-    for gamma in iter_subvectors(alpha):
-        rest = tuple(a - g for a, g in zip(alpha, gamma))
-        pairs.append((table[rest][-1], _enumerated_profile(gamma)))
+    _profile_table(alpha)  # grows the rank's DP table to the box below alpha
+    box = list(iter_subvectors(alpha))
+    # the box reversed is alpha - gamma, gamma in box order
+    rests = box[::-1]
     weyl = {e // 2: c for e, c in weyl_poincare(n).terms.items()}
     # the value at t=1; W(1) = n!
     euler = sum(weyl.values()) * sum(
-        sum(dp.values()) * sum(listed.values()) for dp, listed in pairs
+        map(mul, map(_dp_count, rests), map(len, map(_enumerate_partitions, box)))
     )
     width = euler.bit_length()
-    total = 0
-    for dp, listed in pairs:
-        total += _pack(dp, width) * _pack(listed, width, size)
+    # sum_gamma packed A_{alpha-gamma} * packed Q_gamma
+    total = sum(
+        map(mul, map(_packed_dp, rests, repeat(width)), map(_packed_listed, box, repeat(width)))
+    )
     total *= _pack(weyl, width, dim_flag(n))
     return LaurentPoly.t_poly(_unpack(total, width))
 
@@ -138,7 +169,8 @@ def generating_function(n, bound):
     """Closed-form generating function as a CharSeries truncated at `bound`.
 
     Expansion of e^{2rho} q^{-dimB} W_n(t)
-    * prod_{theta in R+} (1 - t e^theta)^{-1} (1 - t^{-1} e^theta)^{-1}.
+    * prod_{theta in R+} (1 - t e^theta)^{-1} (1 - t^{-1} e^theta)^{-1},
+    dividing by each factor in place.
     Built once per (n, bound) in a process; every caller shares the one
     series, so none may mutate it.
     """
@@ -147,9 +179,9 @@ def generating_function(n, bound):
     series = CharSeries.monomial(
         rank, bound, rho2, weyl_poincare(n).shift(-dim_flag(n))
     )
+    t, tinv = LaurentPoly.t_power(1), LaurentPoly.t_power(-1)
     for theta in positive_coroots(n):
-        series = series * geometric_inverse(LaurentPoly.t_power(1), theta, bound)
-        series = series * geometric_inverse(LaurentPoly.t_power(-1), theta, bound)
+        series = series.divide_geometric(t, theta).divide_geometric(tinv, theta)
     return series
 
 

@@ -41,7 +41,7 @@ class KostantPartition:
         intervals = coroot_intervals(self.n)
         if len(self.mults) != len(intervals):
             raise ValueError("multiplicity vector has wrong length")
-        if any(m < 0 for m in self.mults):
+        if min(self.mults, default=0) < 0:
             raise ValueError("multiplicities must be nonnegative")
 
     @classmethod

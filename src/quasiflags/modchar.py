@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .charseries import CharSeries, LaurentPoly, geometric_inverse
+from .charseries import CharSeries, LaurentPoly
 from .cohomology import generating_function, laumon_poincare
 from .reports import (
     CONJECTURE_CONSISTENCY,
@@ -46,7 +46,7 @@ def _character_series(n, bound, denominator_power):
     )
     for theta in positive_coroots(n):
         for _ in range(denominator_power):
-            series = series * geometric_inverse(1, theta, bound)
+            series = series.divide_geometric(1, theta)
     return series
 
 
@@ -105,7 +105,7 @@ def freeness_consistency_check(n, bound):
     char = module_character(n, bound)
     rebuilt = verma
     for theta in positive_coroots(n):
-        rebuilt = rebuilt * geometric_inverse(1, theta, bound)
+        rebuilt = rebuilt.divide_geometric(1, theta)
     consistent = rebuilt == char
     entries.append(
         Entry(

@@ -158,6 +158,54 @@ def test_geometric_inverse_times_factor_is_one():
             assert geo * factor == series_one(bound)
 
 
+def test_divide_geometric_rejects_bad_factors():
+    t = LaurentPoly.t_power(1)
+    with pytest.raises(ValueError):
+        series_one(4).divide_geometric(t, (0, 0))
+    with pytest.raises(ValueError):
+        series_one(4).divide_geometric(t, (1,))
+    for coeff in (2, t * 2, t + 1):
+        with pytest.raises(ValueError):
+            series_one(4).divide_geometric(coeff, (1, 0))
+
+
+@st.composite
+def division_cases(draw):
+    """(series, coeff, theta): ranks 1-3, bounds <= 8, sparse, one entry on the bound."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    bound = draw(st.integers(min_value=0, max_value=8))
+    coord = st.integers(min_value=0, max_value=bound)
+    vectors = st.tuples(*[coord] * rank).filter(lambda v: sum(v) <= bound)
+    coeffs = draw(st.dictionaries(vectors, polys, max_size=4))
+    # a vector of height exactly `bound`, as counts of drawn coordinates
+    slots = draw(st.lists(st.integers(min_value=0, max_value=rank - 1), min_size=bound, max_size=bound))
+    coeffs[tuple(slots.count(i) for i in range(rank))] = draw(polys)
+    theta = draw(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * rank).filter(lambda v: sum(v) >= 1)
+    )
+    coeff = draw(st.sampled_from((1, LaurentPoly.t_power(1), LaurentPoly.t_power(-1))))
+    return CharSeries(rank, bound, coeffs), coeff, theta
+
+
+@given(division_cases())
+@settings(max_examples=300, deadline=None)
+def test_divide_geometric_equals_inverse_product(case):
+    series, coeff, theta = case
+    expected = series * geometric_inverse(coeff, theta, series.bound)
+    assert series.divide_geometric(coeff, theta) == expected
+
+
+def test_divide_geometric_covers_tall_directions():
+    # |theta| >= 2 steps over heights: the chain above a support point
+    # must still run to the bound, and stop at the next support point;
+    # along (2, 1) the quotient cancels at (4, 2) and stays zero above it
+    t = LaurentPoly.t_power(1)
+    series = CharSeries(2, 8, {(0, 0): LaurentPoly.one(), (2, 1): t, (4, 2): (t * t) * -2})
+    for theta in ((1, 1), (2, 1), (0, 3)):
+        expected = series * geometric_inverse(t, theta, 8)
+        assert series.divide_geometric(t, theta) == expected
+
+
 @given(series2, series2)
 @settings(max_examples=30, deadline=None)
 def test_series_commutative(a, b):

@@ -39,6 +39,7 @@ TEST_ONLY = {
     "LaurentPoly.is_palindromic": "the palindromicity of recentered polynomials",
     "LaurentPoly.nonnegative": "the coefficient signs of series and K_alpha(t)",
     "CharSeries.truncate": "the truncation law of series products",
+    "geometric_inverse": "the reference product that CharSeries.divide_geometric is tested against",
     "pbw_expected": "the pbw oracle of the tests; run_pbw compares intervals once per entry",
 }
 

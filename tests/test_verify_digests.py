@@ -2,9 +2,10 @@
 
 perfbench/reference.json holds the sha256 and byte size of the stdout of
 `python -m quasiflags.cli verify --n N --degree D --suite all`; this reads
-it and changes nothing there.  One larger size, (4, 26), is pinned here
-by a test-local digest: its profiles are wider than those of the
-reference sizes.
+it and changes nothing there.  Two larger runs are pinned here by
+test-local digests: `--suite all` at (4, 26), and `--suite genfunc` at
+(4, 30), whose Cousin profiles are the widest and so take the most slot
+widths.
 """
 
 import hashlib
@@ -25,9 +26,15 @@ N4_DEGREE26 = {
     "bytes": 3446618,
 }
 
+# stdout of `verify --n 4 --degree 30 --suite genfunc`, recorded at a4acb86
+N4_DEGREE30_GENFUNC = {
+    "sha256": "63aa6fa3edacb920c34d6dadbcfbb14e9a23a70f62b8f21735ff41c30579dcf6",
+    "bytes": 357274,
+}
 
-def check_verify_all(n, degree, expected):
-    argv = ["verify", "--n", str(n), "--degree", str(degree), "--suite", "all"]
+
+def check_verify(n, degree, expected, suite="all"):
+    argv = ["verify", "--n", str(n), "--degree", str(degree), "--suite", suite]
     proc = subprocess.run(
         [sys.executable, "-m", "quasiflags.cli", *argv],
         cwd=ROOT,
@@ -42,8 +49,12 @@ def check_verify_all(n, degree, expected):
 @pytest.mark.parametrize("n,degree", [(2, 9), (3, 16), (3, 22), (4, 18)])
 def test_verify_all_stdout_matches_reference(n, degree):
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
-    check_verify_all(n, degree, reference["cli"][f"{n},{degree}"])
+    check_verify(n, degree, reference["cli"][f"{n},{degree}"])
 
 
 def test_verify_all_stdout_at_n4_degree26():
-    check_verify_all(4, 26, N4_DEGREE26)
+    check_verify(4, 26, N4_DEGREE26)
+
+
+def test_verify_genfunc_stdout_at_n4_degree30():
+    check_verify(4, 30, N4_DEGREE30_GENFUNC, suite="genfunc")
