@@ -13,21 +13,23 @@ only expected, not proved; cell_dimension_conjecture_check tests it
 empirically and reports in the CONJECTURE category.
 
 enumerate_cells lists the labels for the cells command and as a test
-oracle; both checks sum over the cells in factored form (count_cells,
-cell_dimension_poly), without building them, reading only the Kostant
-listing and its per-gamma summand counts.
+oracle.  Both checks read one cell sum, cell_dimension_poly, computed
+once per alpha in factored form without building the cells, from the
+Kostant listing, its per-gamma summand counts and the enumerated Weyl
+group only: each cell adds one monomial, so euler reads it at t=1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .charseries import LaurentPoly
-from .cohomology import iter_subvectors, laumon_poincare
+from .cohomology import laumon_poincare
 from .kostant import KostantPartition, _enumerate_partitions, _enumerated_profile
-from .reports import CONJECTURE, FAIL, PASS, THEOREM, Entry, Report
-from .rootdata import WeylElement, height, weyl_elements
+from .reports import CONJECTURE, FAIL, PASS, THEOREM, Entry
+from .rootdata import WeylElement, height, iter_subvectors, weyl_elements
 
 
 @dataclass(frozen=True)
@@ -39,25 +41,20 @@ class Cell:
     kappaInf: KostantPartition
 
 
-def _splits(n, alpha, per_weight):
-    """(per_weight(gamma0), per_weight(alpha - gamma0)) for every gamma0 <= alpha."""
-    if len(alpha) != n - 1:
-        raise ValueError(f"alpha must have length {n - 1}")
-    for gamma0 in iter_subvectors(alpha):
-        gammaInf = tuple(a - g for a, g in zip(alpha, gamma0))
-        yield per_weight(gamma0), per_weight(gammaInf)
-
-
 def enumerate_cells(n, alpha):
     """All cells for the degree-alpha space, in reproducible order.
 
     Order: w lexicographic, then the weight split gamma0 <= alpha
     lexicographic, then the two partitions in enumeration order.
     """
-    splits = list(_splits(n, tuple(alpha), _enumerate_partitions))
+    alpha = tuple(alpha)
+    if len(alpha) != n - 1:
+        raise ValueError(f"alpha must have length {n - 1}")
+    # the listings over the box below alpha; reversed, over alpha - gamma0
+    parts = list(map(_enumerate_partitions, iter_subvectors(alpha)))
     cells = []
     for w in weyl_elements(n):
-        for parts0, partsInf in splits:
+        for parts0, partsInf in zip(parts, reversed(parts)):
             for k0 in parts0:
                 for kinf in partsInf:
                     cells.append(Cell(w=w, kappa0=k0, kappaInf=kinf))
@@ -75,17 +72,7 @@ def conjectured_dim(cell):
     )
 
 
-def count_cells(n, alpha):
-    """Number of cells, without building them.
-
-    The cells are the product set W x {(kappa0, kappaInf)}, so they
-    number |W| times the sum over the splits of the two partition counts.
-    """
-    splits = _splits(n, tuple(alpha), _enumerate_partitions)
-    pairs = sum(len(p0) * len(pInf) for p0, pInf in splits)
-    return len(weyl_elements(n)) * pairs
-
-
+@lru_cache(maxsize=None)
 def cell_dimension_poly(n, alpha):
     """sum over the cells of t^conjectured_dim, without building them.
 
@@ -95,12 +82,16 @@ def cell_dimension_poly(n, alpha):
     sum_w t^l(w) and P_gamma(t) = sum_K c_K t^K, c_K the number of listed
     partitions of gamma with K summands.  The split sum is one dense list,
     slot |alpha| + K0 - KInf in [0, 2|alpha|]; the only polynomial product
-    is the one by W.
+    is the one by W.  alpha is a tuple; the polynomial is computed once
+    per (n, alpha) in a process; callers share it and must not mutate it.
     """
-    alpha = tuple(alpha)
+    if len(alpha) != n - 1:
+        raise ValueError(f"alpha must have length {n - 1}")
+    # the profiles over the box below alpha; reversed, over alpha - gamma0
+    profiles = list(map(_enumerated_profile, iter_subvectors(alpha)))
     size = height(alpha)
     acc = [0] * (2 * size + 1)
-    for p0, pInf in _splits(n, alpha, _enumerated_profile):
+    for p0, pInf in zip(profiles, reversed(profiles)):
         for k0, c0 in p0.items():
             for kinf, cinf in pInf.items():
                 acc[size + k0 - kinf] += c0 * cinf
@@ -110,18 +101,21 @@ def cell_dimension_poly(n, alpha):
 
 
 def euler_check(n, alpha):
-    """Cell count vs Poincare polynomial at t=1 for one alpha."""
+    """Cell count vs Poincare polynomial at t=1 for one alpha.
+
+    Each cell adds one monomial to cell_dimension_poly, so its value at
+    t=1 is the number of cells.
+    """
     alpha = tuple(alpha)
-    ncells = count_cells(n, alpha)
+    ncells = cell_dimension_poly(n, alpha).eval_at_one()
     euler = laumon_poincare(alpha).eval_at_one()
     ok = ncells == euler
-    entry = Entry(
+    return Entry(
         case={"alpha": list(alpha)},
         status=PASS if ok else FAIL,
         category=THEOREM,
         details={"cells": ncells, "euler": euler} if not ok else {"value": ncells},
     )
-    return Report(name="euler", params={"n": n, "alpha": list(alpha)}, entries=[entry])
 
 
 def cell_dimension_conjecture_check(n, alpha):
@@ -130,12 +124,9 @@ def cell_dimension_conjecture_check(n, alpha):
     lhs = cell_dimension_poly(n, alpha)
     rhs = laumon_poincare(alpha)
     ok = lhs == rhs
-    entry = Entry(
+    return Entry(
         case={"alpha": list(alpha)},
         status=PASS if ok else FAIL,
         category=CONJECTURE,
         details={} if ok else {"cell_sum": lhs.to_json(), "poincare": rhs.to_json()},
-    )
-    return Report(
-        name="celldim", params={"n": n, "alpha": list(alpha)}, entries=[entry]
     )

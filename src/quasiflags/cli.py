@@ -91,8 +91,6 @@ def build_parser():
     p.add_argument("--suite", default="all", choices=(*suites.SUITE_NAMES, "all"),
                    help="serre, pbw and commute have fixed sizes, recorded in "
                    "their params, and ignore --degree")
-    p.add_argument("--cap", type=int, default=DEFAULT_WEIGHT_CAP,
-                   help="recorded in params only: no suite takes a cap (default 12)")
     p.add_argument("--strict", action="store_true",
                    help="treat conjecture-level failures as hard failures")
     return parser
@@ -201,7 +199,8 @@ def cmd_verify(args):
             "degree": args.degree,
             "suite": args.suite,
             "strict": bool(args.strict),
-            "cap": args.cap,
+            # no suite takes a cap; the key stays until the budgets replace it
+            "cap": DEFAULT_WEIGHT_CAP,
         },
         "suites": [r.to_json() for r in reports],
         "summary": {

@@ -23,7 +23,7 @@ identity coefficient by coefficient.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iproduct, repeat
+from itertools import repeat
 from operator import mul
 
 from .charseries import CharSeries, LaurentPoly
@@ -37,16 +37,12 @@ from .reports import FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import (
     dim_flag,
     height,
+    iter_subvectors,
     positive_coroots,
     two_rho,
     vectors_up_to,
     weyl_poincare,
 )
-
-
-def iter_subvectors(alpha):
-    """All coroot vectors gamma <= alpha coordinatewise, lexicographic order."""
-    return iproduct(*(range(a + 1) for a in alpha))
 
 
 def stratum_poincare_compact(n, alpha, kappa):

@@ -20,10 +20,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .charseries import LaurentPoly
-from .rootdata import coroot_intervals, height, interval_sum
+from .rootdata import coroot_intervals, height, interval_sum, iter_subvectors
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ def _profile_table(gamma):
         return table
     intervals = coroot_intervals(n)
     # lexicographic order: each beta - theta_i is stored before beta
-    for beta in product(*(range(g + 1) for g in gamma)):
+    for beta in iter_subvectors(gamma):
         if beta in table:
             continue
         layer = {0: 1} if not any(beta) else {}

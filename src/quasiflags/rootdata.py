@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, product
 
 from .charseries import LaurentPoly
 
@@ -96,6 +96,17 @@ def vectors_up_to(length, cap):
 
     for total in range(cap + 1):
         yield from with_sum(length, total)
+
+
+def iter_subvectors(alpha):
+    """All vectors gamma <= alpha coordinatewise (the box below alpha), lexicographic.
+
+    Read backwards, the box is alpha - gamma in the same order.
+
+    >>> list(iter_subvectors((1, 2)))
+    [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    """
+    return product(*(range(a + 1) for a in alpha))
 
 
 def dim_flag(n):

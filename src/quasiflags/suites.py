@@ -24,9 +24,7 @@ def run_genfunc(n, degree):
 
 def _per_alpha(name, check, n, degree):
     alpha_cap = max(degree - height(two_rho(n)), -1)
-    entries = []
-    for alpha in vectors_up_to(n - 1, alpha_cap):
-        entries.extend(check(n, alpha).entries)
+    entries = [check(n, alpha) for alpha in vectors_up_to(n - 1, alpha_cap)]
     return Report(name=name, params={"n": n, "alpha_cap": alpha_cap}, entries=entries)
 
 

@@ -9,15 +9,22 @@ from quasiflags.cells import (
     cell_dimension_conjecture_check,
     cell_dimension_poly,
     conjectured_dim,
-    count_cells,
     enumerate_cells,
     euler_check,
 )
 from quasiflags.charseries import LaurentPoly
-from quasiflags.cohomology import iter_subvectors, laumon_poincare
+from quasiflags.cohomology import laumon_poincare
 from quasiflags.kostant import KostantPartition, kostant_partitions
-from quasiflags.reports import CONJECTURE, THEOREM
-from quasiflags.rootdata import dim_flag, height, vectors_up_to, weyl_elements
+from quasiflags.reports import CONJECTURE, PASS, THEOREM
+from quasiflags.rootdata import (
+    dim_flag,
+    height,
+    iter_subvectors,
+    two_rho,
+    vectors_up_to,
+    weyl_elements,
+)
+from quasiflags.suites import run_celldim, run_euler
 
 
 def brute_cell_count(n, alpha):
@@ -82,9 +89,10 @@ def test_conjectured_dim_within_bounds():
 
 def test_euler_check_examples():
     for n, alpha in [(2, (1,)), (3, (1, 0)), (2, (0,))]:
-        report = euler_check(n, alpha)
-        assert report.passed()
-        assert report.entries[0].category == THEOREM
+        entry = euler_check(n, alpha)
+        assert entry.status == PASS
+        assert entry.category == THEOREM
+        assert entry.details == {"value": laumon_poincare(alpha).eval_at_one()}
     assert laumon_poincare((1,)).eval_at_one() == 4
     assert laumon_poincare((1, 0)).eval_at_one() == 12
     assert laumon_poincare((0,)).eval_at_one() == 2
@@ -92,9 +100,10 @@ def test_euler_check_examples():
 
 def test_celldim_conjecture_examples():
     for n, alpha in [(2, (1,)), (3, (1, 0)), (2, (0,))]:
-        report = cell_dimension_conjecture_check(n, alpha)
-        assert report.passed()
-        assert report.entries[0].category == CONJECTURE
+        entry = cell_dimension_conjecture_check(n, alpha)
+        assert entry.status == PASS
+        assert entry.category == CONJECTURE
+        assert entry.details == {}
 
 
 def test_celldim_alpha_zero_reduces_to_weyl_lengths():
@@ -107,11 +116,24 @@ def test_celldim_alpha_zero_reduces_to_weyl_lengths():
 @pytest.mark.parametrize("n,alpha_cap", [(2, 4), (3, 6), (4, 4)])
 def test_factored_cell_sums_match_enumerated_cells(n, alpha_cap):
     for alpha in vectors_up_to(n - 1, alpha_cap):
-        assert count_cells(n, alpha) == len(enumerate_cells(n, alpha))
+        assert cell_dimension_poly(n, alpha).eval_at_one() == len(enumerate_cells(n, alpha))
         assert cell_dimension_poly(n, alpha) == enumerated_dim_poly(n, alpha)
 
 
 def test_factored_cell_sums_validate_alpha_length():
-    for check in (count_cells, cell_dimension_poly, euler_check):
+    for check in (cell_dimension_poly, enumerate_cells, euler_check):
         with pytest.raises(ValueError):
             check(3, (1,))
+
+
+def test_euler_and_celldim_share_one_cell_polynomial_per_alpha():
+    n, degree = 3, 12
+    alphas = len(list(vectors_up_to(n - 1, degree - height(two_rho(n)))))
+    cell_dimension_poly.cache_clear()
+    assert run_euler(n, degree).passed()
+    info = cell_dimension_poly.cache_info()
+    assert (info.misses, info.hits) == (alphas, 0)
+    assert run_celldim(n, degree).passed()
+    info = cell_dimension_poly.cache_info()
+    # celldim reads the polynomials euler built and computes none
+    assert (info.misses, info.hits) == (alphas, alphas)

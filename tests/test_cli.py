@@ -81,8 +81,9 @@ def test_genfunc_degree_usage_error(capsys):
     assert code == 2
 
 
-def test_genfunc_has_no_cap_option(capsys):
-    code, out = run_cli(["genfunc", "--n", "2", "--degree", "4", "--cap", "5"])
+@pytest.mark.parametrize("command", ["genfunc", "verify"])
+def test_command_has_no_cap_option(command, capsys):
+    code, out = run_cli([command, "--n", "2", "--degree", "4", "--cap", "5"])
     assert code == 2
     assert out == ""
     assert "--cap" in capsys.readouterr().err
@@ -302,6 +303,26 @@ def test_celldim_conjecture_failure_is_reported(monkeypatch):
         assert details["cell_sum"] == [[e + 2, c] for e, c in details["poincare"]]
     code, _ = run_cli(argv + ["--strict"])
     assert code == 1
+
+
+def test_euler_failure_is_a_theorem_failure(monkeypatch):
+    from quasiflags import cells
+
+    cell_sum = cells.cell_dimension_poly
+
+    def one_cell_too_many(n, alpha):
+        return cell_sum(n, alpha) + 1
+
+    monkeypatch.setattr(cells, "cell_dimension_poly", one_cell_too_many)
+    code, doc = run_json(["verify", "--n", "2", "--degree", "4", "--suite", "euler"])
+    assert code == 1
+    assert doc["summary"]["status"] == "FAIL"
+    entries = doc["suites"][0]["entries"]
+    assert entries and all(e["status"] == FAIL for e in entries)
+    for entry in entries:
+        assert entry["category"] == THEOREM
+        # both sides are in the entry, one cell apart
+        assert entry["details"]["cells"] == entry["details"]["euler"] + 1
 
 
 def test_bad_alpha_length_is_usage_error():

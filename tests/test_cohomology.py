@@ -11,7 +11,6 @@ from quasiflags.cohomology import (
     _packed_listed,
     _unpack,
     generating_function,
-    iter_subvectors,
     laumon_poincare,
     shifted_poincare,
     stratum_poincare_compact,
@@ -27,6 +26,7 @@ from quasiflags.modchar import _character_series, freeness_consistency_check
 from quasiflags.rootdata import (
     dim_flag,
     height,
+    iter_subvectors,
     two_rho,
     vectors_up_to,
     weyl_poincare,
