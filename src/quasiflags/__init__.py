@@ -25,7 +25,6 @@ from .cells import (
 )
 from .kostant import (
     KostantPartition,
-    kostant_count,
     kostant_partitions,
     lusztig_kostant_poly,
     stats,
@@ -72,7 +71,6 @@ __all__ = [
     "freeness_consistency_check",
     "generating_function",
     "geometric_inverse",
-    "kostant_count",
     "kostant_partitions",
     "laumon_poincare",
     "lusztig_kostant_poly",

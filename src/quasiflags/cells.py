@@ -15,7 +15,7 @@ empirically and reports in the CONJECTURE category.
 enumerate_cells lists the labels for the cells command and as a test
 oracle.  Both checks read one cell sum, cell_dimension_poly, computed
 once per alpha in factored form without building the cells, from the
-Kostant listing, its per-gamma summand counts and the enumerated Weyl
+summand counts of the Kostant listing's walk and the enumerated Weyl
 group only: each cell adds one monomial, so euler reads it at t=1.
 """
 
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .charseries import LaurentPoly
 from .cohomology import laumon_poincare
-from .kostant import KostantPartition, _enumerate_partitions, _enumerated_profile
+from .kostant import KostantPartition, listed_profiles, partitions_below
 from .reports import CONJECTURE, FAIL, PASS, THEOREM, Entry
 from .rootdata import WeylElement, height, iter_subvectors, weyl_elements
 
@@ -51,7 +51,7 @@ def enumerate_cells(n, alpha):
     if len(alpha) != n - 1:
         raise ValueError(f"alpha must have length {n - 1}")
     # the listings over the box below alpha; reversed, over alpha - gamma0
-    parts = list(map(_enumerate_partitions, iter_subvectors(alpha)))
+    parts = list(partitions_below(alpha).values())
     cells = []
     for w in weyl_elements(n):
         for parts0, partsInf in zip(parts, reversed(parts)):
@@ -80,15 +80,16 @@ def cell_dimension_poly(n, alpha):
     statistic is additive over (w, kappa0, kappaInf).  So the sum is
     W(t) sum_splits t^|alpha| P_gamma0(t) P_gammaInf(1/t), with W(t) =
     sum_w t^l(w) and P_gamma(t) = sum_K c_K t^K, c_K the number of listed
-    partitions of gamma with K summands.  The split sum is one dense list,
-    slot |alpha| + K0 - KInf in [0, 2|alpha|]; the only polynomial product
-    is the one by W.  alpha is a tuple; the polynomial is computed once
-    per (n, alpha) in a process; callers share it and must not mutate it.
+    partitions of gamma with K summands (the rank's listed table).  The
+    split sum is one dense list, slot |alpha| + K0 - KInf in [0, 2|alpha|];
+    the only polynomial product is the one by W.  alpha is a tuple; the
+    polynomial is computed once per (n, alpha) in a process; callers share
+    it and must not mutate it.
     """
     if len(alpha) != n - 1:
         raise ValueError(f"alpha must have length {n - 1}")
     # the profiles over the box below alpha; reversed, over alpha - gamma0
-    profiles = list(map(_enumerated_profile, iter_subvectors(alpha)))
+    profiles = list(map(listed_profiles(alpha).get, iter_subvectors(alpha)))
     size = height(alpha)
     acc = [0] * (2 * size + 1)
     for p0, pInf in zip(profiles, reversed(profiles)):

@@ -27,12 +27,7 @@ from itertools import repeat
 from operator import mul
 
 from .charseries import CharSeries, LaurentPoly
-from .kostant import (
-    _enumerate_partitions,
-    _enumerated_profile,
-    _profile_table,
-    lusztig_kostant_poly,
-)
+from .kostant import _profile_table, list_up_to, listed_profiles, lusztig_kostant_poly
 from .reports import FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import (
     dim_flag,
@@ -94,8 +89,8 @@ def _packed_dp(beta, width):
 
 @lru_cache(maxsize=None)
 def _packed_listed(gamma, width):
-    """t^{|gamma|} Q_gamma(1/t) packed: sum c_K 2^(width (|gamma| - K))."""
-    return _pack(_enumerated_profile(gamma), width, height(gamma))
+    """t^{|gamma|} Q_gamma(1/t) packed: sum c_K 2^(width (|gamma| - K)), c_K listed."""
+    return _pack(listed_profiles(gamma)[gamma], width, height(gamma))
 
 
 @lru_cache(maxsize=None)
@@ -112,8 +107,9 @@ def laumon_poincare(alpha):
     t^{d - |alpha|} W(1/t) sum_{gamma <= alpha} A_{alpha-gamma}(t) Q_gamma(1/t),
     with d = dimB + 2|alpha|, A_beta(t) = sum_K a_K t^K the DP profile of
     beta (read from the rank's shared DP table, grown to the box below
-    alpha) and
-    Q_gamma(t) = sum_K c_K t^K the enumerated profile of gamma.
+    alpha) and Q_gamma(t) = sum_K c_K t^K the listed profile of gamma,
+    c_K the number of its Kostant partitions with K summands (read from
+    the rank's listed table, walked to the box below alpha).
 
     The sum is taken in plain integers by Kronecker substitution.  With
     t^{|alpha|} = t^{|alpha-gamma|} t^{|gamma|}, a term is the product of
@@ -136,13 +132,14 @@ def laumon_poincare(alpha):
     """
     n = len(alpha) + 1
     _profile_table(alpha)  # grows the rank's DP table to the box below alpha
+    listed = listed_profiles(alpha)
     box = list(iter_subvectors(alpha))
     # the box reversed is alpha - gamma, gamma in box order
     rests = box[::-1]
     weyl = {e // 2: c for e, c in weyl_poincare(n).terms.items()}
     # the value at t=1; W(1) = n!
     euler = sum(weyl.values()) * sum(
-        map(mul, map(_dp_count, rests), map(len, map(_enumerate_partitions, box)))
+        map(mul, map(_dp_count, rests), (sum(listed[gamma].values()) for gamma in box))
     )
     width = euler.bit_length()
     # sum_gamma packed A_{alpha-gamma} * packed Q_gamma
@@ -189,6 +186,7 @@ def verify_generating_function(n, bound):
     """
     rho2 = two_rho(n)
     closed = generating_function(n, bound)
+    list_up_to(n, bound - height(rho2))  # one listing walk for the whole sweep
     entries = []
     for alpha in vectors_up_to(n - 1, bound - height(rho2)):
         lhs = closed.coefficient(tuple(x + y for x, y in zip(alpha, rho2)))

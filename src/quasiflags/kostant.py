@@ -8,21 +8,18 @@ and by a DP convolution) and, from the DP profile, the polynomial
 K_alpha(t) = t^{|alpha|} * sum_kappa t^{-K(kappa)} whose value at t=1 is
 the Kostant partition count.
 
-Both routes compute each weight once per process.  The listing is cached
-per gamma, and its recursion drops a branch at the last coroot through
-a coordinate it cannot clear.  The DP keeps one shared table per rank, grown on demand to
-the box below each gamma asked for: a downward-closed union of boxes,
-never a whole simplex.  Neither route reads the other.
+The listing is one walk over a downward-closed set of weights (the box
+below alpha, or a sweep's simplex), which visits each partition once and
+adds it to its weight's profile.  The DP keeps one shared table per rank,
+grown to the box below each gamma asked for.  Neither route reads the other.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .charseries import LaurentPoly
-from .rootdata import coroot_intervals, height, interval_sum, iter_subvectors
+from .rootdata import coroot_intervals, height, interval_sum, iter_subvectors, vectors_up_to
 
 
 @dataclass(frozen=True)
@@ -42,19 +39,6 @@ class KostantPartition:
             raise ValueError("multiplicity vector has wrong length")
         if min(self.mults, default=0) < 0:
             raise ValueError("multiplicities must be nonnegative")
-
-    @classmethod
-    def empty(cls, n):
-        return cls(n, (0,) * len(coroot_intervals(n)))
-
-    @classmethod
-    def from_intervals(cls, n, intervals):
-        """Build from an iterable of (q, p) pairs (with repetition)."""
-        index = {iv: k for k, iv in enumerate(coroot_intervals(n))}
-        mults = [0] * len(index)
-        for iv in intervals:
-            mults[index[tuple(iv)]] += 1
-        return cls(n, tuple(mults))
 
     def weight(self):
         """|kappa|: the coroot vector the partition sums to."""
@@ -99,54 +83,83 @@ def _checked(gamma):
 def kostant_partitions(gamma):
     """All Kostant partitions of gamma, lexicographic in the multiplicity vector.
 
-    gamma is a coroot vector for rank n = len(gamma) + 1.  The
-    enumeration runs once per gamma; every call returns a fresh list.
-    Nothing here bounds |gamma|: the CLI checks the weight cap where a
-    vector comes in.
+    gamma is a coroot vector for rank n = len(gamma) + 1.  Each call walks
+    the box below gamma and returns a fresh list.  Nothing here bounds
+    |gamma|: the CLI checks the weight cap where a vector comes in.
 
     >>> [kappa.intervals() for kappa in kostant_partitions((1, 1))]
     [[(1, 2)], [(1, 1), (2, 2)]]
     >>> [kappa.num_summands() for kappa in kostant_partitions((2, 1))]
     [2, 3]
     """
-    return list(_enumerate_partitions(_checked(gamma)))
+    gamma = _checked(gamma)
+    return _walk(gamma, height(gamma), [gamma])[gamma]
 
 
-@lru_cache(maxsize=None)
-def _enumerate_partitions(gamma):
-    n = len(gamma) + 1
+def partitions_below(alpha):
+    """{beta: kostant_partitions(beta)} in the box below alpha, in order, from one walk."""
+    return _walk(alpha, height(alpha), iter_subvectors(alpha))
+
+
+# rank n -> {beta: {K: listed Kostant partitions of beta with K summands}}
+_LISTED = {}
+
+
+def _walk(top, cap, keep):
+    """List the Kostant partitions of each weight beta <= top with |beta| <= cap.
+
+    Those weights are downward closed, so the walk is one tree whose nodes
+    are the partitions, with no dead branch.  A child adds m copies of a
+    coroot after its parent's last one: coroots from the last back, m
+    upwards, so each weight's partitions come in lexicographic order.
+    Each node adds one to its weight's profile {K: count}; the profiles go
+    to the rank's listed table.  Returns {beta: partitions} for beta in keep.
+    """
+    n = len(top) + 1
     intervals = coroot_intervals(n)
-    results = []
+    # the coroots that fit, last first; a node is keyed by its slack top - beta
+    fits = [(k, q - 1, p, p - q + 1) for k, (q, p) in enumerate(intervals) if p - q < cap]
+    fits = [(k, lo, hi, length) for k, lo, hi, length in reversed(fits) if min(top[lo:hi]) > 0]
+    mirror = lambda v: tuple(t - c for t, c in zip(top, v))  # slack <-> weight
+    profiles = {}
+    leaves = {mirror(beta): [] for beta in keep}
     mults = [0] * len(intervals)
 
-    def descend(idx, remaining):
-        if not any(remaining):
-            results.append(KostantPartition(n, tuple(mults)))
-            return
-        # a coroot that cannot fit takes multiplicity 0: step past it here,
-        # so the depth is the number of coroots that fit, not all of them
-        while True:
-            if idx == len(intervals):
-                return
-            q, p = intervals[idx]
-            limit = min(remaining[q - 1 : p])
-            # (q, n-1) is the last coroot through coordinate q: it must clear it
-            last = p == n - 1
-            if last and remaining[q - 1] > limit:
-                return
-            if limit:
-                break
-            idx += 1
-        for m in range(limit if last else 0, limit + 1):
-            mults[idx] = m
-            rem = list(remaining)
-            for i in range(q - 1, p):
-                rem[i] -= m
-            descend(idx + 1, rem)
-        mults[idx] = 0
+    def visit(stop, slack, spare, k):
+        profile = profiles.setdefault(slack, {})
+        profile[k] = profile.get(k, 0) + 1
+        if slack in leaves:
+            leaves[slack].append(KostantPartition(n, tuple(mults)))
+        for j in range(stop):
+            idx, lo, hi, length = fits[j]
+            for m in range(1, min(spare // length, *slack[lo:hi]) + 1):
+                mults[idx] = m
+                child = slack[:lo] + tuple(s - m for s in slack[lo:hi]) + slack[hi:]
+                visit(j, child, spare - m * length, k + m)
+            mults[idx] = 0
 
-    descend(0, list(gamma))
-    return tuple(results)
+    visit(len(fits), tuple(top), cap, 0)
+    _LISTED.setdefault(n, {}).update((mirror(s), p) for s, p in profiles.items())
+    return {mirror(s): parts for s, parts in leaves.items()}
+
+
+def listed_profiles(alpha):
+    """The rank's table {beta: {K: listed partitions of beta with K summands}}.
+
+    A union of walked regions, so downward closed: it holds the box below
+    alpha once it holds alpha.  It lives for the process; callers share it.
+    """
+    n = len(alpha) + 1
+    if alpha not in _LISTED.get(n, ()):
+        _walk(alpha, height(alpha), ())
+    return _LISTED[n]
+
+
+def list_up_to(n, cap):
+    """Walk the weights of height <= cap into the listed table, unless it holds them."""
+    table = _LISTED.get(n, {})
+    if not all(beta in table for beta in vectors_up_to(n - 1, cap)):
+        _walk((cap,) * (n - 1), cap, ())
 
 
 # rank n -> {beta: [profile of beta over the first i coroots, i = 0..L]}
@@ -160,7 +173,7 @@ def _profile_table(gamma):
     with K summands} of beta using only the first i coroots of the
     canonical list, so entry -1 is the full profile.  One DP convolution
     along the coroot list, f(i, beta) = f(i-1, beta) + x f(i, beta - theta_i),
-    independent of the recursive enumeration above.
+    independent of the listing walk above.
 
     The table lives for the process, one per rank, and each weight is
     computed once.  It only ever holds the boxes below the gammas asked
@@ -195,21 +208,6 @@ def kostant_count_profile(gamma):
     """Summand-count profile of K(gamma) via the DP convolution, as a fresh dict."""
     gamma = _checked(gamma)
     return dict(_profile_table(gamma)[gamma][-1])
-
-
-@lru_cache(maxsize=None)
-def _enumerated_profile(gamma):
-    """Map K -> number of listed Kostant partitions of gamma with K summands.
-
-    Counted once per gamma (a tuple, not checked); callers share the
-    Counter and must not mutate it.
-    """
-    return Counter(kappa.num_summands() for kappa in _enumerate_partitions(gamma))
-
-
-def kostant_count(gamma):
-    """Number of Kostant partitions of gamma (read from the shared DP table)."""
-    return sum(kostant_count_profile(gamma).values())
 
 
 def lusztig_kostant_poly(alpha):

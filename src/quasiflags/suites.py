@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import factorial, prod
 
 from . import cells, cohomology, modchar, quiverfilt
-from .kostant import kostant_partitions
+from .kostant import kostant_partitions, list_up_to
 from .reports import FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import height, interval_sum, two_rho, vectors_up_to
 
@@ -24,6 +24,7 @@ def run_genfunc(n, degree):
 
 def _per_alpha(name, check, n, degree):
     alpha_cap = max(degree - height(two_rho(n)), -1)
+    list_up_to(n, alpha_cap)  # one listing walk for the whole sweep
     entries = [check(n, alpha) for alpha in vectors_up_to(n - 1, alpha_cap)]
     return Report(name=name, params={"n": n, "alpha_cap": alpha_cap}, entries=entries)
 
@@ -138,6 +139,7 @@ def run_pbw(n):
     filtration routes give the expected count.
     """
     entries = []
+    listed = {}  # one listing walk per weight, not per exponent vector
     orders = (
         ("canonical", quiverfilt.canonical_coroot_order(n)),
         ("by_upper_end", quiverfilt.alternative_coroot_order(n)),
@@ -152,7 +154,9 @@ def run_pbw(n):
             diagonal = prod(factorial(m) for m in c)
             checked = []
             ok = True
-            for kappa in kostant_partitions(gamma):
+            if gamma not in listed:
+                listed[gamma] = kostant_partitions(gamma)
+            for kappa in listed[gamma]:
                 intervals = kappa.intervals()
                 rep = quiverfilt.TorsionRep.of(n, [(iv, k) for k, iv in enumerate(intervals)])
                 expected = diagonal if intervals == want else 0

@@ -73,8 +73,8 @@ def test_cell_order_is_reproducible():
 
 def test_conjectured_dim_examples():
     e, s = weyl_elements(2)
-    k1 = KostantPartition.from_intervals(2, [(1, 1)])
-    k0 = KostantPartition.empty(2)
+    k1 = KostantPartition(2, (1,))
+    k0 = KostantPartition(2, (0,))
     assert conjectured_dim(Cell(w=e, kappa0=k1, kappaInf=k0)) == 2
     assert conjectured_dim(Cell(w=s, kappa0=k0, kappaInf=k1)) == 1
     assert conjectured_dim(Cell(w=e, kappa0=k0, kappaInf=k0)) == 0

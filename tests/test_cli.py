@@ -190,14 +190,38 @@ def test_deep_rank_enumeration_succeeds(schema):
 
 
 def test_poincare_over_many_simple_coordinates():
-    # 2^10 weights in the box below alpha, each listed past many dead
-    # branches at n=11; the digest pins the output
+    # 2^10 weights in the box below alpha, listed by one walk over the 55
+    # coroots that fit at n=11; the digest pins the output
     alpha = ",".join(["1"] * 10)
     code, text = run_cli(["poincare", "--n", "11", "--alpha", alpha])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "deed4c7e68a9cdf0bd125e4ad7306115aeccecab40a4fa3bd2474b519e7bdab5"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            "kostant --n 5 --gamma 2,2,2,2",
+            "a4cbf8c2b9ca263d46c90f3b155f8ba0562b1b01904da10cb78cfdc491d59d2f",
+        ),
+        (
+            "cells --n 4 --alpha 2,1,1 --dims",
+            "bcd2cac448efab32a6430b2e17852cf2b78a8c214f139e1bc41caa8c6a7a5a4e",
+        ),
+        (
+            "cells --n 3 --alpha 2,1",
+            "88cdf4a0d188fc05188963997614c718d76d76c344db4e6054c54961c0b4df09",
+        ),
+    ],
+)
+def test_listing_output_is_pinned(argv, digest):
+    # the digests pin the order of the listed partitions and of the cells
+    code, text = run_cli(argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_exception_in_a_suite_is_internal_error(monkeypatch, capsys):

@@ -11,16 +11,30 @@ from quasiflags import kostant
 from quasiflags.charseries import LaurentPoly
 from quasiflags.kostant import (
     KostantPartition,
-    _enumerate_partitions,
-    _enumerated_profile,
     _profile_table,
-    kostant_count,
     kostant_count_profile,
     kostant_partitions,
+    list_up_to,
+    listed_profiles,
     lusztig_kostant_poly,
+    partitions_below,
     stats,
 )
-from quasiflags.rootdata import coroot_intervals, positive_coroots, vectors_up_to
+from quasiflags.rootdata import coroot_intervals, iter_subvectors, positive_coroots, vectors_up_to
+
+
+def kostant_count(gamma):
+    """The number of Kostant partitions of gamma, from the DP table."""
+    return sum(kostant_count_profile(gamma).values())
+
+
+def from_intervals(n, intervals):
+    """The partition with the (q, p) pairs as summands, with repetition."""
+    index = {iv: k for k, iv in enumerate(coroot_intervals(n))}
+    mults = [0] * len(index)
+    for iv in intervals:
+        mults[index[tuple(iv)]] += 1
+    return KostantPartition(n, tuple(mults))
 
 
 def brute_partitions(gamma):
@@ -81,17 +95,17 @@ def test_returned_partition_list_is_a_fresh_copy():
     first = kostant_partitions((2, 2))
     expected = list(first)
     first.clear()
-    first.append(KostantPartition.empty(3))
+    first.append(KostantPartition(3, (0, 0, 0)))
     assert kostant_partitions((2, 2)) == expected
     assert kostant_partitions((2, 2)) is not kostant_partitions((2, 2))
 
 
 def test_stats():
-    kappa = KostantPartition.from_intervals(3, [(1, 2)])
+    kappa = from_intervals(3, [(1, 2)])
     assert stats(kappa) == ((1, 1), 2, 1)
-    kappa = KostantPartition.from_intervals(3, [(1, 1), (2, 2)])
+    kappa = from_intervals(3, [(1, 1), (2, 2)])
     assert stats(kappa) == ((1, 1), 2, 2)
-    assert stats(KostantPartition.empty(3)) == ((0, 0), 0, 0)
+    assert stats(KostantPartition(3, (0, 0, 0))) == ((0, 0), 0, 0)
 
 
 def test_lusztig_kostant_poly_examples():
@@ -121,15 +135,20 @@ def test_dp_count_matches_enumeration(n, cap):
 
 
 def listed_profile(gamma):
-    """Oracle: K -> number of listed partitions of gamma with K summands."""
-    return Counter(kappa.num_summands() for kappa in kostant_partitions(gamma))
+    """Oracle: K -> number of partitions of gamma with K summands, from the plain recursion."""
+    return Counter(kappa.num_summands() for kappa in unpruned_partitions(gamma))
 
 
 def test_count_profile_matches_enumeration_by_summands():
     for n in (2, 3, 4):
+        # a sweep's region: the simplex of height 6, in one walk
+        kostant._LISTED.clear()
+        list_up_to(n, 6)
+        listed = kostant._LISTED[n]
+        assert sorted(listed) == sorted(vectors_up_to(n - 1, 6))
         for alpha in vectors_up_to(n - 1, 6):
             profile = listed_profile(alpha)
-            assert _enumerated_profile(alpha) == kostant_count_profile(alpha) == profile
+            assert listed[alpha] == kostant_count_profile(alpha) == profile
             # from an empty store, one call fills exactly the box below alpha
             kostant._PROFILES.clear()
             table = _profile_table(alpha)
@@ -137,6 +156,17 @@ def test_count_profile_matches_enumeration_by_summands():
             for beta, layers in table.items():
                 assert len(layers) == len(coroot_intervals(n)) + 1
                 assert layers[-1] == listed_profile(beta)
+    # box regions: from an empty store, one walk fills exactly the box below alpha
+    for alpha in [(2, 1, 2), (3, 0, 2, 1), (6,) + (0,) * 48, (1,) * 12]:
+        kostant._LISTED.clear()
+        listed = listed_profiles(alpha)
+        assert sorted(listed) == list(iter_subvectors(alpha))
+        for beta in iter_subvectors(alpha):
+            assert listed[beta] == kostant_count_profile(beta)
+        # the plain recursion takes about 20 s over all 4,096 weights of 1^12
+        checked = list(iter_subvectors(alpha)) if len(listed) < 100 else [alpha]
+        for beta in checked:
+            assert listed[beta] == listed_profile(beta)
     # a fresh dict every call, and the input is checked as for the enumeration
     assert kostant_count_profile((2, 2)) is not kostant_count_profile((2, 2))
     kostant_count_profile((2, 2)).clear()
@@ -190,6 +220,13 @@ def test_profile_table_stays_a_union_of_boxes():
     # asking again, or for a weight inside the box, adds nothing
     assert _profile_table((3,) + (0,) * 48) is table
     assert len(table) == 7
+    # the listing walks the same box: 7 weights, one partition each
+    kostant._LISTED.clear()
+    listed = listed_profiles(alpha)
+    assert sorted(listed) == sorted(table)
+    assert listed[alpha] == {6: 1}
+    assert listed_profiles((3,) + (0,) * 48) is listed
+    assert len(listed) == 7
 
 
 def unpruned_partitions(gamma):
@@ -227,17 +264,80 @@ def test_pruned_listing_equals_unpruned_in_order():
     gammas = [g for n in range(2, 6) for g in vectors_up_to(n - 1, 7)]
     gammas += [(1,) * 7]  # n = 8
     for gamma in gammas:
-        assert _enumerate_partitions(gamma) == unpruned_partitions(gamma)
+        assert kostant_partitions(gamma) == list(unpruned_partitions(gamma))
+    # a box read from one walk: the same partitions, weight by weight
+    for alpha in [(2, 2, 2, 2), (1,) * 7, (3, 1, 2)]:
+        below = partitions_below(alpha)
+        assert list(below) == list(iter_subvectors(alpha))
+        for beta, parts in below.items():
+            assert parts == list(unpruned_partitions(beta))
+
+
+def _walk_nodes(monkeypatch):
+    """A list that gets the node count of each listing walk from now on.
+
+    Each walk runs against an empty store, so the counts in the profiles
+    it leaves there add up to its nodes; then the store is merged back.
+    """
+    walk, counts = kostant._walk, []
+
+    def counted(top, cap, keep):
+        n = len(top) + 1
+        store = kostant._LISTED.pop(n, {})
+        leaves = walk(top, cap, keep)
+        walked = kostant._LISTED[n]
+        counts.append(sum(sum(profile.values()) for profile in walked.values()))
+        store.update(walked)
+        kostant._LISTED[n] = store
+        return leaves
+
+    monkeypatch.setattr(kostant, "_walk", counted)
+    return counts
+
+
+def test_each_partition_is_visited_once_per_sweep(monkeypatch):
+    from quasiflags.cells import cell_dimension_poly
+    from quasiflags.cohomology import laumon_poincare
+    from quasiflags.suites import run_celldim, run_euler, run_genfunc
+
+    for cache in (laumon_poincare, cell_dimension_poly):
+        cache.cache_clear()
+    kostant._LISTED.clear()
+    counts = _walk_nodes(monkeypatch)
+    for run in (run_genfunc, run_euler, run_celldim):
+        assert run(4, 26).passed()
+    # |2 rho| = 10 at n = 4, so every sweep reads the weights of height <= 16
+    assert counts == [sum(map(kostant_count, vectors_up_to(3, 16)))]
+    assert sorted(kostant._LISTED[4]) == sorted(vectors_up_to(3, 16))
+
+
+def test_listing_never_reads_the_dp_table(monkeypatch):
+    expected = {
+        "simplex": {beta: listed_profile(beta) for beta in vectors_up_to(3, 8)},
+        "box": {beta: listed_profile(beta) for beta in iter_subvectors((2, 3, 1, 2))},
+        "partitions": list(unpruned_partitions((2, 1, 2))),
+    }
+
+    def refuse(gamma):
+        raise AssertionError("the listing must not read the DP table")
+
+    monkeypatch.setattr(kostant, "_profile_table", refuse)
+    kostant._LISTED.clear()
+    list_up_to(4, 8)
+    assert kostant._LISTED[4] == expected["simplex"]
+    assert listed_profiles((2, 3, 1, 2)) == expected["box"]
+    assert kostant_partitions((2, 1, 2)) == expected["partitions"]
+    assert list(partitions_below((2, 1, 2)).values())[-1] == expected["partitions"]
 
 
 def test_json_round_trip_shape():
-    kappa = KostantPartition.from_intervals(3, [(1, 2), (1, 1), (1, 1)])
+    kappa = from_intervals(3, [(1, 2), (1, 1), (1, 1)])
     doc = kappa.to_json()
     assert doc == [
         {"coroot": [1, 1], "mult": 2},
         {"coroot": [1, 2], "mult": 1},
     ]
-    rebuilt = KostantPartition.from_intervals(
+    rebuilt = from_intervals(
         3, [tuple(row["coroot"]) for row in doc for _ in range(row["mult"])]
     )
     assert rebuilt == kappa

@@ -29,9 +29,6 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 TEST_ONLY = {
     "stratum_poincare_compact": "the per-stratum Cousin oracle; perfbench traces it by name",
-    "kostant_count": "the DP partition count that tests compare listings against",
-    "KostantPartition.empty": "the empty partition of hand-example tests",
-    "KostantPartition.from_intervals": "builds hand-example partitions in tests",
     "LaurentPoly.coeff": "single coefficients of Poincare polynomials and characters in tests",
     "LaurentPoly.min_exp": "degree bounds of Poincare polynomials in tests",
     "LaurentPoly.max_exp": "degree bounds of Poincare polynomials in tests",
