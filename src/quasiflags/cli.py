@@ -7,6 +7,11 @@ failed, 2 usage error (including a verify run with nothing to check),
 3 only conjecture-level checks failed (without --strict), 4 internal
 error (one line on stderr, nothing on stdout) or stdout closed before
 the document was written (one line on stderr).
+
+The json document is exactly ``json.dumps(doc, indent=2, sort_keys=True)``
+and a newline.  ``render`` writes that text itself: CPython's C encoder
+cannot indent, so ``json.dumps`` with an indent runs json's pure-Python
+encoder, the largest single cost of a small verify run.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import cells as cells_mod
 from . import cohomology, suites
@@ -278,9 +284,88 @@ def _csv_cell(value):
     return text
 
 
+def _write_json(value, append, pad, memo):
+    """Append the chunks of ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    ``pad`` is a newline and the indentation of the line ``value`` starts
+    on.  Containers are matched as json matches them (dict; list or
+    tuple; subclasses included), strings go through json's C escaper, ints
+    through ``int.__repr__`` and any other scalar through ``json.dumps``.
+    A non-str key raises TypeError (from the escaper, or from sorting
+    keys of mixed types).  ``memo`` holds, per indentation, the sorted key
+    heads of each dict key order and the text of each all-int list, which
+    recur throughout a verify document; its keys start with the bracket,
+    so a dict's key order never meets a list of the same ints.
+    """
+    if isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = pad + "  "
+        shape = ("{", pad, *value)
+        heads = memo.get(shape)
+        if heads is None:
+            heads = memo[shape] = [
+                (key, ("," if i else "{") + inner
+                 + encode_basestring_ascii(key) + ": ")
+                for i, key in enumerate(sorted(value))
+            ]
+        for key, head in heads:
+            item = value[key]
+            # str and int values, the commonest, are written without a call
+            if type(item) is str:
+                append(head + encode_basestring_ascii(item))
+            elif type(item) is int:
+                append(head + int.__repr__(item))
+            else:
+                append(head)
+                _write_json(item, append, inner, memo)
+        append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = pad + "  "
+        comma = "," + inner
+        for item in value:
+            if type(item) is not int:  # bools are not joined as ints
+                break
+        else:
+            shape = ("[", pad, *value)
+            text = memo.get(shape)
+            if text is None:
+                text = memo[shape] = (
+                    "[" + inner + comma.join(map(int.__repr__, value)) + pad + "]"
+                )
+            append(text)
+            return
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            _write_json(item, append, inner, memo)
+            sep = comma
+        append(pad + "]")
+    elif isinstance(value, str):
+        append(encode_basestring_ascii(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        append(int.__repr__(value))
+    else:
+        append(json.dumps(value))
+
+
 def render(doc, fmt):
+    """Render ``doc`` as one json, csv or latex document (no final newline).
+
+    The json text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``
+    for a document with str keys; a non-str key raises TypeError.  It is
+    written directly because CPython's C encoder cannot indent, so
+    ``json.dumps`` with an indent runs json's pure-Python encoder, which
+    takes three to four times as long as this writer on a verify document.
+    """
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True)
+        chunks = []
+        _write_json(doc, chunks.append, "\n", {})
+        return "".join(chunks)
     header, rows = _flatten_rows(doc)
     if fmt == "csv":
         lines = [",".join(header)]

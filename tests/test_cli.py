@@ -329,16 +329,23 @@ def test_celldim_conjecture_failure_is_reported(monkeypatch):
     assert code == 1
 
 
-def test_euler_failure_is_a_theorem_failure(monkeypatch):
+# a verify run that fails once one_cell_too_many is applied
+EULER_FAILURE = ["verify", "--n", "2", "--degree", "4", "--suite", "euler"]
+
+
+@pytest.fixture
+def one_cell_too_many(monkeypatch):
+    """Count one cell more than the Euler characteristic, for every alpha."""
     from quasiflags import cells
 
     cell_sum = cells.cell_dimension_poly
+    monkeypatch.setattr(
+        cells, "cell_dimension_poly", lambda n, alpha: cell_sum(n, alpha) + 1
+    )
 
-    def one_cell_too_many(n, alpha):
-        return cell_sum(n, alpha) + 1
 
-    monkeypatch.setattr(cells, "cell_dimension_poly", one_cell_too_many)
-    code, doc = run_json(["verify", "--n", "2", "--degree", "4", "--suite", "euler"])
+def test_euler_failure_is_a_theorem_failure(one_cell_too_many):
+    code, doc = run_json(EULER_FAILURE)
     assert code == 1
     assert doc["summary"]["status"] == "FAIL"
     entries = doc["suites"][0]["entries"]
@@ -433,12 +440,23 @@ def test_csv_and_latex_formats():
         ["genfunc", "--n", "2", "--degree", "3"],
         ["cells", "--n", "2", "--alpha", "1"],
         ["verify", "--n", "2", "--degree", "3", "--suite", "euler"],
+        # the suites whose details nest deepest
+        ["verify", "--n", "3", "--degree", "0", "--suite", "serre"],
+        ["verify", "--n", "3", "--degree", "0", "--suite", "pbw"],
+        ["verify", "--n", "3", "--degree", "0", "--suite", "commute"],
+        EULER_FAILURE,
     ],
 )
-def test_every_command_renders_every_format(argv, fmt):
+def test_every_command_renders_every_format(argv, fmt, request):
+    expected = 0
+    if argv == EULER_FAILURE:
+        request.getfixturevalue("one_cell_too_many")
+        expected = 1
     code, text = run_cli(argv + ["--format", fmt])
-    assert code == 0
+    assert code == expected
     assert text.strip()
+    if fmt == "json":
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_identical_invocations_byte_identical():

@@ -2,10 +2,11 @@
 
 perfbench/reference.json holds the sha256 and byte size of the stdout of
 `python -m quasiflags.cli verify --n N --degree D --suite all`; this reads
-it and changes nothing there.  Two larger runs are pinned here by
-test-local digests: `--suite all` at (4, 26), and `--suite genfunc` at
+it and changes nothing there.  Three larger runs are pinned here by
+test-local digests: `--suite all` at (4, 26); `--suite genfunc` at
 (4, 30), whose Cousin profiles are the widest and so take the most slot
-widths.
+widths; and `--suite pbw` at n = 5, the largest document any check
+writes (38.9 MB), which takes the json writer through the most records.
 """
 
 import hashlib
@@ -30,6 +31,12 @@ N4_DEGREE26 = {
 N4_DEGREE30_GENFUNC = {
     "sha256": "63aa6fa3edacb920c34d6dadbcfbb14e9a23a70f62b8f21735ff41c30579dcf6",
     "bytes": 357274,
+}
+
+# stdout of `verify --n 5 --degree 24 --suite pbw`, recorded at bb75c27
+N5_DEGREE24_PBW = {
+    "sha256": "4bfcd426b09984e332690a814b8f3e2084e18a55a284c289e891c7d66e85d9fa",
+    "bytes": 38924402,
 }
 
 
@@ -58,3 +65,8 @@ def test_verify_all_stdout_at_n4_degree26():
 
 def test_verify_genfunc_stdout_at_n4_degree30():
     check_verify(4, 30, N4_DEGREE30_GENFUNC, suite="genfunc")
+
+
+def test_verify_pbw_stdout_at_n5():
+    # pbw ignores --degree; 24 is the value the digest was recorded with
+    check_verify(5, 24, N5_DEGREE24_PBW, suite="pbw")
