@@ -5,10 +5,11 @@ The space of degree-alpha quasiflags is smooth projective of dimension
 at the marked point, and the compactly supported cohomology of a stratum
 is pure, so the Poincare polynomial of the whole space is the plain sum
 of the stratum polynomials (the Cousin sum).  laumon_poincare groups the
-strata by (|kappa|, K(kappa)), all a stratum polynomial depends on, sums
-them in packed plain integers (Kronecker substitution, one bignum product
-per defect weight, each profile packed once per weight and slot width),
-and is tested against the per-stratum stratum_poincare_compact.  The
+strata by (|kappa|, K(kappa)), all a stratum polynomial depends on, and
+sums them in packed plain integers (Kronecker substitution): one
+shift-add recurrence per rank over the listed downset gives the sums of
+every alpha in it at once, with no product and no read of the DP table.
+It is tested against the per-stratum stratum_poincare_compact.  The
 closed form collects all degrees at once, in CharSeries and LaurentPoly
 arithmetic, which the Cousin sum never uses:
 
@@ -23,16 +24,15 @@ identity coefficient by coefficient.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
-from operator import mul
+from math import factorial
+from operator import sub
 
 from .charseries import CharSeries, LaurentPoly
-from .kostant import _profile_table, list_up_to, listed_profiles, lusztig_kostant_poly
+from .kostant import list_up_to, listed_profiles, lusztig_kostant_poly
 from .reports import FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import (
     dim_flag,
     height,
-    iter_subvectors,
     positive_coroots,
     two_rho,
     vectors_up_to,
@@ -57,10 +57,8 @@ def stratum_poincare_compact(n, alpha, kappa):
     return (kinv * weyl_poincare(n).negate_exponents()).shift(2 * lead)
 
 
-def _pack(coeffs, width, top=None):
-    """sum_K c_K 2^(width K), or 2^(width (top - K)) when top is given."""
-    if top is None:
-        return sum(c << (width * k) for k, c in coeffs.items())
+def _pack(coeffs, width, top):
+    """sum_K c_K 2^(width (top - K)): t^top times the polynomial at 1/t."""
     return sum(c << (width * (top - k)) for k, c in coeffs.items())
 
 
@@ -78,25 +76,64 @@ def _unpack(packed, width):
     return out
 
 
-@lru_cache(maxsize=None)
-def _packed_dp(beta, width):
-    """t^{|beta|} A_beta(t) packed: sum a_K 2^(width (|beta| + K)).
+# rank n -> (slot width, {beta: packed Cousin sum T(beta)}) over the listed table
+_COUSIN = {}
 
-    A_beta is read from the rank's shared DP table, which must hold beta.
+
+def _downset_steps(n, weights):
+    """Per coroot theta that fits, canonical order: (|theta| + 1, pairs (i, j)).
+
+    weights is downward closed and in lexicographic order; weights[j] =
+    weights[i] - theta, so j < i.
     """
-    return _pack(_profile_table(beta)[beta][-1], width) << (width * height(beta))
+    index = {beta: i for i, beta in enumerate(weights)}
+    steps = []
+    for theta in positive_coroots(n):
+        lowers = (index.get(tuple(map(sub, beta, theta))) for beta in weights)
+        pairs = [(i, j) for i, j in enumerate(lowers) if j is not None]
+        if pairs:
+            steps.append((height(theta) + 1, pairs))
+    return steps
 
 
-@lru_cache(maxsize=None)
-def _packed_listed(gamma, width):
-    """t^{|gamma|} Q_gamma(1/t) packed: sum c_K 2^(width (|gamma| - K)), c_K listed."""
-    return _pack(listed_profiles(gamma)[gamma], width, height(gamma))
+def _cousin_sums(listed, weights, steps, width):
+    """Packed T(beta) = t^{|beta|} sum_gamma A_{beta-gamma}(t) Q_gamma(1/t), per weight.
+
+    Seeded with the packed listed profiles t^{|beta|} Q_beta(1/t), then
+    T(beta) += t^{|theta|+1} T(beta - theta) for each coroot theta and
+    each beta in lexicographic order.  A coroot's pass divides by
+    1 - t^{|theta|+1} e^theta, and the product of those inverses over
+    theta is sum_beta t^{|beta|} A_beta(t) e^beta.  A list aligned with
+    weights; width 0 gives the values at t=1.
+    """
+    sums = [_pack(listed[beta], width, height(beta)) for beta in weights]
+    for length, pairs in steps:
+        shift = width * length
+        for i, j in pairs:
+            sums[i] += sums[j] << shift
+    return sums
 
 
-@lru_cache(maxsize=None)
-def _dp_count(beta):
-    """#P(beta) from the rank's shared DP table, which must hold beta."""
-    return sum(_profile_table(beta)[beta][-1].values())
+def _cousin_table(alpha):
+    """The rank's (slot width, {beta: packed T(beta)}), built to hold alpha.
+
+    Built over the whole listed table D, which is downward closed and
+    holds alpha once listed_profiles(alpha) has walked the box below it.
+    A table without alpha is rebuilt over D as it is now, so a loop over
+    many alphas walks its downset first (list_up_to), as every sweep
+    does, and builds once.
+    """
+    n = len(alpha) + 1
+    width, table = _COUSIN.get(n, (0, {}))
+    if alpha not in table:
+        listed = listed_profiles(alpha)
+        weights = sorted(listed)
+        steps = _downset_steps(n, weights)
+        # chi(beta) = n! T(beta)(1) bounds every coefficient, partial sums too
+        width = (factorial(n) * max(_cousin_sums(listed, weights, steps, 0))).bit_length()
+        table = dict(zip(weights, _cousin_sums(listed, weights, steps, width)))
+        _COUSIN[n] = width, table
+    return width, table
 
 
 @lru_cache(maxsize=None)
@@ -105,25 +142,22 @@ def laumon_poincare(alpha):
 
     The Cousin sum grouped by defect weight:
     t^{d - |alpha|} W(1/t) sum_{gamma <= alpha} A_{alpha-gamma}(t) Q_gamma(1/t),
-    with d = dimB + 2|alpha|, A_beta(t) = sum_K a_K t^K the DP profile of
-    beta (read from the rank's shared DP table, grown to the box below
-    alpha) and Q_gamma(t) = sum_K c_K t^K the listed profile of gamma,
-    c_K the number of its Kostant partitions with K summands (read from
-    the rank's listed table, walked to the box below alpha).
+    with d = dimB + 2|alpha|, A_beta(t) = sum_K a_K t^K the profile of
+    the Kostant partitions of beta by summand count, and Q_gamma(t) =
+    sum_K c_K t^K the listed profile of gamma, c_K the number of its
+    Kostant partitions with K summands (read from the rank's listed table).
 
-    The sum is taken in plain integers by Kronecker substitution.  With
-    t^{|alpha|} = t^{|alpha-gamma|} t^{|gamma|}, a term is the product of
-    t^{|beta|} A_beta(t), packed to sum a_K 2^{w(|beta|+K)}, and
-    t^{|gamma|} Q_gamma(1/t), packed to sum c_K 2^{w(|gamma|-K)}; both
-    depend only on their weight and the slot width w, so each is packed
-    once per (weight, w) in a process.  W(1/t) packs to
-    sum w_l 2^{w(dimB-l)}, so slot e of the product is the coefficient
-    of t^e.  Every coefficient is nonnegative, so each one, in every
-    partial sum too, is at most the total at t=1, the Euler characteristic
-    n! sum_gamma #P(alpha-gamma) #P(gamma); a slot of its bit length
-    cannot carry into the next.  alpha is a tuple; the polynomial is
-    computed once per alpha in a process.  No cap applies here: the CLI
-    bounds |alpha| where it reads the vector.
+    The sum is taken in plain integers by Kronecker substitution, t^e
+    packed to 2^{we} for a slot width of w bits: t^{|alpha|} times the sum
+    over gamma is T(alpha) of the rank's packed recurrence (_cousin_sums),
+    and W(1/t) packs to sum w_l 2^{w(dimB-l)}, so slot e of their product
+    is the coefficient of t^e.  Every coefficient is nonnegative, so each
+    one, in every partial sum too, is at most the Euler characteristic
+    chi(beta) = n! T(beta)(1); the recurrence run at t=1 gives T(beta)(1)
+    for every beta, and no slot of the bit length of the largest chi
+    carries into the next.  alpha is a tuple; the polynomial is computed
+    once per alpha in a process.  No cap applies here: the CLI bounds
+    |alpha| where it reads the vector.
 
     >>> laumon_poincare((1,)).pretty()
     '1 + t + t^2 + t^3'
@@ -131,22 +165,9 @@ def laumon_poincare(alpha):
     '1 + 2*t + 3*t^2 + 3*t^3 + 2*t^4 + t^5'
     """
     n = len(alpha) + 1
-    _profile_table(alpha)  # grows the rank's DP table to the box below alpha
-    listed = listed_profiles(alpha)
-    box = list(iter_subvectors(alpha))
-    # the box reversed is alpha - gamma, gamma in box order
-    rests = box[::-1]
+    width, table = _cousin_table(alpha)
     weyl = {e // 2: c for e, c in weyl_poincare(n).terms.items()}
-    # the value at t=1; W(1) = n!
-    euler = sum(weyl.values()) * sum(
-        map(mul, map(_dp_count, rests), (sum(listed[gamma].values()) for gamma in box))
-    )
-    width = euler.bit_length()
-    # sum_gamma packed A_{alpha-gamma} * packed Q_gamma
-    total = sum(
-        map(mul, map(_packed_dp, rests, repeat(width)), map(_packed_listed, box, repeat(width)))
-    )
-    total *= _pack(weyl, width, dim_flag(n))
+    total = table[alpha] * _pack(weyl, width, dim_flag(n))
     return LaurentPoly.t_poly(_unpack(total, width))
 
 

@@ -22,6 +22,7 @@ from math import factorial
 
 from .charseries import CharSeries, LaurentPoly
 from .cohomology import generating_function, laumon_poincare
+from .kostant import list_up_to
 from .reports import (
     CONJECTURE_CONSISTENCY,
     FAIL,
@@ -65,6 +66,7 @@ def weight_space_check(n, bound):
     rho2 = two_rho(n)
     char = module_character(n, bound)
     closed = generating_function(n, bound)
+    list_up_to(n, bound - height(rho2))  # one listing walk, so one Cousin table
     entries = []
     for alpha in vectors_up_to(n - 1, bound - height(rho2)):
         weight = tuple(a + r for a, r in zip(alpha, rho2))

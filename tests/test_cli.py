@@ -175,9 +175,9 @@ def test_deep_rank_enumeration_succeeds(schema):
     assert doc["result"]["dimension"] == 47 * 46 // 2 + 2  # dim B + 2|alpha|
     jsonschema.validate(doc, schema)
 
-    # the Cousin sum's DP stays in the box below alpha (7 weights here),
-    # not the simplex of all rank-49 weights of height <= 6; the digest
-    # pins the packed W(1/t) of S_50, 1,226 slots wide
+    # the listing and the Cousin table stay in the box below alpha (7
+    # weights here), not the simplex of all rank-49 weights of height
+    # <= 6; the digest pins the packed W(1/t) of S_50, 1,226 slots wide
     alpha = ",".join(["6"] + ["0"] * 48)
     code, text = run_cli(["poincare", "--n", "50", "--alpha", alpha])
     assert code == 0
@@ -187,6 +187,27 @@ def test_deep_rank_enumeration_succeeds(schema):
     doc = json.loads(text)
     assert doc["result"]["dimension"] == 50 * 49 // 2 + 12
     jsonschema.validate(doc, schema)
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            "poincare --n 4 --alpha 3,2,3",
+            "17e09ff061d1ec1ea94caa6c11b8ae2a3c760be5754e2bfa23309e88b1cd62f0",
+        ),
+        (
+            "poincare --n 6 --alpha 2,2,2,2,2",
+            "12c3b5b3ad0ea26e4ee08633c29c460f48c5fb728c5e1c606f787dff7aacd32a",
+        ),
+    ],
+)
+def test_poincare_of_one_box_is_pinned(argv, digest):
+    # in a fresh process the Cousin recurrence runs over the box below alpha
+    # alone; the output is the same over any listed downset that holds alpha
+    code, text = run_cli(argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_poincare_over_many_simple_coordinates():

@@ -1,14 +1,16 @@
 """Stratum polynomials, the Cousin sum, and the generating-function identity."""
 
 from itertools import product
+from math import factorial
 
 import pytest
 
+from quasiflags import cohomology
 from quasiflags.charseries import CharSeries, LaurentPoly
 from quasiflags.cohomology import (
-    _dp_count,
-    _packed_dp,
-    _packed_listed,
+    _cousin_sums,
+    _downset_steps,
+    _pack,
     _unpack,
     generating_function,
     laumon_poincare,
@@ -18,7 +20,6 @@ from quasiflags.cohomology import (
 )
 from quasiflags.kostant import (
     KostantPartition,
-    kostant_count_profile,
     kostant_partitions,
     listed_profiles,
 )
@@ -95,27 +96,51 @@ def test_grouped_cousin_sum_matches_stratum_by_stratum(n, alpha_cap):
         assert laumon_poincare(alpha) == by_stratum, alpha
 
 
-def test_packed_product_needs_its_slot_width():
-    # one real pair of the (3,3,3) Cousin sum: t^{|beta|} A_beta(t), beta =
-    # (2,2,2), times t^{|gamma|} Q_gamma(1/t), gamma = (1,1,1), each packed
-    # once per (weight, width)
-    alpha, gamma = (3, 3, 3), (1, 1, 1)
-    rest = tuple(a - g for a, g in zip(alpha, gamma))
-    dp = kostant_count_profile(rest)
-    listed = listed_profiles(gamma)[gamma]
-    expected = LaurentPoly.t_poly({height(rest) + k: c for k, c in dp.items()}) * LaurentPoly.t_poly(
-        {height(gamma) - k: c for k, c in listed.items()}
-    )
+def cousin_recurrence(alpha, width):
+    """The packed recurrence over the box below alpha: {beta: T(beta) packed at width}."""
+    n = len(alpha) + 1
+    listed = {beta: listed_profiles(alpha)[beta] for beta in iter_subvectors(alpha)}
+    weights = sorted(listed)
+    sums = _cousin_sums(listed, weights, _downset_steps(n, weights), width)
+    return dict(zip(weights, sums))
 
-    def packed_product(width):
-        return LaurentPoly.t_poly(_unpack(_packed_dp(rest, width) * _packed_listed(gamma, width), width))
 
-    proven = (sum(dp.values()) * sum(listed.values())).bit_length()
-    assert packed_product(proven) == expected
-    largest = max(expected.terms.values())
+def test_cousin_recurrence_needs_its_slot_width():
+    alpha = (3, 3, 3)
+    n = len(alpha) + 1
+    box = list(iter_subvectors(alpha))
+    # at t=1 the recurrence counts the pairs of partitions of beta - gamma and gamma
+    count = {gamma: len(kostant_partitions(gamma)) for gamma in box}
+    at_one = cousin_recurrence(alpha, 0)
+    for beta in box:
+        pairs = sum(
+            count[tuple(b - g for b, g in zip(beta, gamma))] * count[gamma]
+            for gamma in iter_subvectors(beta)
+        )
+        assert at_one[beta] == pairs, beta
+    weyl = {e // 2: c for e, c in weyl_poincare(n).terms.items()}
+
+    def polys(width):
+        packed_weyl = _pack(weyl, width, dim_flag(n))
+        return {
+            beta: LaurentPoly.t_poly(_unpack(total * packed_weyl, width))
+            for beta, total in cousin_recurrence(alpha, width).items()
+        }
+
+    # the proven width: the bit length of the largest Euler characteristic
+    proven = polys((factorial(n) * max(at_one.values())).bit_length())
+    for beta in box:
+        by_stratum = LaurentPoly.zero()
+        for gamma in iter_subvectors(beta):
+            for kappa in kostant_partitions(gamma):
+                by_stratum = by_stratum + stratum_poincare_compact(n, beta, kappa)
+        assert proven[beta] == by_stratum, beta
+    largest = max(max(poly.terms.values()) for poly in proven.values())
     assert largest >= 4  # so the narrow slot below is still 2 bits wide
     # one bit short of the largest coefficient, that slot carries into the next
-    assert packed_product(largest.bit_length() - 1) != expected
+    narrow = polys(largest.bit_length() - 1)
+    widest = [beta for beta in box if max(proven[beta].terms.values()) == largest]
+    assert all(narrow[beta] != proven[beta] for beta in widest)
 
 
 def test_cousin_sum_shares_no_series_arithmetic(monkeypatch):
@@ -129,11 +154,11 @@ def test_cousin_sum_shares_no_series_arithmetic(monkeypatch):
         monkeypatch.setattr(LaurentPoly, name, refuse)
     monkeypatch.setattr(CharSeries, "__mul__", refuse)
     monkeypatch.setattr(CharSeries, "divide_geometric", refuse)
-    # so that every profile is packed again under the refusal
-    for cache in (_packed_dp, _packed_listed, _dp_count):
-        cache.cache_clear()
+    # an empty per-rank table, so that the recurrence runs again under the refusal
+    monkeypatch.setattr(cohomology, "_COUSIN", {})
     for alpha in alphas:
         assert laumon_poincare.__wrapped__(alpha) == expected[alpha], alpha
+    assert sorted(cohomology._COUSIN) == [2, 3, 4]
 
 
 def test_closed_form_divides_without_series_products(monkeypatch):

@@ -1,8 +1,9 @@
 """Suite drivers: coverage of both coroot orders and report bookkeeping."""
 
 import inspect
+import io
 
-from quasiflags import suites
+from quasiflags import cells, cli, cohomology, kostant, modchar, suites
 from quasiflags.reports import THEOREM
 from quasiflags.suites import (
     SUITE_NAMES,
@@ -75,3 +76,39 @@ def test_run_suites_selection_and_unknown():
         pass
     else:  # pragma: no cover
         raise AssertionError("unknown suite must raise")
+
+
+def test_verify_reads_no_dp_table(monkeypatch):
+    # the Cousin sum and the cells read the listing only; the closed form,
+    # the characters and freeness read series only
+    runners = (
+        suites.run_genfunc,
+        suites.run_euler,
+        suites.run_celldim,
+        suites.run_characters,
+        suites.run_freeness,
+    )
+    argv = ["poincare", "--n", "3", "--alpha", "2,1"]
+
+    def run_all():
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == 0
+        return [run(3, 12).to_json() for run in runners], out.getvalue()
+
+    expected = run_all()
+
+    def refuse(gamma):
+        raise AssertionError("verify must not read the DP table")
+
+    monkeypatch.setattr(kostant, "_profile_table", refuse)
+    # cold tables and caches, so that every route runs again under the refusal
+    monkeypatch.setattr(kostant, "_LISTED", {})
+    monkeypatch.setattr(cohomology, "_COUSIN", {})
+    for cache in (
+        cohomology.laumon_poincare,
+        cohomology.generating_function,
+        cells.cell_dimension_poly,
+        modchar._character_series,
+    ):
+        cache.cache_clear()
+    assert run_all() == expected

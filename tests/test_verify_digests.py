@@ -4,9 +4,10 @@ perfbench/reference.json holds the sha256 and byte size of the stdout of
 `python -m quasiflags.cli verify --n N --degree D --suite all`; this reads
 it and changes nothing there.  Three larger runs are pinned here by
 test-local digests: `--suite all` at (4, 26); `--suite genfunc` at
-(4, 30), whose Cousin profiles are the widest and so take the most slot
-widths; and `--suite pbw` at n = 5, the largest document any check
-writes (38.9 MB), which takes the json writer through the most records.
+(4, 30) and at (5, 36), whose Cousin tables take the widest slots of the
+ladder (the second at n = 5, over 4,845 weights); and `--suite pbw` at
+n = 5, the largest document any check writes (38.9 MB), which takes the
+json writer through the most records.
 """
 
 import hashlib
@@ -31,6 +32,12 @@ N4_DEGREE26 = {
 N4_DEGREE30_GENFUNC = {
     "sha256": "63aa6fa3edacb920c34d6dadbcfbb14e9a23a70f62b8f21735ff41c30579dcf6",
     "bytes": 357274,
+}
+
+# stdout of `verify --n 5 --degree 36 --suite genfunc`, recorded at f7163cb
+N5_DEGREE36_GENFUNC = {
+    "sha256": "cbd1420c1c74a7c36517dd1a8cad8a53ac5860a8e39a57523a085948a6d09ccd",
+    "bytes": 1057495,
 }
 
 # stdout of `verify --n 5 --degree 24 --suite pbw`, recorded at bb75c27
@@ -65,6 +72,10 @@ def test_verify_all_stdout_at_n4_degree26():
 
 def test_verify_genfunc_stdout_at_n4_degree30():
     check_verify(4, 30, N4_DEGREE30_GENFUNC, suite="genfunc")
+
+
+def test_verify_genfunc_stdout_at_n5_degree36():
+    check_verify(5, 36, N5_DEGREE36_GENFUNC, suite="genfunc")
 
 
 def test_verify_pbw_stdout_at_n5():
