@@ -41,6 +41,13 @@ class LaurentPoly:
         self.terms = clean
 
     @classmethod
+    def _of(cls, terms):
+        """Wrap a fresh {int exponent: nonzero int} dict, with no copy or check."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -55,8 +62,8 @@ class LaurentPoly:
 
     @classmethod
     def t_poly(cls, tcoeffs):
-        """Build from a map t-exponent -> coefficient."""
-        return cls({2 * k: c for k, c in tcoeffs.items()})
+        """Build from a map int t-exponent -> int coefficient (zeros dropped)."""
+        return cls._of({2 * k: c for k, c in tcoeffs.items() if c})
 
     def is_zero(self):
         return not self.terms
@@ -84,16 +91,12 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return LaurentPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -107,9 +110,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly()
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.terms = {e: c * other for e, c in self.terms.items()}
-            return res
+            return LaurentPoly._of({e: c * other for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -119,17 +120,13 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     del out[e]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return LaurentPoly._of(out)
 
     __rmul__ = __mul__
 
     def negate_exponents(self):
         """Substitution q -> q^{-1} (equivalently t -> t^{-1})."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {-e: c for e, c in self.terms.items()}
-        return res
+        return LaurentPoly._of({-e: c for e, c in self.terms.items()})
 
     def eval_at_one(self):
         """Value at q = 1 (= t = 1): the sum of the coefficients."""
@@ -137,9 +134,7 @@ class LaurentPoly:
 
     def shift(self, e):
         """Multiply by q^e."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {k + e: c for k, c in self.terms.items()}
-        return res
+        return LaurentPoly._of({k + e: c for k, c in self.terms.items()})
 
     def coeff(self, e):
         return self.terms.get(e, 0)

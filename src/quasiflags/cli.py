@@ -6,7 +6,8 @@ produce byte-identical output.  Exit codes: 0 ok, 1 a theorem identity
 failed, 2 usage error (including a verify run with nothing to check),
 3 only conjecture-level checks failed (without --strict), 4 internal
 error (one line on stderr, nothing on stdout) or stdout closed before
-the document was written (one line on stderr).
+the document was written (one line on stderr).  A closed stderr loses
+its line, never the exit code.
 
 The json document is exactly ``json.dumps(doc, indent=2, sort_keys=True)``
 and a newline.  ``render`` writes that text itself: CPython's C encoder
@@ -391,6 +392,20 @@ COMMANDS = {
 }
 
 
+def _to_devnull(stream):
+    # what the stream still buffers goes there when the interpreter flushes
+    # it at exit, so that flush cannot fail and change the exit code
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _warn(message):
+    """One line to stderr; a closed stderr loses it, never the exit code."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     parser = build_parser()
@@ -399,25 +414,24 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     if args.n < 2:
-        print("error: --n must be at least 2", file=sys.stderr)
+        _warn("error: --n must be at least 2")
         return 2
     try:
         doc, code = COMMANDS[args.command](args)
         text = render(doc, args.format)
     except (UsageError, ResourceCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return 2
     except Exception as exc:  # exit 1 is reserved for a theorem failure
-        print(f"internal error: {exc!r}", file=sys.stderr)
+        _warn(f"internal error: {exc!r}")
         return 4
     try:
         print(text, file=out)
         out.flush()
     except BrokenPipeError:
-        print("error: output closed before the document was written", file=sys.stderr)
         if out is sys.stdout:
-            # the interpreter flushes stdout again at exit; let that succeed
-            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+            _to_devnull(out)
+        _warn("error: output closed before the document was written")
         return 4
     return code
 

@@ -8,7 +8,7 @@ of the stratum polynomials (the Cousin sum).  laumon_poincare groups the
 strata by (|kappa|, K(kappa)), all a stratum polynomial depends on, and
 sums them in packed plain integers (Kronecker substitution): one
 shift-add recurrence per rank over the listed downset gives the sums of
-every alpha in it at once, with no product and no read of the DP table.
+every alpha in it at once, with no product and no call of the DP.
 It is tested against the per-stratum stratum_poincare_compact.  The
 closed form collects all degrees at once, in CharSeries and LaurentPoly
 arithmetic, which the Cousin sum never uses:

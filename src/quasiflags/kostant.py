@@ -10,8 +10,9 @@ the Kostant partition count.
 
 The listing is one walk over a downward-closed set of weights (the box
 below alpha, or a sweep's simplex), which visits each partition once and
-adds it to its weight's profile.  The DP keeps one shared table per rank,
-grown to the box below each gamma asked for.  Neither route reads the other.
+adds it to its weight's profile; that listed table is the module's one
+store.  The DP is computed afresh over the box below gamma on each call.
+Neither route reads the other.
 """
 
 from __future__ import annotations
@@ -162,52 +163,31 @@ def list_up_to(n, cap):
         _walk((cap,) * (n - 1), cap, ())
 
 
-# rank n -> {beta: [profile of beta over the first i coroots, i = 0..L]}
-_PROFILES = {}
+def _box_profiles(gamma):
+    """{beta: {K: Kostant partitions of beta with K summands}} for every beta <= gamma.
 
-
-def _profile_table(gamma):
-    """The rank's shared table, grown to hold every beta <= gamma.
-
-    Maps beta to its layers: entry i is the profile {K: Kostant partitions
-    with K summands} of beta using only the first i coroots of the
-    canonical list, so entry -1 is the full profile.  One DP convolution
-    along the coroot list, f(i, beta) = f(i-1, beta) + x f(i, beta - theta_i),
-    independent of the listing walk above.
-
-    The table lives for the process, one per rank, and each weight is
-    computed once.  It only ever holds the boxes below the gammas asked
-    for, so it is downward closed but never a whole simplex (the box below
-    (6, 0, ..., 0) at n = 50 is 7 weights).  Callers share the profiles
-    and must not mutate them.
+    One DP convolution over the box below gamma, fresh on every call and
+    independent of the listing walk: for each coroot theta in canonical
+    order and each beta in lexicographic order (which puts beta - theta
+    first), f(beta)[K + 1] += f(beta - theta)[K].
     """
-    n = len(gamma) + 1
-    table = _PROFILES.setdefault(n, {})
-    if gamma in table:
-        # a downward-closed table that holds gamma holds its box
-        return table
-    intervals = coroot_intervals(n)
-    # lexicographic order: each beta - theta_i is stored before beta
-    for beta in iter_subvectors(gamma):
-        if beta in table:
-            continue
-        layer = {0: 1} if not any(beta) else {}
-        layers = [layer]
-        for i, (q, p) in enumerate(intervals, 1):
+    box = list(iter_subvectors(gamma))
+    profiles = {beta: {} for beta in box}
+    profiles[box[0]][0] = 1  # the zero weight: the empty partition
+    for q, p in coroot_intervals(len(gamma) + 1):
+        for beta in box:
             if min(beta[q - 1 : p]):
                 lower = beta[: q - 1] + tuple(b - 1 for b in beta[q - 1 : p]) + beta[p:]
-                layer = dict(layer)
-                for k, ways in table[lower][i].items():
-                    layer[k + 1] = layer.get(k + 1, 0) + ways
-            layers.append(layer)
-        table[beta] = layers
-    return table
+                target = profiles[beta]
+                for k, ways in profiles[lower].items():
+                    target[k + 1] = target.get(k + 1, 0) + ways
+    return profiles
 
 
 def kostant_count_profile(gamma):
-    """Summand-count profile of K(gamma) via the DP convolution, as a fresh dict."""
+    """Summand-count profile {K: count} of K(gamma), from one DP over the box below gamma."""
     gamma = _checked(gamma)
-    return dict(_profile_table(gamma)[gamma][-1])
+    return _box_profiles(gamma)[gamma]
 
 
 def lusztig_kostant_poly(alpha):

@@ -101,7 +101,9 @@ def vectors_up_to(length, cap):
 def iter_subvectors(alpha):
     """All vectors gamma <= alpha coordinatewise (the box below alpha), lexicographic.
 
-    Read backwards, the box is alpha - gamma in the same order.
+    Each gamma comes after gamma - theta for every coroot theta that fits
+    below it, so a recurrence in theta can fill the box in one pass.  Read
+    backwards, the box is alpha - gamma in the same order.
 
     >>> list(iter_subvectors((1, 2)))
     [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]

@@ -285,6 +285,35 @@ def test_closed_stdout_exits_4_without_a_traceback():
     assert proc.stderr.decode() == CLOSED_OUTPUT
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["verify", "--n", "3", "--degree", "-1"], 2),
+        (["verify", "--n", "1", "--degree", "8"], 2),
+        (["poincare", "--n", "3", "--alpha", "9,9"], 2),
+        (["verify", "--n", "3"], 2),  # argparse: --degree missing
+        (["verify", "--n", "3", "--degree", "8", "--suite", "euler"], 4),
+    ],
+)
+def test_closed_stdout_and_stderr_keep_the_exit_code(argv, expected):
+    # as in `quasiflags ... 2>&1 | head -c 10`: both streams are one pipe
+    # without a reader, so every message is lost; an exception that escaped
+    # while writing one would exit 1, and the interpreter's failed exit
+    # flush 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasiflags.cli", *argv],
+            stdout=write_end,
+            stderr=write_end,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected
+
+
 def _route_counts(suite, entry):
     """The {"symbolic", "f2", "f3"} counts recorded in one failing entry."""
     if suite == "serre":

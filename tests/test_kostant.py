@@ -3,15 +3,13 @@
 from collections import Counter
 from itertools import product
 
-import random
-
 import pytest
 
 from quasiflags import kostant
 from quasiflags.charseries import LaurentPoly
 from quasiflags.kostant import (
     KostantPartition,
-    _profile_table,
+    _box_profiles,
     kostant_count_profile,
     kostant_partitions,
     list_up_to,
@@ -20,11 +18,11 @@ from quasiflags.kostant import (
     partitions_below,
     stats,
 )
-from quasiflags.rootdata import coroot_intervals, iter_subvectors, positive_coroots, vectors_up_to
+from quasiflags.rootdata import coroot_intervals, iter_subvectors, vectors_up_to
 
 
 def kostant_count(gamma):
-    """The number of Kostant partitions of gamma, from the DP table."""
+    """The number of Kostant partitions of gamma, from the DP."""
     return sum(kostant_count_profile(gamma).values())
 
 
@@ -146,27 +144,33 @@ def test_count_profile_matches_enumeration_by_summands():
         list_up_to(n, 6)
         listed = kostant._LISTED[n]
         assert sorted(listed) == sorted(vectors_up_to(n - 1, 6))
+        # one DP over a box that holds the simplex
+        dp = _box_profiles((6,) * (n - 1))
         for alpha in vectors_up_to(n - 1, 6):
-            profile = listed_profile(alpha)
-            assert listed[alpha] == kostant_count_profile(alpha) == profile
-            # from an empty store, one call fills exactly the box below alpha
-            kostant._PROFILES.clear()
-            table = _profile_table(alpha)
-            assert sorted(table) == list(product(*(range(a + 1) for a in alpha)))
-            for beta, layers in table.items():
-                assert len(layers) == len(coroot_intervals(n)) + 1
-                assert layers[-1] == listed_profile(beta)
-    # box regions: from an empty store, one walk fills exactly the box below alpha
-    for alpha in [(2, 1, 2), (3, 0, 2, 1), (6,) + (0,) * 48, (1,) * 12]:
+            assert listed[alpha] == dp[alpha] == listed_profile(alpha)
+    # box regions: from an empty store, one walk fills exactly the box below
+    # alpha, and one DP call gives exactly that box
+    for alpha in [(2, 1, 2), (3, 0, 2, 1), (2, 1, 1, 2), (6,) + (0,) * 48, (1,) * 12]:
         kostant._LISTED.clear()
         listed = listed_profiles(alpha)
-        assert sorted(listed) == list(iter_subvectors(alpha))
+        dp = _box_profiles(alpha)
+        assert sorted(listed) == list(iter_subvectors(alpha)) == list(dp)
         for beta in iter_subvectors(alpha):
-            assert listed[beta] == kostant_count_profile(beta)
+            assert listed[beta] == dp[beta]
+        assert kostant_count_profile(alpha) == dp[alpha]
         # the plain recursion takes about 20 s over all 4,096 weights of 1^12
         checked = list(iter_subvectors(alpha)) if len(listed) < 100 else [alpha]
         for beta in checked:
             assert listed[beta] == listed_profile(beta)
+    # (6, 0, ..., 0) at n = 50: the walk stores its box of 7 weights, and
+    # asking again, or for a weight inside the box, adds nothing
+    alpha = (6,) + (0,) * 48
+    kostant._LISTED.clear()
+    listed = listed_profiles(alpha)
+    assert sorted(listed) == [(k,) + (0,) * 48 for k in range(7)]
+    assert listed[alpha] == {6: 1}
+    assert listed_profiles((3,) + (0,) * 48) is listed
+    assert len(listed) == 7
     # a fresh dict every call, and the input is checked as for the enumeration
     assert kostant_count_profile((2, 2)) is not kostant_count_profile((2, 2))
     kostant_count_profile((2, 2)).clear()
@@ -174,59 +178,6 @@ def test_count_profile_matches_enumeration_by_summands():
     for negative in (kostant_count_profile, kostant_partitions):
         with pytest.raises(ValueError):
             negative((1, -1))
-
-
-def box_profile_table(gamma):
-    """Oracle: the per-call box DP, a fresh table below gamma on every call."""
-    n = len(gamma) + 1
-    profiles = {(0,) * (n - 1): {0: 1}}
-    for theta in positive_coroots(n):
-        updated = {}
-        for beta, prof in profiles.items():
-            cur, m = beta, 0
-            while all(c <= g for c, g in zip(cur, gamma)):
-                tgt = updated.setdefault(cur, {})
-                for k, ways in prof.items():
-                    tgt[k + m] = tgt.get(k + m, 0) + ways
-                cur = tuple(c + t for c, t in zip(cur, theta))
-                m += 1
-        profiles = updated
-    return profiles
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_shared_profile_table_equals_box_dp_in_any_order(n):
-    sweep = list(vectors_up_to(n - 1, 6))
-    shuffled = list(sweep)
-    random.Random(1997 + n).shuffle(shuffled)
-    oracle = {alpha: box_profile_table(alpha) for alpha in sweep}
-    for order in (sweep, sweep[::-1], shuffled):
-        kostant._PROFILES.clear()
-        for alpha in order:
-            table = _profile_table(alpha)
-            for beta, entry in oracle[alpha].items():
-                assert table[beta][-1] == entry == listed_profile(beta)
-        # the store is the union of the boxes asked for: the whole |v| <= 6 set
-        assert sorted(table) == sorted(sweep)
-
-
-def test_profile_table_stays_a_union_of_boxes():
-    kostant._PROFILES.clear()
-    alpha = (6,) + (0,) * 48
-    table = _profile_table(alpha)
-    assert sorted(table) == [(k,) + (0,) * 48 for k in range(7)]
-    assert kostant._PROFILES[50] is table
-    assert table[alpha][-1] == {6: 1}
-    # asking again, or for a weight inside the box, adds nothing
-    assert _profile_table((3,) + (0,) * 48) is table
-    assert len(table) == 7
-    # the listing walks the same box: 7 weights, one partition each
-    kostant._LISTED.clear()
-    listed = listed_profiles(alpha)
-    assert sorted(listed) == sorted(table)
-    assert listed[alpha] == {6: 1}
-    assert listed_profiles((3,) + (0,) * 48) is listed
-    assert len(listed) == 7
 
 
 def unpruned_partitions(gamma):
@@ -295,23 +246,19 @@ def _walk_nodes(monkeypatch):
     return counts
 
 
-def test_each_partition_is_visited_once_per_sweep(monkeypatch):
-    from quasiflags.cells import cell_dimension_poly
-    from quasiflags.cohomology import laumon_poincare
+def test_each_partition_is_visited_once_per_sweep(monkeypatch, cold_tables):
     from quasiflags.suites import run_celldim, run_euler, run_genfunc
 
-    for cache in (laumon_poincare, cell_dimension_poly):
-        cache.cache_clear()
-    kostant._LISTED.clear()
     counts = _walk_nodes(monkeypatch)
     for run in (run_genfunc, run_euler, run_celldim):
         assert run(4, 26).passed()
     # |2 rho| = 10 at n = 4, so every sweep reads the weights of height <= 16
-    assert counts == [sum(map(kostant_count, vectors_up_to(3, 16)))]
+    dp = _box_profiles((16, 16, 16))
+    assert counts == [sum(sum(dp[beta].values()) for beta in vectors_up_to(3, 16))]
     assert sorted(kostant._LISTED[4]) == sorted(vectors_up_to(3, 16))
 
 
-def test_listing_never_reads_the_dp_table(monkeypatch):
+def test_listing_never_reads_the_dp_table(monkeypatch, cold_tables):
     expected = {
         "simplex": {beta: listed_profile(beta) for beta in vectors_up_to(3, 8)},
         "box": {beta: listed_profile(beta) for beta in iter_subvectors((2, 3, 1, 2))},
@@ -319,10 +266,11 @@ def test_listing_never_reads_the_dp_table(monkeypatch):
     }
 
     def refuse(gamma):
-        raise AssertionError("the listing must not read the DP table")
+        raise AssertionError("the listing must not read the DP")
 
-    monkeypatch.setattr(kostant, "_profile_table", refuse)
-    kostant._LISTED.clear()
+    monkeypatch.setattr(kostant, "kostant_count_profile", refuse)
+    monkeypatch.setattr(kostant, "_box_profiles", refuse)
+    cold_tables()
     list_up_to(4, 8)
     assert kostant._LISTED[4] == expected["simplex"]
     assert listed_profiles((2, 3, 1, 2)) == expected["box"]

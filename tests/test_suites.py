@@ -3,7 +3,7 @@
 import inspect
 import io
 
-from quasiflags import cells, cli, cohomology, kostant, modchar, suites
+from quasiflags import cli, kostant, suites
 from quasiflags.reports import THEOREM
 from quasiflags.suites import (
     SUITE_NAMES,
@@ -78,7 +78,7 @@ def test_run_suites_selection_and_unknown():
         raise AssertionError("unknown suite must raise")
 
 
-def test_verify_reads_no_dp_table(monkeypatch):
+def test_verify_reads_no_dp_table(monkeypatch, cold_tables):
     # the Cousin sum and the cells read the listing only; the closed form,
     # the characters and freeness read series only
     runners = (
@@ -98,17 +98,10 @@ def test_verify_reads_no_dp_table(monkeypatch):
     expected = run_all()
 
     def refuse(gamma):
-        raise AssertionError("verify must not read the DP table")
+        raise AssertionError("verify must not read the DP")
 
-    monkeypatch.setattr(kostant, "_profile_table", refuse)
+    monkeypatch.setattr(kostant, "kostant_count_profile", refuse)
+    monkeypatch.setattr(kostant, "_box_profiles", refuse)
     # cold tables and caches, so that every route runs again under the refusal
-    monkeypatch.setattr(kostant, "_LISTED", {})
-    monkeypatch.setattr(cohomology, "_COUSIN", {})
-    for cache in (
-        cohomology.laumon_poincare,
-        cohomology.generating_function,
-        cells.cell_dimension_poly,
-        modchar._character_series,
-    ):
-        cache.cache_clear()
+    cold_tables()
     assert run_all() == expected
