@@ -21,24 +21,20 @@ group only: each cell adds one monomial, so euler reads it at t=1.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .charseries import LaurentPoly
 from .cohomology import laumon_poincare
-from .kostant import KostantPartition, listed_profiles, partitions_below
+from .kostant import listed_profiles, partitions_below
 from .reports import CONJECTURE, FAIL, PASS, THEOREM, Entry
-from .rootdata import WeylElement, height, iter_subvectors, weyl_elements
+from .rootdata import height, iter_subvectors, weyl_elements
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(namedtuple("Cell", "w kappa0 kappaInf")):
     """Fixed-point label (w, kappa0, kappaInf)."""
 
-    w: WeylElement
-    kappa0: KostantPartition
-    kappaInf: KostantPartition
+    __slots__ = ()
 
 
 def enumerate_cells(n, alpha):

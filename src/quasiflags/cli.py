@@ -222,6 +222,13 @@ def cmd_verify(args):
     return doc, code
 
 
+# Every TeX special character of a table cell, written as a literal.
+_TEX = str.maketrans({
+    "\\": "\\textbackslash{}", "&": "\\&", "%": "\\%", "$": "\\$", "#": "\\#",
+    "_": "\\_", "{": "\\{", "}": "\\}", "~": "\\textasciitilde{}", "^": "\\textasciicircum{}",
+})
+
+
 def _flatten_rows(doc):
     """Uniform tabular view of a document, for csv and latex."""
     command = doc["command"]
@@ -373,11 +380,9 @@ def render(doc, fmt):
         lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
         return "\n".join(lines)
     if fmt == "latex":
-        lines = ["\\begin{tabular}{%s}" % ("l" * len(header))]
-        lines.append(" & ".join(header) + " \\\\")
-        lines.append("\\hline")
-        esc = lambda v: str(v).replace("_", "\\_").replace("{", "\\{").replace("}", "\\}")
-        lines.extend(" & ".join(esc(v) for v in row) + " \\\\" for row in rows)
+        tex_row = lambda row: " & ".join(str(v).translate(_TEX) for v in row) + " \\\\"
+        lines = ["\\begin{tabular}{%s}" % ("l" * len(header)), tex_row(header), "\\hline"]
+        lines.extend(map(tex_row, rows))
         lines.append("\\end{tabular}")
         return "\n".join(lines)
     raise ValueError(fmt)  # pragma: no cover

@@ -17,29 +17,27 @@ Neither route reads the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .charseries import LaurentPoly
 from .rootdata import coroot_intervals, height, interval_sum, iter_subvectors, vectors_up_to
 
 
-@dataclass(frozen=True)
-class KostantPartition:
+class KostantPartition(namedtuple("KostantPartition", "n mults")):
     """Multiset of positive coroots, as multiplicities in canonical order.
 
     mults[k] is the multiplicity of the k-th interval of
     coroot_intervals(n).
     """
 
-    n: int
-    mults: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        intervals = coroot_intervals(self.n)
-        if len(self.mults) != len(intervals):
+    def __new__(cls, n, mults):
+        if len(mults) != len(coroot_intervals(n)):
             raise ValueError("multiplicity vector has wrong length")
-        if min(self.mults, default=0) < 0:
+        if min(mults, default=0) < 0:
             raise ValueError("multiplicities must be nonnegative")
+        return super().__new__(cls, n, mults)
 
     def weight(self):
         """|kappa|: the coroot vector the partition sums to."""

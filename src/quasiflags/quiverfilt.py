@@ -38,7 +38,7 @@ then positive-dimensional; a symbolic number must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial, prod
@@ -63,8 +63,7 @@ def is_rigid(result):
     return not isinstance(result, _NotRigidType)
 
 
-@dataclass(frozen=True)
-class TorsionRep:
+class TorsionRep(namedtuple("TorsionRep", "n points")):
     """A torsion rep of the rank-n quiver as its label-free point grouping.
 
     points is the sorted tuple of points, each the sorted tuple of the
@@ -72,8 +71,7 @@ class TorsionRep:
     change any count.
     """
 
-    n: int
-    points: tuple
+    __slots__ = ()
 
     @classmethod
     def of(cls, n, summands):

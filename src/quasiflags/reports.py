@@ -4,12 +4,11 @@ Every check produces rows of structured data (never raw text) so the
 CLI can emit them as JSON/CSV/LaTeX and so that failures carry both
 sides of the comparison.  Theorem-level and conjecture-level checks are
 kept in distinct categories: a conjecture failure must be reported but
-is a soft failure.
+is a soft failure.  An Entry and a Report are plain slotted classes
+that only carry their fields to the renderer; they define no equality.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -21,14 +20,16 @@ CONJECTURE_CONSISTENCY = "CONJECTURE-CONSISTENCY"
 SOFT_CATEGORIES = (CONJECTURE, CONJECTURE_CONSISTENCY)
 
 
-@dataclass(frozen=True)
 class Entry:
     """One checked case: identifying data, status and optional detail."""
 
-    case: dict
-    status: str
-    category: str
-    details: dict = field(default_factory=dict)
+    __slots__ = ("case", "status", "category", "details")
+
+    def __init__(self, case, status, category, details=None):
+        self.case = case
+        self.status = status
+        self.category = category
+        self.details = {} if details is None else details
 
     def to_json(self):
         doc = {"case": self.case, "status": self.status, "category": self.category}
@@ -37,13 +38,15 @@ class Entry:
         return doc
 
 
-@dataclass
 class Report:
     """A named batch of entries with deterministic order."""
 
-    name: str
-    params: dict
-    entries: list
+    __slots__ = ("name", "params", "entries")
+
+    def __init__(self, name, params, entries):
+        self.name = name
+        self.params = params
+        self.entries = entries
 
     def passed(self):
         return all(e.status == PASS for e in self.entries)

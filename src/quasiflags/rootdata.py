@@ -10,7 +10,7 @@ The Weyl group is S_n with length = number of inversions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, permutations, product
 
@@ -130,12 +130,10 @@ def pairing(i, beta):
     return 2 * b(i) - b(i - 1) - b(i + 1)
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(namedtuple("WeylElement", "perm length")):
     """A permutation of {1..n} in one-line notation, with its length."""
 
-    perm: tuple
-    length: int
+    __slots__ = ()
 
 
 def inversions(perm):

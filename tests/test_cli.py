@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -481,6 +482,36 @@ def test_csv_and_latex_formats():
     assert text.splitlines()[0] == "suite,case,category,status"
 
 
+TEX_ESCAPES = re.compile(r"\\(?:textbackslash\{\}|textasciitilde\{\}|textasciicircum\{\}|[&%$#_{}])")
+
+
+def _assert_tex_literal(text):
+    """Every TeX special character in a table cell is escaped."""
+    lines = text.strip().splitlines()
+    assert lines[0].startswith("\\begin{tabular}{") and lines[-1] == "\\end{tabular}"
+    assert lines[2] == "\\hline"
+    for line in lines[1:2] + lines[3:-1]:
+        assert line.endswith(" \\\\")
+        for cell in line[: -len(" \\\\")].split(" & "):
+            bare = TEX_ESCAPES.sub("", cell)
+            assert not set(bare) & set("\\&%$#_{}~^"), cell
+
+
+def test_latex_escapes_every_special_character():
+    code, text = run_cli(
+        ["verify", "--n", "2", "--degree", "4", "--suite", "freeness", "--format", "latex"]
+    )
+    assert code == 0
+    assert "prod(1-e\\textasciicircum{}theta)\\textasciicircum{}-1" in text
+    _assert_tex_literal(text)
+    cells = ["a\\b", "&%$#_{}~^"]
+    assert cli.render(
+        {"command": "poincare", "result": {"poly": [cells]}}, "latex"
+    ).splitlines()[3] == (
+        "a\\textbackslash{}b & \\&\\%\\$\\#\\_\\{\\}\\textasciitilde{}\\textasciicircum{} \\\\"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
 @pytest.mark.parametrize(
     "argv",
@@ -507,6 +538,8 @@ def test_every_command_renders_every_format(argv, fmt, request):
     assert text.strip()
     if fmt == "json":
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    if fmt == "latex":
+        _assert_tex_literal(text)
 
 
 def test_identical_invocations_byte_identical():
@@ -514,6 +547,28 @@ def test_identical_invocations_byte_identical():
     _, first = run_cli(argv)
     _, second = run_cli(argv)
     assert first == second
+
+
+def test_entries_without_details_do_not_share_a_dict():
+    first, second = Entry({}, PASS, THEOREM), Entry({}, PASS, THEOREM)
+    first.details["x"] = 1
+    assert second.details == {}
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, without site (-S), so that only what the
+    # package itself imports counts
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, quasiflags.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exit_code_mapping():

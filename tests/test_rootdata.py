@@ -4,7 +4,10 @@ from itertools import product
 
 import pytest
 
+from quasiflags.cells import Cell
 from quasiflags.charseries import LaurentPoly
+from quasiflags.kostant import KostantPartition
+from quasiflags.quiverfilt import TorsionRep
 from quasiflags.rootdata import (
     RankError,
     ResourceCapError,
@@ -154,11 +157,33 @@ def test_weyl_poincare_beyond_enumeration_cap():
     assert poly.max_exp() == 2 * dim_flag(10)
 
 
-def test_weyl_element_is_frozen():
-    w = weyl_elements(2)[0]
-    assert w == WeylElement(perm=(1, 2), length=0)
+RECORDS = {
+    "WeylElement": (WeylElement, {"perm": (1, 2), "length": 0}),
+    "KostantPartition": (KostantPartition, {"n": 3, "mults": (1, 0, 2)}),
+    "TorsionRep": (TorsionRep, {"n": 3, "points": (((1, 1), (1, 2)),)}),
+    "Cell": (
+        Cell,
+        {
+            "w": WeylElement(perm=(2, 1), length=1),
+            "kappa0": KostantPartition(2, (1,)),
+            "kappaInf": KostantPartition(2, (0,)),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_contract(name):
+    cls, fields = RECORDS[name]
+    record = cls(**fields)
+    assert {key: getattr(record, key) for key in fields} == fields
+    twin = cls(**fields)
+    assert twin == record and hash(twin) == hash(record)
+    for key in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, key, None)
     with pytest.raises(AttributeError):
-        w.length = 5
+        record.extra = None  # no __dict__ either
 
 
 @pytest.mark.parametrize("length,cap", [(1, 5), (2, 4), (3, 3), (4, 2), (6, 4)])
