@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 from . import cells as cells_mod
 from . import cohomology, suites
@@ -223,10 +224,10 @@ def cmd_verify(args):
 
 
 # Every TeX special character of a table cell, written as a literal.
-_TEX = str.maketrans({
+_TEX = MappingProxyType(str.maketrans({
     "\\": "\\textbackslash{}", "&": "\\&", "%": "\\%", "$": "\\$", "#": "\\#",
     "_": "\\_", "{": "\\{", "}": "\\}", "~": "\\textasciitilde{}", "^": "\\textasciicircum{}",
-})
+}))
 
 
 def _flatten_rows(doc):

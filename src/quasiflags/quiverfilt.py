@@ -24,10 +24,13 @@ The count is computed two independent ways:
 
 Both recursions count per state, not per chain: a count below step k
 depends only on the multiset of point states, so each route starts from
-rep.points and keeps one memo keyed on (k, sorted point states) for the
-length of a single call.  The field route also reads one process-wide
-peel table, keyed by (point state, step, field); the symbolic route
-never reads it, so the routes share no table.
+rep.points and keeps one memo keyed on the sorted point states for the
+length of a single call (a state's total dimension fixes k).  Equal
+points peel alike into distinct subobjects, so each route peels one of
+them and multiplies by their number.  The field route names each point
+state by a small int from one process-wide id table, and reads one
+process-wide peel table, keyed by (point id, step, field); the symbolic
+route reads neither, so the routes share no table.
 
 filtration_counts is the one entry point to the routes: it validates the
 steps and the dimension cap once, and the routes trust its steps.  It
@@ -41,7 +44,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial, prod
 
 from .rootdata import ResourceCapError, coroot_intervals, interval_sum, pairing, two_rho
 
@@ -121,21 +123,26 @@ def count_filtrations_symbolic(rep, steps):
     summand [a,b] can carry a surjection onto the step interval [q,p]
     iff q <= a <= p <= b, and the map can be onto only when a == q.  A
     unique eligible summand gives a unique kernel (tail [p+1,b]); two or
-    more eligible summands at one point give a projective family.  The
+    more eligible summands at one point give a projective family.  Of
+    equal points one is peeled, and its count taken once per point.  The
     steps are trusted: filtration_counts has validated them.
     """
     memo = {}
 
     def rec(k, state):
-        # state: sorted tuple of per-point sorted interval tuples.  A state
-        # in the memo was explored in full without raising _Ambiguous.
+        # state: sorted tuple of per-point sorted interval tuples, whose
+        # total dimension fixes k, as every step has positive dimension.
+        # A state in the memo was explored in full without raising
+        # _Ambiguous.
         if k < 0:
             return 1
-        if (k, state) in memo:
-            return memo[k, state]
+        if state in memo:
+            return memo[state]
         q, p = steps[k]
         total = 0
         for i, at_x in enumerate(state):
+            if i and state[i - 1] == at_x:
+                continue  # counted with the first of its equal points
             eligible = [iv for iv in at_x if iv[0] >= q and iv[0] <= p <= iv[1]]
             if not any(iv[0] == q for iv in eligible):
                 continue
@@ -147,8 +154,8 @@ def count_filtrations_symbolic(rep, steps):
             if p < iv[1]:
                 rest.append((p + 1, iv[1]))
             peeled = state[:i] + (tuple(sorted(rest)),) + state[i + 1 :]
-            total += rec(k - 1, tuple(sorted(peeled)))
-        memo[k, state] = total
+            total += state.count(at_x) * rec(k - 1, tuple(sorted(peeled)))
+        memo[state] = total
         return total
 
     try:
@@ -168,9 +175,24 @@ def count_filtrations_symbolic(rep, steps):
 # The rows are fully reduced and sorted by pivot: each row is 1 at its
 # pivot, its first nonzero entry, and 0 at the pivots of all the other
 # rows, so one row tuple stands for one subspace and a point state
-# (ivs, rows) has no labels.  A peel depends on nothing else: _peel_point
-# is memoized for the process (the field is in its key), and
-# count_filtrations_bruteforce memoizes per call on point-state multisets.
+# (ivs, rows) has no labels.  _point_id names each point state by its
+# index in the process-wide id table (_POINT_STATES, with the reverse
+# map _POINT_IDS), so a call's state is a sorted tuple of ints.  A peel
+# depends on nothing else: _peel_point is memoized for the process (the
+# field is in its key), and count_filtrations_bruteforce memoizes per
+# call on point-id multisets.
+
+_POINT_STATES = []
+_POINT_IDS = {}
+
+
+def _point_id(state):
+    """The id of the point state (ivs, rows), added to the id table if new."""
+    pid = _POINT_IDS.get(state)
+    if pid is None:
+        pid = _POINT_IDS[state] = len(_POINT_STATES)
+        _POINT_STATES.append(state)
+    return pid
 
 
 def _reduced(phi, ivs, v, rows, p):
@@ -188,8 +210,8 @@ def _reduced(phi, ivs, v, rows, p):
 
 
 @lru_cache(maxsize=None)
-def _peel_point(ivs, rows, q, p_end, p):
-    """The subreps of one point whose quotient is iso to the interval [q, p_end].
+def _peel_point(pid, q, p_end, p):
+    """The ids of the subreps of point state pid with quotient iso to [q, p_end].
 
     A quotient map is fixed by its functional phi at p_end, up to a
     scalar: phi runs over the free (non-pivot) coordinates there with its
@@ -197,6 +219,7 @@ def _peel_point(ivs, rows, q, p_end, p):
     be nonzero; normalized to 1 at its pivot j, it clears column j of
     the rows there and joins them.  On the arrow into q it must vanish.
     """
+    ivs, rows = _POINT_STATES[pid]
     pivots = {row.index(1) for row in rows[p_end - 1]}
     free = [j for j, (a, b) in enumerate(ivs) if a <= p_end <= b and j not in pivots]
     subs = []
@@ -220,7 +243,7 @@ def _peel_point(ivs, rows, q, p_end, p):
                 ]
                 new[v - 1] = tuple(sorted(cleared + [g], key=lambda r: r.index(1)))
             else:
-                subs.append(tuple(new))
+                subs.append(_point_id((ivs, tuple(new))))
     return tuple(subs)
 
 
@@ -228,27 +251,38 @@ def count_filtrations_bruteforce(rep, steps, p):
     """Exhaustive chain count over the field F_p.
 
     The count below step k depends only on the multiset of point states,
-    so each (k, sorted states) is counted once per call; each peel is
-    computed once per process and field.  The steps are trusted:
-    filtration_counts has validated them.
+    so each sorted tuple of point ids is counted once per call; each peel
+    is computed once per process and field.  Of equal points one is
+    peeled, and its count taken once per point: peeling any of them
+    leaves the same multiset, and their subobjects are distinct.  The
+    steps are trusted: filtration_counts has validated them.
     """
     memo = {}
 
     def rec(k, state):
+        # a state's total dimension fixes k, as every step has positive
+        # dimension, so the memo is keyed on the state alone
         if k < 0:
             return 1
-        if (k, state) in memo:
-            return memo[k, state]
+        if state in memo:
+            return memo[state]
         q, p_end = steps[k]
         total = 0
-        for i, (ivs, rows) in enumerate(state):
-            for sub in _peel_point(ivs, rows, q, p_end, p):
-                peeled = state[:i] + ((ivs, sub),) + state[i + 1 :]
-                total += rec(k - 1, tuple(sorted(peeled)))
-        memo[k, state] = total
+        for i, pid in enumerate(state):
+            if i and state[i - 1] == pid:
+                continue  # counted with the first of its equal points
+            subs = _peel_point(pid, q, p_end, p)
+            if subs:
+                rest = state[:i] + state[i + 1 :]
+                below = 0
+                for sub in subs:
+                    below += rec(k - 1, tuple(sorted(rest + (sub,))))
+                total += state.count(pid) * below
+        memo[state] = total
         return total
 
-    start = tuple((ivs, ((),) * (rep.n - 1)) for ivs in rep.points)
+    empty = ((),) * (rep.n - 1)
+    start = tuple(sorted(_point_id((ivs, empty)) for ivs in rep.points))
     return rec(len(steps) - 1, start)
 
 
@@ -345,15 +379,6 @@ def pbw_steps(exponents, order):
     for c, theta in zip(exponents, order):
         steps.extend([theta] * c)
     return steps
-
-
-def pbw_expected(rep, exponents, order):
-    """prod c_k! when the rep's intervals match the exponents, else 0."""
-    want = sorted(pbw_steps(exponents, order))
-    have = sorted(iv for ivs in rep.points for iv in ivs)
-    if want != have:
-        return 0
-    return prod(factorial(c) for c in exponents)
 
 
 def commutator_constant(i, alpha):

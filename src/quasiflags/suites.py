@@ -8,6 +8,7 @@ characters, freeness.
 from __future__ import annotations
 
 from math import factorial, prod
+from types import MappingProxyType
 
 from . import cells, cohomology, modchar, quiverfilt
 from .kostant import kostant_partitions, list_up_to
@@ -198,7 +199,7 @@ def run_freeness(n, degree):
 
 # name -> runner(n, degree), in the order `all` runs them; serre, pbw and
 # commute have fixed sizes and ignore the degree
-_RUNNERS = {
+_RUNNERS = MappingProxyType({
     "genfunc": run_genfunc,
     "euler": run_euler,
     "celldim": run_celldim,
@@ -207,7 +208,7 @@ _RUNNERS = {
     "commute": lambda n, degree: run_commute(n),
     "characters": run_characters,
     "freeness": run_freeness,
-}
+})
 
 SUITE_NAMES = tuple(_RUNNERS)
 

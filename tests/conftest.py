@@ -1,7 +1,6 @@
 """Shared fixtures."""
 
 import importlib
-import inspect
 import pkgutil
 import re
 
@@ -25,25 +24,37 @@ def _caches():
     ]
 
 
+def _tables():
+    """(module, name) of every process-wide table of quasiflags.*.
+
+    A table is a module-level dict, list or set named like ``_UPPER``; a
+    constant mapping is read-only (a ``types.MappingProxyType``) instead.
+    """
+    return [
+        (module, name)
+        for module in MODULES
+        for name, obj in vars(module).items()
+        if re.fullmatch(r"_[A-Z][A-Z0-9_]*", name) and isinstance(obj, (dict, list, set))
+    ]
+
+
 @pytest.fixture
 def cold_tables(monkeypatch):
     """Empty every process-wide table and cache of quasiflags for the test.
 
-    Each module-level ``_UPPER = {}`` table is swapped for an empty dict
-    (the old one comes back after the test), and every lru_cache is
-    cleared, before the test and after it.  Call the returned function to
-    empty them all again mid-test, for example after patching a route to
+    Each table (see _tables) is swapped for an empty one of its type (the
+    old one comes back after the test), and every lru_cache is cleared,
+    before the test and after it.  Call the returned function to empty
+    them all again mid-test, for example after patching a route to
     refuse, so that every route really runs again.
     """
-    tables = [
-        (module, name)
-        for module in MODULES
-        for name in re.findall(r"^(_[A-Z][A-Z0-9_]*) = \{\}$", inspect.getsource(module), re.M)
-    ]
+    tables = _tables()
 
     def chill():
         for module, name in tables:
-            monkeypatch.setattr(module, name, {})
+            empty = getattr(module, name).copy()
+            empty.clear()
+            monkeypatch.setattr(module, name, empty)
         for cache in _caches():
             cache.cache_clear()
 

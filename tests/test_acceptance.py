@@ -29,7 +29,6 @@ from quasiflags.quiverfilt import (
     count_filtrations,
     count_filtrations_bruteforce,
     count_filtrations_symbolic,
-    pbw_expected,
     pbw_steps,
     serre_extension_shape,
     serre_split_shape,
@@ -40,6 +39,8 @@ from quasiflags.quiverfilt import (
 from quasiflags.reports import CONJECTURE, CONJECTURE_CONSISTENCY
 from quasiflags.rootdata import dim_flag, height, two_rho, vectors_up_to
 from quasiflags.suites import run_celldim, run_euler
+
+from oracles import pbw_expected
 
 GENFUNC_RANGES = [(2, 8), (3, 6), (4, 3)]  # (n, max |alpha|)
 

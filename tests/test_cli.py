@@ -252,7 +252,8 @@ def test_exception_in_a_suite_is_internal_error(monkeypatch, capsys):
     def broken(n, degree):
         raise RuntimeError("injected\nfault")
 
-    monkeypatch.setitem(suites._RUNNERS, "genfunc", broken)
+    # _RUNNERS is read-only: swap in a patched copy
+    monkeypatch.setattr(suites, "_RUNNERS", {**suites._RUNNERS, "genfunc": broken})
     code, out = run_cli(["verify", "--n", "2", "--degree", "9", "--suite", "genfunc"])
     assert code == 4
     assert out == ""

@@ -1,0 +1,42 @@
+"""The cold_tables fixture empties every process-wide table of quasiflags."""
+
+import importlib
+import pkgutil
+import re
+
+import quasiflags
+
+
+def _named_tables():
+    """Each module-level dict, list or set of quasiflags.* named like _UPPER."""
+    modules = [
+        importlib.import_module(f"quasiflags.{info.name}")
+        for info in pkgutil.iter_modules(quasiflags.__path__)
+    ]
+    return {
+        f"{module.__name__}.{name}": (module, name)
+        for module in modules
+        for name, obj in vars(module).items()
+        if re.fullmatch(r"_[A-Z][A-Z0-9_]*", name) and isinstance(obj, (dict, list, set))
+    }
+
+
+def _fill(table):
+    if isinstance(table, dict):
+        table["stale"] = 1
+    elif isinstance(table, list):
+        table.append("stale")
+    else:
+        table.add("stale")
+
+
+def test_cold_tables_empties_every_table(cold_tables):
+    tables = _named_tables()
+    # the id table of the field route is a list beside its reverse dict
+    assert {"quasiflags.quiverfilt._POINT_STATES", "quasiflags.quiverfilt._POINT_IDS"} <= set(tables)
+    for qualname, (module, name) in tables.items():
+        assert not getattr(module, name), f"{qualname} is not emptied"
+        _fill(getattr(module, name))
+    cold_tables()
+    for qualname, (module, name) in tables.items():
+        assert not getattr(module, name), f"{qualname} is not emptied mid-test"

@@ -37,7 +37,6 @@ TEST_ONLY = {
     "LaurentPoly.nonnegative": "the coefficient signs of series and K_alpha(t)",
     "CharSeries.truncate": "the truncation law of series products",
     "geometric_inverse": "the reference product that CharSeries.divide_geometric is tested against",
-    "pbw_expected": "the pbw oracle of the tests; run_pbw compares intervals once per entry",
 }
 
 TEST_ONLY_PARAMS = {

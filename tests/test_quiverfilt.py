@@ -3,9 +3,10 @@
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from quasiflags import quiverfilt
 from quasiflags.quiverfilt import (
     NOT_RIGID,
     TorsionRep,
@@ -18,7 +19,6 @@ from quasiflags.quiverfilt import (
     count_filtrations_symbolic,
     filtration_counts,
     is_rigid,
-    pbw_expected,
     pbw_steps,
     serre_extension_shape,
     serre_split_shape,
@@ -26,6 +26,8 @@ from quasiflags.quiverfilt import (
     simple_step,
 )
 from quasiflags.rootdata import ResourceCapError, pairing, two_rho
+
+from oracles import pbw_expected
 
 
 def three_routes(rep, steps):
@@ -385,19 +387,43 @@ def subspace_oracle_count(rep, steps, p):
 @given(st.one_of(point_configurations(shared_point=True), twin_point_configurations()))
 @example((TorsionRep.of(2, [((1, 1), "x")] * 3), [(1, 1)] * 3))
 @example((TorsionRep.of(4, [((1, 3), "x"), ((2, 2), "x")]), [(2, 2), (3, 3), (1, 2)]))
-@settings(max_examples=60, deadline=None)
-def test_field_counts_match_subspace_oracle(case):
-    # the peel table lives for the process: counts from a cold table and
-    # from a warm one, filled in either field order, all equal the oracle
+# three equal simple points beside a fourth, and two equal two-summand
+# points: each route peels one of the equal points and counts it per point
+@example(
+    (
+        TorsionRep.of(3, [((1, 1), "x"), ((1, 1), "y"), ((1, 1), "z"), ((2, 2), "w")]),
+        [(1, 1), (2, 2), (1, 1), (1, 1)],
+    )
+)
+@example(
+    (
+        TorsionRep.of(3, [((1, 1), x) for x in "xy"] + [((1, 2), x) for x in "xy"]),
+        [(2, 2), (1, 1), (1, 1), (1, 2), (1, 1)],
+    )
+)
+# cold_tables is set up once per test, and each example calls it again
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_field_counts_match_subspace_oracle(cold_tables, case):
+    # the id and peel tables live for the process: counts from cold tables
+    # and from warm ones, filled in either field order, all equal the oracle
     rep, steps = case
     oracle = {p: subspace_oracle_count(rep, steps, p) for p in (2, 3)}
-    _peel_point.cache_clear()
-    for p in (3, 2, 2, 3):
-        assert count_filtrations_bruteforce(rep, steps, p) == oracle[p]
-    # the symbolic route never reads the table
+    # the symbolic route reads neither table: from cold tables it fills
+    # none, and it abstains or agrees with the oracle
+    cold_tables()
     before = _peel_point.cache_info()
-    count_filtrations_symbolic(rep, steps)
+    sym = count_filtrations_symbolic(rep, steps)
     assert _peel_point.cache_info() == before
+    assert quiverfilt._POINT_STATES == [] and quiverfilt._POINT_IDS == {}
+    assert sym is None or sym == oracle[2] == oracle[3]
+    for fields in ((3, 2), (2, 3)):
+        cold_tables()
+        for p in fields + fields:
+            assert count_filtrations_bruteforce(rep, steps, p) == oracle[p]
 
 
 # --- PBW multiplicities ----------------------------------------------------
