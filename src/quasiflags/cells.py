@@ -13,16 +13,18 @@ only expected, not proved; cell_dimension_conjecture_check tests it
 empirically and reports in the CONJECTURE category.
 
 enumerate_cells lists the labels for the cells command and as a test
-oracle.  Both checks read one cell sum, cell_dimension_poly, computed
-once per alpha in factored form without building the cells, from the
-summand counts of the Kostant listing's walk and the enumerated Weyl
-group only: each cell adds one monomial, so euler reads it at t=1.
+oracle.  Both checks read one cell sum, cell_dimension_poly, packed for
+every listed weight at once without building the cells, from the listing's
+summand counts and the Weyl group only (not the DP, nor the Cousin sum's
+packing): each cell adds one monomial, so euler reads it at t=1.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
+from itertools import groupby
+from math import factorial
+from operator import mul
 
 from .charseries import LaurentPoly
 from .cohomology import laumon_poincare
@@ -68,7 +70,40 @@ def conjectured_dim(cell):
     )
 
 
-@lru_cache(maxsize=None)
+# rank n -> {beta: cell_dimension_poly(n, beta)} over the listed table
+_CELLS = {}
+
+
+def _split_sums(low, high, alphas):
+    """sum over gamma0 <= alpha of low[gamma0] high[alpha - gamma0], one C-level run per row."""
+    for head, group in groupby(alphas, key=lambda alpha: alpha[:-1]):
+        heads = list(iter_subvectors(head))
+        runs = [(low[g], high[h]) for g, h in zip(heads, reversed(heads))]
+        for alpha in group:
+            yield sum(sum(map(mul, a, b[alpha[-1] :: -1])) for a, b in runs)
+
+
+def _cell_sums(n, listed, weights, alphas, width):
+    """{alpha: cell_dimension_poly(n, alpha)} for alphas in lexicographic order, at width.
+
+    The packed t^|beta| P_beta(t) and t^|beta| P_beta(1/t) go to rows
+    {head: [(head, 0), (head, 1), ...]}, as weights is lexicographic.
+    """
+    low, high = {}, {}
+    for beta in weights:
+        size, terms = height(beta), listed[beta].items()
+        low.setdefault(beta[:-1], []).append(sum(c << width * (size + k) for k, c in terms))
+        high.setdefault(beta[:-1], []).append(sum(c << width * (size - k) for k, c in terms))
+    weyl = sum(c << width * l for l, c in Counter(w.length for w in weyl_elements(n)).items())
+    mask, sums = (1 << width) - 1, {}
+    for alpha, split in zip(alphas, _split_sums(low, high, alphas)):
+        total = split * weyl
+        slots = range(-(-total.bit_length() // width))
+        # t^e is q^(2e); every kept coefficient is a nonzero int
+        sums[alpha] = LaurentPoly._of({2 * e: c for e in slots if (c := total >> width * e & mask)})
+    return sums
+
+
 def cell_dimension_poly(n, alpha):
     """sum over the cells of t^conjectured_dim, without building them.
 
@@ -76,25 +111,34 @@ def cell_dimension_poly(n, alpha):
     statistic is additive over (w, kappa0, kappaInf).  So the sum is
     W(t) sum_splits t^|alpha| P_gamma0(t) P_gammaInf(1/t), with W(t) =
     sum_w t^l(w) and P_gamma(t) = sum_K c_K t^K, c_K the number of listed
-    partitions of gamma with K summands (the rank's listed table).  The
-    split sum is one dense list, slot |alpha| + K0 - KInf in [0, 2|alpha|];
-    the only polynomial product is the one by W.  alpha is a tuple; the
-    polynomial is computed once per (n, alpha) in a process; callers share
-    it and must not mutate it.
+    partitions of gamma with K summands (the rank's listed table D).
+
+    Packed, t^e to 2^(we): one product per split of t^|gamma0| P_gamma0(t)
+    and t^|gammaInf| P_gammaInf(1/t), then one by W(t).  Each coefficient,
+    of partial sums too, is at most the cell count n! pair(alpha), pair =
+    sum_splits #P(gamma0) #P(gammaInf), which grows with alpha (adding a
+    simple coroot is an injection on partitions): so w is the bit length
+    of n! times the largest pair over the maximal weights of D.  A miss
+    builds every weight of D not in the rank's table (_CELLS): once per
+    sweep, or once per height in a loop that does not walk first.  Callers
+    share the polynomials and must not mutate them.
     """
     if len(alpha) != n - 1:
         raise ValueError(f"alpha must have length {n - 1}")
-    # the profiles over the box below alpha; reversed, over alpha - gamma0
-    profiles = list(map(listed_profiles(alpha).get, iter_subvectors(alpha)))
-    size = height(alpha)
-    acc = [0] * (2 * size + 1)
-    for p0, pInf in zip(profiles, reversed(profiles)):
-        for k0, c0 in p0.items():
-            for kinf, cinf in pInf.items():
-                acc[size + k0 - kinf] += c0 * cinf
-    pair_sum = LaurentPoly.t_poly(dict(enumerate(acc)))
-    weyl = LaurentPoly.t_poly(Counter(w.length for w in weyl_elements(n)))
-    return weyl * pair_sum
+    table = _CELLS.setdefault(n, {})
+    if alpha not in table:
+        if min(alpha, default=0) < 0:
+            raise ValueError("alpha must have nonnegative coordinates")
+        listed = listed_profiles(alpha)
+        weights = sorted(listed)
+        up = lambda beta, i: beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+        tops = [beta for beta in weights if all(up(beta, i) not in listed for i in range(n - 1))]
+        counts = {}
+        for beta in weights:
+            counts.setdefault(beta[:-1], []).append(sum(listed[beta].values()))
+        width = (factorial(n) * max(_split_sums(counts, counts, tops))).bit_length()
+        table.update(_cell_sums(n, listed, weights, [b for b in weights if b not in table], width))
+    return table[alpha]
 
 
 def euler_check(n, alpha):

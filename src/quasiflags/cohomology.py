@@ -118,10 +118,9 @@ def _cousin_table(alpha):
     """The rank's (slot width, {beta: packed T(beta)}), built to hold alpha.
 
     Built over the whole listed table D, which is downward closed and
-    holds alpha once listed_profiles(alpha) has walked the box below it.
-    A table without alpha is rebuilt over D as it is now, so a loop over
-    many alphas walks its downset first (list_up_to), as every sweep
-    does, and builds once.
+    holds alpha once listed_profiles(alpha) has walked.  A table without
+    alpha is rebuilt over D as it is now: once per sweep, which walks
+    first, or once per height in a loop that does not (listed_profiles).
     """
     n = len(alpha) + 1
     width, table = _COUSIN.get(n, (0, {}))

@@ -138,6 +138,7 @@ def _walk(top, cap, keep):
             mults[idx] = 0
 
     visit(len(fits), tuple(top), cap, 0)
+    del visit  # visit's closure holds visit: break the cycle, so the profiles go now
     _LISTED.setdefault(n, {}).update((mirror(s), p) for s, p in profiles.items())
     return {mirror(s): parts for s, parts in leaves.items()}
 
@@ -146,11 +147,17 @@ def listed_profiles(alpha):
     """The rank's table {beta: {K: listed partitions of beta with K summands}}.
 
     A union of walked regions, so downward closed: it holds the box below
-    alpha once it holds alpha.  It lives for the process; callers share it.
+    alpha once it holds alpha.  A miss walks that box, or all weights of
+    height <= |alpha| if it holds those below |alpha|: so a loop over
+    vectors_up_to walks once per height.  It lives for the process;
+    callers share it.
     """
     n = len(alpha) + 1
-    if alpha not in _LISTED.get(n, ()):
-        _walk(alpha, height(alpha), ())
+    table = _LISTED.get(n, {})
+    if alpha not in table:
+        cap = height(alpha)
+        below = all(beta in table for beta in vectors_up_to(n - 1, cap - 1))
+        _walk((cap,) * (n - 1) if below else alpha, cap, ())
     return _LISTED[n]
 
 

@@ -162,6 +162,8 @@ def count_filtrations_symbolic(rep, steps):
         return rec(len(steps) - 1, rep.points)
     except _Ambiguous:
         return None
+    finally:
+        del rec  # rec's closure holds rec: break the cycle, so the memo goes now
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +285,9 @@ def count_filtrations_bruteforce(rep, steps, p):
 
     empty = ((),) * (rep.n - 1)
     start = tuple(sorted(_point_id((ivs, empty)) for ivs in rep.points))
-    return rec(len(steps) - 1, start)
+    count = rec(len(steps) - 1, start)
+    del rec  # rec's closure holds rec: break the cycle, so the memo goes now
+    return count
 
 
 # ---------------------------------------------------------------------------

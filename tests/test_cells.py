@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from quasiflags import cells, cohomology, kostant
 from quasiflags.cells import (
     Cell,
     cell_dimension_conjecture_check,
@@ -14,7 +15,7 @@ from quasiflags.cells import (
 )
 from quasiflags.charseries import LaurentPoly
 from quasiflags.cohomology import laumon_poincare
-from quasiflags.kostant import KostantPartition, kostant_partitions
+from quasiflags.kostant import KostantPartition, kostant_partitions, listed_profiles
 from quasiflags.reports import CONJECTURE, PASS, THEOREM
 from quasiflags.rootdata import (
     dim_flag,
@@ -23,6 +24,7 @@ from quasiflags.rootdata import (
     two_rho,
     vectors_up_to,
     weyl_elements,
+    weyl_poincare,
 )
 from quasiflags.suites import run_celldim, run_euler
 
@@ -34,6 +36,18 @@ def brute_cell_count(n, alpha):
         rest = tuple(a - g for a, g in zip(alpha, gamma0))
         total += len(kostant_partitions(gamma0)) * len(kostant_partitions(rest))
     return math.factorial(n) * total
+
+
+def factored_oracle(n, alpha):
+    """Oracle: W(t) sum over the splits and partition pairs of t^(|alpha| + K0 - KInf)."""
+    total = LaurentPoly.zero()
+    for gamma0 in iter_subvectors(alpha):
+        rest = tuple(a - g for a, g in zip(alpha, gamma0))
+        for k0 in kostant_partitions(gamma0):
+            for kinf in kostant_partitions(rest):
+                exponent = height(alpha) + k0.num_summands() - kinf.num_summands()
+                total = total + LaurentPoly.t_power(exponent)
+    return weyl_poincare(n) * total
 
 
 def enumerated_dim_poly(n, alpha):
@@ -124,16 +138,102 @@ def test_factored_cell_sums_validate_alpha_length():
     for check in (cell_dimension_poly, enumerate_cells, euler_check):
         with pytest.raises(ValueError):
             check(3, (1,))
+    with pytest.raises(ValueError):
+        cell_dimension_poly(3, (-1, 0))
 
 
-def test_euler_and_celldim_share_one_cell_polynomial_per_alpha():
+def counting(monkeypatch, module, name):
+    """Wrap module.name to record the arguments of each call; return the record."""
+    calls = []
+    build = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_euler_and_celldim_share_one_cell_polynomial_per_alpha(monkeypatch, cold_tables):
     n, degree = 3, 12
-    alphas = len(list(vectors_up_to(n - 1, degree - height(two_rho(n)))))
-    cell_dimension_poly.cache_clear()
+    alphas = list(vectors_up_to(n - 1, degree - height(two_rho(n))))
+    builds = counting(monkeypatch, cells, "_cell_sums")
     assert run_euler(n, degree).passed()
-    info = cell_dimension_poly.cache_info()
-    assert (info.misses, info.hits) == (alphas, 0)
+    # one build over the sweep's simplex makes every polynomial of it
+    assert [sorted(args[3]) for args in builds] == [sorted(alphas)]
     assert run_celldim(n, degree).passed()
-    info = cell_dimension_poly.cache_info()
-    # celldim reads the polynomials euler built and computes none
-    assert (info.misses, info.hits) == (alphas, alphas)
+    # celldim reads the polynomials euler built and builds none
+    assert len(builds) == 1
+
+
+def test_a_loop_that_does_not_walk_first_builds_each_table_once_per_height(
+    monkeypatch, cold_tables
+):
+    cap = 12
+    alphas = list(vectors_up_to(2, cap))
+    expected = {alpha: laumon_poincare.__wrapped__(alpha) for alpha in alphas}
+    cousin_builds = counting(monkeypatch, cohomology, "_downset_steps")
+    cell_builds = counting(monkeypatch, cells, "_cell_sums")
+    cold_tables()
+    for alpha in alphas:
+        assert laumon_poincare(alpha) == expected[alpha], alpha
+    assert len(cousin_builds) == cap + 1
+    cold_tables()
+    for alpha in alphas:
+        assert cell_dimension_poly(3, alpha) == factored_oracle(3, alpha), alpha
+    assert len(cell_builds) == cap + 1
+    # each build made the polynomials of one height
+    assert [{height(alpha) for alpha in args[3]} for args in cell_builds] == [
+        {h} for h in range(cap + 1)
+    ]
+
+
+def test_cell_sums_need_their_slot_width(monkeypatch, cold_tables):
+    alpha = (3, 3, 3)
+    n = len(alpha) + 1
+    box = list(iter_subvectors(alpha))
+    listed = dict(listed_profiles(alpha))  # the box: the walk of a cold table
+    # at t=1 the cell polynomial is n! times the pairs of partitions of gamma0 and alpha - gamma0
+    count = {gamma: len(kostant_partitions(gamma)) for gamma in box}
+    pairs = sum(
+        count[gamma] * count[tuple(a - g for a, g in zip(alpha, gamma))] for gamma in box
+    )
+
+    def polys(width):
+        return cells._cell_sums(n, listed, box, box, width)
+
+    # the proven width: the bit length of the cell count of alpha, the top of the box
+    width = (math.factorial(n) * pairs).bit_length()
+    builds = counting(monkeypatch, cells, "_cell_sums")
+    cell_dimension_poly(n, alpha)
+    assert [args[-1] for args in builds] == [width]  # the table packs at it
+    proven = polys(width)
+    for beta in box:
+        assert proven[beta] == factored_oracle(n, beta), beta
+    largest = max(max(poly.terms.values()) for poly in proven.values())
+    assert largest >= 4  # so the narrow slot below is still 2 bits wide
+    # one bit short of the largest coefficient, that slot carries into the next
+    narrow = polys(largest.bit_length() - 1)
+    widest = [beta for beta in box if max(proven[beta].terms.values()) == largest]
+    assert all(narrow[beta] != proven[beta] for beta in widest)
+
+
+def test_cell_route_reads_neither_the_cousin_sum_nor_the_dp(monkeypatch, cold_tables):
+    n, degree = 4, 18
+    expected = [run(n, degree).to_json() for run in (run_euler, run_celldim)]
+    alpha_cap = degree - height(two_rho(n))
+    poincare = {alpha: laumon_poincare(alpha) for alpha in vectors_up_to(n - 1, alpha_cap)}
+
+    def refuse(*args):
+        raise AssertionError("the cell route must not read the Cousin sum or the DP")
+
+    for name in ("_pack", "_unpack", "_cousin_sums", "_cousin_table"):
+        monkeypatch.setattr(cohomology, name, refuse)
+    monkeypatch.setattr(kostant, "kostant_count_profile", refuse)
+    monkeypatch.setattr(kostant, "_box_profiles", refuse)
+    # the other side of both checks, taken before the refusal
+    monkeypatch.setattr(cells, "laumon_poincare", poincare.__getitem__)
+    cold_tables()
+    assert [run(n, degree).to_json() for run in (run_euler, run_celldim)] == expected
+    assert sorted(cells._CELLS) == [n]

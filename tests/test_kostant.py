@@ -1,5 +1,6 @@
 """Kostant partitions: enumeration, statistics, summand-count profiles, K_alpha(t)."""
 
+import gc
 from collections import Counter
 from itertools import product
 
@@ -296,3 +297,16 @@ def test_malformed_partition_rejected():
         KostantPartition(3, (1, 2))  # wrong length
     with pytest.raises(ValueError):
         KostantPartition(3, (1, -1, 0))
+
+
+def test_walk_leaves_no_cyclic_garbage():
+    # the walk recurses through a closure over itself, and drops it on return
+    gc.collect()
+    gc.disable()
+    try:
+        kostant_partitions((2, 2))
+        assert gc.collect() == 0
+        partitions_below((1, 2, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

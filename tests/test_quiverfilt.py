@@ -1,5 +1,6 @@
 """Filtration counting: spec'd multiplicities, rigidity, dual-route agreement."""
 
+import gc
 from itertools import product
 
 import pytest
@@ -521,3 +522,21 @@ def test_torsion_rep_rejects_bad_interval():
         TorsionRep.of(3, [((2, 1), "x")])
     with pytest.raises(ValueError):
         TorsionRep.of(3, [((1, 3), "x")])
+
+
+def test_routes_leave_no_cyclic_garbage():
+    # each route recurses through a closure over itself, and drops it on return
+    rigid = (serre_extension_shape(3, 2, 1), [simple_step(k) for k in (2, 1, 2)])
+    family = (TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")]), [(1, 1), (1, 1)])
+    gc.collect()
+    gc.disable()
+    try:
+        for rep, steps in (rigid, family):
+            count_filtrations_symbolic(rep, steps)
+            assert gc.collect() == 0
+            count_filtrations_bruteforce(rep, steps, 3)
+            assert gc.collect() == 0
+            count_filtrations(rep, steps)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

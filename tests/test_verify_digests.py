@@ -2,12 +2,13 @@
 
 perfbench/reference.json holds the sha256 and byte size of the stdout of
 `python -m quasiflags.cli verify --n N --degree D --suite all`; this reads
-it and changes nothing there.  Three larger runs are pinned here by
+it and changes nothing there.  Larger runs are pinned here by
 test-local digests: `--suite all` at (4, 26); `--suite genfunc` at
 (4, 30) and at (5, 36), whose Cousin tables take the widest slots of the
-ladder (the second at n = 5, over 4,845 weights); and `--suite pbw` at
-n = 5, the largest document any check writes (38.9 MB), which takes the
-json writer through the most records.
+ladder (the second at n = 5, over 4,845 weights); `--suite euler` and
+`--suite celldim` at (5, 36), whose cell table is the largest of the
+ladder; and `--suite pbw` at n = 5, the largest document any check
+writes (38.9 MB), which takes the json writer through the most records.
 """
 
 import hashlib
@@ -38,6 +39,16 @@ N4_DEGREE30_GENFUNC = {
 N5_DEGREE36_GENFUNC = {
     "sha256": "cbd1420c1c74a7c36517dd1a8cad8a53ac5860a8e39a57523a085948a6d09ccd",
     "bytes": 1057495,
+}
+
+# stdout of `verify --n 5 --degree 36 --suite euler` and `--suite celldim`, recorded at de700f9
+N5_DEGREE36_EULER = {
+    "sha256": "001f3a48136475fe6cec7e74aa1115aabbf48994d79020df30fed015edc24925",
+    "bytes": 1365073,
+}
+N5_DEGREE36_CELLDIM = {
+    "sha256": "78438c7665002c2d1a96c0869616a83773a38a93d091b96df67facd69ec19a1a",
+    "bytes": 1072033,
 }
 
 # stdout of `verify --n 5 --degree 24 --suite pbw`, recorded at bb75c27
@@ -76,6 +87,14 @@ def test_verify_genfunc_stdout_at_n4_degree30():
 
 def test_verify_genfunc_stdout_at_n5_degree36():
     check_verify(5, 36, N5_DEGREE36_GENFUNC, suite="genfunc")
+
+
+def test_verify_euler_stdout_at_n5_degree36():
+    check_verify(5, 36, N5_DEGREE36_EULER, suite="euler")
+
+
+def test_verify_celldim_stdout_at_n5_degree36():
+    check_verify(5, 36, N5_DEGREE36_CELLDIM, suite="celldim")
 
 
 def test_verify_pbw_stdout_at_n5():
