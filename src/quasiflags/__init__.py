@@ -8,12 +8,11 @@ associated character identities, all exposed through the ``quasiflags``
 CLI together with machine-checked verification suites.
 """
 
-from .charseries import CharSeries, LaurentPoly, geometric_inverse
+from .charseries import CharSeries, LaurentPoly
 from .cohomology import (
     generating_function,
     laumon_poincare,
     shifted_poincare,
-    stratum_poincare_compact,
     verify_generating_function,
 )
 from .cells import (
@@ -26,7 +25,6 @@ from .cells import (
 from .kostant import (
     KostantPartition,
     kostant_partitions,
-    lusztig_kostant_poly,
     stats,
 )
 from .modchar import (
@@ -70,16 +68,13 @@ __all__ = [
     "filtration_counts",
     "freeness_consistency_check",
     "generating_function",
-    "geometric_inverse",
     "kostant_partitions",
     "laumon_poincare",
-    "lusztig_kostant_poly",
     "module_character",
     "pairing",
     "positive_coroots",
     "shifted_poincare",
     "stats",
-    "stratum_poincare_compact",
     "two_rho",
     "verify_generating_function",
     "verma_multiplicity_series",

@@ -127,8 +127,6 @@ def cell_dimension_poly(n, alpha):
         raise ValueError(f"alpha must have length {n - 1}")
     table = _CELLS.setdefault(n, {})
     if alpha not in table:
-        if min(alpha, default=0) < 0:
-            raise ValueError("alpha must have nonnegative coordinates")
         listed = listed_profiles(alpha)
         weights = sorted(listed)
         up = lambda beta, i: beta[:i] + (beta[i] + 1,) + beta[i + 1 :]

@@ -14,10 +14,6 @@ the total-degree bound D.
 from __future__ import annotations
 
 
-class BoundMismatchError(ValueError):
-    """Raised when combining character series with different degree bounds."""
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial in q with integer coefficients.
 
@@ -26,7 +22,7 @@ class LaurentPoly:
 
     >>> (LaurentPoly.t_poly({0: 1, 1: 1}) * LaurentPoly.t_poly({0: 1, 1: -1})).pretty()
     '1 - t^2'
-    >>> LaurentPoly({3: 1, 1: 1}).negate_exponents().pretty()
+    >>> LaurentPoly.t_poly({0: 1, 1: 1}).shift(-3).pretty()
     'q^-3 + q^-1'
     """
 
@@ -78,9 +74,6 @@ class LaurentPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
@@ -94,17 +87,6 @@ class LaurentPoly:
         return LaurentPoly._of(out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -124,10 +106,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def negate_exponents(self):
-        """Substitution q -> q^{-1} (equivalently t -> t^{-1})."""
-        return LaurentPoly._of({-e: c for e, c in self.terms.items()})
-
     def eval_at_one(self):
         """Value at q = 1 (= t = 1): the sum of the coefficients."""
         return sum(self.terms.values())
@@ -136,28 +114,9 @@ class LaurentPoly:
         """Multiply by q^e."""
         return LaurentPoly._of({k + e: c for k, c in self.terms.items()})
 
-    def coeff(self, e):
-        return self.terms.get(e, 0)
-
-    def min_exp(self):
-        return min(self.terms) if self.terms else 0
-
-    def max_exp(self):
-        return max(self.terms) if self.terms else 0
-
-    def support_parities(self):
-        return {e % 2 for e in self.terms}
-
     def is_even(self):
         """True when supported on even q-powers only (a genuine t-polynomial)."""
         return all(e % 2 == 0 for e in self.terms)
-
-    def is_palindromic(self):
-        """Invariance under q -> q^{-1}."""
-        return self == self.negate_exponents()
-
-    def nonnegative(self):
-        return all(c >= 0 for c in self.terms.values())
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -233,14 +192,6 @@ class CharSeries:
         """Sorted list of alpha with nonzero coefficient (by height, then lex)."""
         return sorted(self.coeffs, key=lambda a: (sum(a), a))
 
-    def _check_compatible(self, other):
-        if self.rank != other.rank:
-            raise BoundMismatchError("rank mismatch between series")
-        if self.bound != other.bound:
-            raise BoundMismatchError(
-                f"degree bound mismatch: {self.bound} != {other.bound}"
-            )
-
     def __eq__(self, other):
         if not isinstance(other, CharSeries):
             return NotImplemented
@@ -250,27 +201,14 @@ class CharSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __mul__(self, other):
-        self._check_compatible(other)
-        out = {}
-        for a, pa in self.coeffs.items():
-            ha = sum(a)
-            for b, pb in other.coeffs.items():
-                if ha + sum(b) > self.bound:
-                    continue
-                ab = tuple(x + y for x, y in zip(a, b))
-                prod = pa * pb
-                s = out.get(ab)
-                out[ab] = prod if s is None else s + prod
-        return CharSeries(self.rank, self.bound, out)
-
     def divide_geometric(self, coeff, theta):
         """self * (1 - coeff * e^theta)^{-1}, in one pass over the support.
 
         The quotient T satisfies T(beta) = S(beta) + coeff * T(beta - theta),
         truncated at the bound.  coeff must be a power of q (the int 1, or a
         LaurentPoly q^e), so multiplying by it is a shift, and by 1 nothing;
-        |theta| >= 1, as for geometric_inverse.  Returns a new series.
+        |theta| >= 1, so that the quotient stops at the bound.  Returns a
+        new series.
         """
         theta = tuple(theta)
         if len(theta) != self.rank:
@@ -301,23 +239,6 @@ class CharSeries:
                     poly = poly.shift(e)
         return CharSeries(self.rank, self.bound, out)
 
-    def truncate(self, bound):
-        """Restriction to a smaller total-degree bound."""
-        if bound > self.bound:
-            raise BoundMismatchError("cannot extend a truncated series")
-        return CharSeries(
-            self.rank, bound, {a: p for a, p in self.coeffs.items() if sum(a) <= bound}
-        )
-
-    def eval_at_one(self):
-        """Map alpha -> coefficient value at q=1, dropping zeros."""
-        out = {}
-        for a, p in self.coeffs.items():
-            v = p.eval_at_one()
-            if v:
-                out[a] = v
-        return out
-
     def to_json(self):
         """Sorted [[alpha-list, poly-json], ...]."""
         return [[list(a), self.coeffs[a].to_json()] for a in self.support()]
@@ -325,30 +246,3 @@ class CharSeries:
     def __repr__(self):
         inner = ", ".join(f"e^{a}: {self.coeffs[a].pretty()}" for a in self.support())
         return f"CharSeries(D={self.bound}; {inner})"
-
-
-def geometric_inverse(coeff, theta, bound):
-    """Expansion of (1 - coeff * e^theta)^{-1} up to total degree `bound`.
-
-    coeff must be a monomial LaurentPoly (or an int); theta must have
-    |theta| >= 1 so that the expansion terminates at the bound.  The
-    library divides in place (CharSeries.divide_geometric); this product
-    is the reference the division is tested against.
-    """
-    theta = tuple(theta)
-    rank = len(theta)
-    h = sum(theta)
-    if h < 1:
-        raise ValueError("cannot invert along a direction with |theta| = 0")
-    if isinstance(coeff, int):
-        coeff = LaurentPoly({0: coeff})
-    if len(coeff.terms) != 1:
-        raise ValueError("geometric factor coefficient must be a monomial")
-    out = {}
-    power = LaurentPoly.one()
-    k = 0
-    while k * h <= bound:
-        out[tuple(k * x for x in theta)] = power
-        power = power * coeff
-        k += 1
-    return CharSeries(rank, bound, out)

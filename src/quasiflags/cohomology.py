@@ -9,9 +9,9 @@ strata by (|kappa|, K(kappa)), all a stratum polynomial depends on, and
 sums them in packed plain integers (Kronecker substitution): one
 shift-add recurrence per rank over the listed downset gives the sums of
 every alpha in it at once, with no product and no call of the DP.
-It is tested against the per-stratum stratum_poincare_compact.  The
-closed form collects all degrees at once, in CharSeries and LaurentPoly
-arithmetic, which the Cousin sum never uses:
+The tests check it against the sum taken one stratum at a time
+(tests/oracles.py).  The closed form collects all degrees at once, in
+CharSeries and LaurentPoly arithmetic, which the Cousin sum never uses:
 
     e^{2rho} * q^{-dim B} * W_n(t) / prod_{theta>0} (1-t e^theta)(1-1/t e^theta)
 
@@ -28,7 +28,7 @@ from math import factorial
 from operator import sub
 
 from .charseries import CharSeries, LaurentPoly
-from .kostant import list_up_to, listed_profiles, lusztig_kostant_poly
+from .kostant import list_up_to, listed_profiles
 from .reports import FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import (
     dim_flag,
@@ -38,23 +38,6 @@ from .rootdata import (
     vectors_up_to,
     weyl_poincare,
 )
-
-
-def stratum_poincare_compact(n, alpha, kappa):
-    """Compactly supported Poincare polynomial of the defect-kappa stratum.
-
-    Equals t^{dimB + 2|alpha| - ||kappa|| - K(kappa)}
-           * K_{alpha - |kappa|}(1/t) * W_n(1/t).
-    The reference for laumon_poincare, which groups strata by (|kappa|, K).
-    """
-    alpha = tuple(alpha)
-    weight = kappa.weight()
-    rest = tuple(a - g for a, g in zip(alpha, weight))
-    if any(c < 0 for c in rest):
-        raise ValueError("stratum requires |kappa| <= alpha coordinatewise")
-    lead = dim_flag(n) + 2 * height(alpha) - height(weight) - kappa.num_summands()
-    kinv = lusztig_kostant_poly(rest).negate_exponents()
-    return (kinv * weyl_poincare(n).negate_exponents()).shift(2 * lead)
 
 
 def _pack(coeffs, width, top):

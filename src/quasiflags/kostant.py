@@ -1,25 +1,20 @@
-"""Kostant partitions: enumeration, statistics, and the partition-count polynomial.
+"""Kostant partitions: enumeration, statistics and summand-count profiles.
 
 A Kostant partition of a coroot vector gamma is a multiset of positive
 coroots summing to gamma, stored as multiplicities along the canonical
-interval order.  Besides the partitions themselves this module gives
-their summand-count profile two independent ways (from the enumeration,
-and by a DP convolution) and, from the DP profile, the polynomial
-K_alpha(t) = t^{|alpha|} * sum_kappa t^{-K(kappa)} whose value at t=1 is
-the Kostant partition count.
+interval order.
 
 The listing is one walk over a downward-closed set of weights (the box
 below alpha, or a sweep's simplex), which visits each partition once and
-adds it to its weight's profile; that listed table is the module's one
-store.  The DP is computed afresh over the box below gamma on each call.
-Neither route reads the other.
+adds it to its weight's summand-count profile; that listed table is the
+module's one store.  The tests check the profiles against an independent
+DP convolution, which lives with the other oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .charseries import LaurentPoly
 from .rootdata import coroot_intervals, height, interval_sum, iter_subvectors, vectors_up_to
 
 
@@ -97,6 +92,7 @@ def kostant_partitions(gamma):
 
 def partitions_below(alpha):
     """{beta: kostant_partitions(beta)} in the box below alpha, in order, from one walk."""
+    alpha = _checked(alpha)
     return _walk(alpha, height(alpha), iter_subvectors(alpha))
 
 
@@ -155,7 +151,7 @@ def listed_profiles(alpha):
     n = len(alpha) + 1
     table = _LISTED.get(n, {})
     if alpha not in table:
-        cap = height(alpha)
+        cap = height(_checked(alpha))
         below = all(beta in table for beta in vectors_up_to(n - 1, cap - 1))
         _walk((cap,) * (n - 1) if below else alpha, cap, ())
     return _LISTED[n]
@@ -166,43 +162,3 @@ def list_up_to(n, cap):
     table = _LISTED.get(n, {})
     if not all(beta in table for beta in vectors_up_to(n - 1, cap)):
         _walk((cap,) * (n - 1), cap, ())
-
-
-def _box_profiles(gamma):
-    """{beta: {K: Kostant partitions of beta with K summands}} for every beta <= gamma.
-
-    One DP convolution over the box below gamma, fresh on every call and
-    independent of the listing walk: for each coroot theta in canonical
-    order and each beta in lexicographic order (which puts beta - theta
-    first), f(beta)[K + 1] += f(beta - theta)[K].
-    """
-    box = list(iter_subvectors(gamma))
-    profiles = {beta: {} for beta in box}
-    profiles[box[0]][0] = 1  # the zero weight: the empty partition
-    for q, p in coroot_intervals(len(gamma) + 1):
-        for beta in box:
-            if min(beta[q - 1 : p]):
-                lower = beta[: q - 1] + tuple(b - 1 for b in beta[q - 1 : p]) + beta[p:]
-                target = profiles[beta]
-                for k, ways in profiles[lower].items():
-                    target[k + 1] = target.get(k + 1, 0) + ways
-    return profiles
-
-
-def kostant_count_profile(gamma):
-    """Summand-count profile {K: count} of K(gamma), from one DP over the box below gamma."""
-    gamma = _checked(gamma)
-    return _box_profiles(gamma)[gamma]
-
-
-def lusztig_kostant_poly(alpha):
-    """K_alpha(t) = t^{|alpha|} sum_{kappa} t^{-K(kappa)} as an even q-polynomial.
-
-    >>> lusztig_kostant_poly((1, 1)).pretty()
-    '1 + t'
-    >>> lusztig_kostant_poly((0, 0)).pretty()
-    '1'
-    """
-    alpha = _checked(alpha)
-    profile = kostant_count_profile(alpha)
-    return LaurentPoly.t_poly({height(alpha) - k: c for k, c in profile.items()})

@@ -4,6 +4,7 @@ from itertools import product
 from math import factorial
 
 import pytest
+from oracles import negate_exponents, stratum_poincare_compact, truncate
 
 from quasiflags import cohomology
 from quasiflags.charseries import CharSeries, LaurentPoly
@@ -15,7 +16,6 @@ from quasiflags.cohomology import (
     generating_function,
     laumon_poincare,
     shifted_poincare,
-    stratum_poincare_compact,
     verify_generating_function,
 )
 from quasiflags.kostant import (
@@ -62,8 +62,8 @@ def test_stratum_exponent_range_and_parity():
             for kappa in kostant_partitions(gamma):
                 poly = stratum_poincare_compact(n, alpha, kappa)
                 assert poly.is_even()
-                assert poly.min_exp() >= 0
-                assert poly.max_exp() <= 2 * top
+                assert min(poly.terms) >= 0
+                assert max(poly.terms) <= 2 * top
 
 
 def test_laumon_small_projective_spaces():
@@ -152,7 +152,6 @@ def test_cousin_sum_shares_no_series_arithmetic(monkeypatch):
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
-    monkeypatch.setattr(CharSeries, "__mul__", refuse)
     monkeypatch.setattr(CharSeries, "divide_geometric", refuse)
     # an empty per-rank table, so that the recurrence runs again under the refusal
     monkeypatch.setattr(cohomology, "_COUSIN", {})
@@ -161,15 +160,12 @@ def test_cousin_sum_shares_no_series_arithmetic(monkeypatch):
     assert sorted(cohomology._COUSIN) == [2, 3, 4]
 
 
-def test_closed_form_divides_without_series_products(monkeypatch):
+def test_closed_form_divides_without_series_products():
     sizes = [(2, 9), (3, 12), (4, 14)]
     closed = {size: generating_function(*size) for size in sizes}
     characters = {(n, d, p): _character_series(n, d, p) for n, d in sizes for p in (1, 2)}
-
-    def refuse(*args):
-        raise AssertionError("the closed form divides in place, not by series products")
-
-    monkeypatch.setattr(CharSeries, "__mul__", refuse)
+    # the closed form divides in place: the package has no series product
+    assert not hasattr(CharSeries, "__mul__")
     for size, series in closed.items():
         assert generating_function.__wrapped__(*size) == series, size
     for key, series in characters.items():
@@ -195,8 +191,8 @@ def test_laumon_monic_ends():
     for alpha in [(0,), (2,), (1, 1), (2, 1)]:
         n = len(alpha) + 1
         poly = laumon_poincare(alpha)
-        assert poly.coeff(0) == 1
-        assert poly.coeff(2 * (dim_flag(n) + 2 * height(alpha))) == 1
+        assert poly.terms.get(0) == 1
+        assert poly.terms.get(2 * (dim_flag(n) + 2 * height(alpha))) == 1
 
 
 def test_shifted_examples():
@@ -211,8 +207,8 @@ def test_shifted_palindromic_single_parity():
     for alpha in [(0,), (3,), (1, 1), (2, 1), (1, 0, 1)]:
         n = len(alpha) + 1
         poly = shifted_poincare(alpha)
-        assert poly.is_palindromic()
-        assert poly.support_parities() == {dim_flag(n) % 2}
+        assert poly == negate_exponents(poly)
+        assert {e % 2 for e in poly.terms} == {dim_flag(n) % 2}
 
 
 def test_generating_function_n2_coefficients():
@@ -286,12 +282,12 @@ def test_generating_function_leading_coefficient_is_weyl():
 def test_generating_function_coefficients_nonnegative():
     series = generating_function(3, 8)
     for alpha in series.support():
-        assert series.coefficient(alpha).nonnegative()
+        assert all(c > 0 for c in series.coefficient(alpha).terms.values())
 
 
 def test_generating_function_truncation_coherent():
     full = generating_function(3, 8)
-    assert full.truncate(6) == generating_function(3, 6)
+    assert truncate(full, 6) == generating_function(3, 6)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from oracles import kostant_count_profile, series_at_one
 
 from quasiflags.cohomology import generating_function, laumon_poincare
 from quasiflags.modchar import (
@@ -54,7 +55,7 @@ def brute_character_coefficient(n, weight):
 def test_module_character_n2_linear_growth():
     char = module_character(2, 6)
     for a in range(6):
-        assert char.coefficient((a + 1,)).coeff(0) == 2 * (a + 1)
+        assert char.coefficient((a + 1,)).terms.get(0, 0) == 2 * (a + 1)
     assert char.coefficient((0,)).is_zero()
 
 
@@ -64,7 +65,7 @@ def test_module_character_leading_term_is_weyl_order():
     for n in (2, 3, 4):
         rho2 = two_rho(n)
         char = module_character(n, height(rho2))
-        assert char.coefficient(rho2).coeff(0) == math.factorial(n)
+        assert char.coefficient(rho2).terms.get(0, 0) == math.factorial(n)
 
 
 def test_module_character_matches_brute_expansion():
@@ -73,7 +74,7 @@ def test_module_character_matches_brute_expansion():
         for weight in product(range(bound + 1), repeat=n - 1):
             if sum(weight) > bound:
                 continue
-            assert char.coefficient(weight).coeff(0) == brute_character_coefficient(
+            assert char.coefficient(weight).terms.get(0, 0) == brute_character_coefficient(
                 n, weight
             ), weight
 
@@ -84,7 +85,7 @@ def test_module_character_coefficients_are_plain_integers():
         for alpha in series.support():
             poly = series.coefficient(alpha)
             assert set(poly.terms) == {0}
-            assert poly.coeff(0) > 0
+            assert poly.terms.get(0, 0) > 0
 
 
 def test_character_equals_cell_count_identity():
@@ -97,7 +98,7 @@ def test_character_equals_cell_count_identity():
         rho2 = two_rho(n)
         weight = tuple(a + r for a, r in zip(alpha, rho2))
         char = module_character(n, sum(weight))
-        assert char.coefficient(weight).coeff(0) == len(enumerate_cells(n, alpha))
+        assert char.coefficient(weight).terms.get(0, 0) == len(enumerate_cells(n, alpha))
 
 
 def test_weight_space_check_examples():
@@ -118,15 +119,15 @@ def test_generating_function_at_q1_matches_character():
     for n, bound in [(2, 7), (3, 7)]:
         char = module_character(n, bound)
         series = generating_function(n, bound)
-        assert series.eval_at_one() == {
-            alpha: char.coefficient(alpha).coeff(0) for alpha in char.support()
+        assert series_at_one(series) == {
+            alpha: char.coefficient(alpha).terms.get(0, 0) for alpha in char.support()
         }
 
 
 def test_verma_series_n2_constant_two():
     series = verma_multiplicity_series(2, 8)
     for a in range(8):
-        assert series.coefficient((a + 1,)).coeff(0) == 2
+        assert series.coefficient((a + 1,)).terms.get(0, 0) == 2
     assert series.coefficient((0,)).is_zero()
 
 
@@ -134,15 +135,13 @@ def test_verma_series_leading_term():
     import math
 
     series = verma_multiplicity_series(3, 5)
-    assert series.coefficient((2, 2)).coeff(0) == math.factorial(3)
+    assert series.coefficient((2, 2)).terms.get(0, 0) == math.factorial(3)
 
 
 def test_verma_coefficients_are_scaled_partition_counts():
     # prod (1 - e^theta)^{-1} expands to sum_alpha #K(alpha) e^alpha, so
     # each coefficient must be n! times a Kostant partition count
     import math
-
-    from quasiflags.kostant import kostant_count_profile
 
     for n, bound in [(2, 8), (3, 8), (4, 12)]:
         series = verma_multiplicity_series(n, bound)
@@ -152,15 +151,13 @@ def test_verma_coefficients_are_scaled_partition_counts():
             if sum(alpha) > cap:
                 continue
             weight = tuple(a + r for a, r in zip(alpha, rho2))
-            assert series.coefficient(weight).coeff(0) == math.factorial(
+            assert series.coefficient(weight).terms.get(0, 0) == math.factorial(
                 n
             ) * sum(kostant_count_profile(alpha).values())
 
 
 def test_character_coefficients_are_partition_count_convolutions():
     import math
-
-    from quasiflags.kostant import kostant_count_profile
 
     def kostant_count(gamma):
         return sum(kostant_count_profile(gamma).values())
@@ -177,7 +174,7 @@ def test_character_coefficients_are_partition_count_convolutions():
                 rest = tuple(a - g for a, g in zip(alpha, gamma))
                 conv += kostant_count(gamma) * kostant_count(rest)
             weight = tuple(a + r for a, r in zip(alpha, rho2))
-            assert char.coefficient(weight).coeff(0) == math.factorial(n) * conv
+            assert char.coefficient(weight).terms.get(0, 0) == math.factorial(n) * conv
 
 
 @pytest.mark.parametrize("n,bound", [(2, 10), (3, 8), (4, 7), (4, 12)])
@@ -208,4 +205,4 @@ def test_character_identity_with_poincare_values():
         rho2 = two_rho(n)
         weight = tuple(a + r for a, r in zip(alpha, rho2))
         char = module_character(n, sum(weight))
-        assert char.coefficient(weight).coeff(0) == laumon_poincare(alpha).eval_at_one()
+        assert char.coefficient(weight).terms.get(0, 0) == laumon_poincare(alpha).eval_at_one()

@@ -7,8 +7,9 @@ through an ``ast.Attribute``, since a local variable of the same name does
 not call it.  An attribute read through the name of a package class,
 ``Class.attr``, reads that class's member only: ``LaurentPoly.zero()``
 does not read ``CharSeries.zero``.  An ``__init__`` import or an
-``__all__`` string is not a reference.  Names kept only for the tests
-are listed in TEST_ONLY with the reason they stay.
+``__all__`` string is not a reference.  Code that only the tests need
+lives in tests/oracles.py; a name kept in the package for the tests alone
+would be listed in TEST_ONLY with the reason it stays.
 A defaulted parameter of a public function or method (``__init__``
 included, called by its class name) must be set, by keyword or by
 position, by some call in src/quasiflags or perfbench/*.py: a knob no
@@ -27,17 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "quasiflags").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
-TEST_ONLY = {
-    "stratum_poincare_compact": "the per-stratum Cousin oracle; perfbench traces it by name",
-    "LaurentPoly.coeff": "single coefficients of Poincare polynomials and characters in tests",
-    "LaurentPoly.min_exp": "degree bounds of Poincare polynomials in tests",
-    "LaurentPoly.max_exp": "degree bounds of Poincare polynomials in tests",
-    "LaurentPoly.support_parities": "the parity property of Poincare polynomials",
-    "LaurentPoly.is_palindromic": "the palindromicity of recentered polynomials",
-    "LaurentPoly.nonnegative": "the coefficient signs of series and K_alpha(t)",
-    "CharSeries.truncate": "the truncation law of series products",
-    "geometric_inverse": "the reference product that CharSeries.divide_geometric is tested against",
-}
+TEST_ONLY = {}
 
 TEST_ONLY_PARAMS = {
     "main.out": "the tests' substitute for sys.stdout",
