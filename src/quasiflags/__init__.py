@@ -13,14 +13,11 @@ from .cohomology import (
     generating_function,
     laumon_poincare,
     shifted_poincare,
-    verify_generating_function,
 )
 from .cells import (
     Cell,
-    cell_dimension_conjecture_check,
     conjectured_dim,
     enumerate_cells,
-    euler_check,
 )
 from .kostant import (
     KostantPartition,
@@ -28,10 +25,8 @@ from .kostant import (
     stats,
 )
 from .modchar import (
-    freeness_consistency_check,
     module_character,
     verma_multiplicity_series,
-    weight_space_check,
 )
 from .quiverfilt import (
     NOT_RIGID,
@@ -59,14 +54,11 @@ __all__ = [
     "NOT_RIGID",
     "TorsionRep",
     "WeylElement",
-    "cell_dimension_conjecture_check",
     "commutator_constant",
     "conjectured_dim",
     "count_filtrations",
     "enumerate_cells",
-    "euler_check",
     "filtration_counts",
-    "freeness_consistency_check",
     "generating_function",
     "kostant_partitions",
     "laumon_poincare",
@@ -76,9 +68,7 @@ __all__ = [
     "shifted_poincare",
     "stats",
     "two_rho",
-    "verify_generating_function",
     "verma_multiplicity_series",
-    "weight_space_check",
     "weyl_elements",
     "weyl_poincare",
 ]

@@ -1,16 +1,18 @@
-"""Torus fixed points and attracting cells of quasiflag spaces.
+"""Torus fixed points and attracting cells of quasiflag spaces: the cell route.
+
+This module holds routes only; suites.run_euler and suites.run_celldim
+compare its cell sums with the Cousin sum of cohomology.
 
 The big torus (Cartan times loop rotation) acts with finitely many fixed
 points, labelled by triples (w, kappa0, kappaInf): a permutation and two
 Kostant partitions recording the defects concentrated at the two fixed
 points of the curve, with |kappa0| + |kappaInf| = alpha.  The cell count
 therefore equals the Euler characteristic, i.e. the Poincare polynomial
-at t=1 (euler_check).
+at t=1.
 
 The finer statement that the cell through (w, kappa0, kappaInf) has
 dimension l(w) + ||kappa0|| + ||kappaInf|| + K(kappa0) - K(kappaInf) is
-only expected, not proved; cell_dimension_conjecture_check tests it
-empirically and reports in the CONJECTURE category.
+only expected, not proved, so celldim reports in the CONJECTURE category.
 
 enumerate_cells lists the labels for the cells command and as a test
 oracle.  Both checks read one cell sum, cell_dimension_poly, packed for
@@ -27,9 +29,7 @@ from math import factorial
 from operator import mul
 
 from .charseries import LaurentPoly
-from .cohomology import laumon_poincare
 from .kostant import listed_profiles, partitions_below
-from .reports import CONJECTURE, FAIL, PASS, THEOREM, Entry
 from .rootdata import height, iter_subvectors, weyl_elements
 
 
@@ -137,35 +137,3 @@ def cell_dimension_poly(n, alpha):
         width = (factorial(n) * max(_split_sums(counts, counts, tops))).bit_length()
         table.update(_cell_sums(n, listed, weights, [b for b in weights if b not in table], width))
     return table[alpha]
-
-
-def euler_check(n, alpha):
-    """Cell count vs Poincare polynomial at t=1 for one alpha.
-
-    Each cell adds one monomial to cell_dimension_poly, so its value at
-    t=1 is the number of cells.
-    """
-    alpha = tuple(alpha)
-    ncells = cell_dimension_poly(n, alpha).eval_at_one()
-    euler = laumon_poincare(alpha).eval_at_one()
-    ok = ncells == euler
-    return Entry(
-        case={"alpha": list(alpha)},
-        status=PASS if ok else FAIL,
-        category=THEOREM,
-        details={"cells": ncells, "euler": euler} if not ok else {"value": ncells},
-    )
-
-
-def cell_dimension_conjecture_check(n, alpha):
-    """Compare sum_cells t^dim with the Poincare polynomial (CONJECTURE)."""
-    alpha = tuple(alpha)
-    lhs = cell_dimension_poly(n, alpha)
-    rhs = laumon_poincare(alpha)
-    ok = lhs == rhs
-    return Entry(
-        case={"alpha": list(alpha)},
-        status=PASS if ok else FAIL,
-        category=CONJECTURE,
-        details={} if ok else {"cell_sum": lhs.to_json(), "poincare": rhs.to_json()},
-    )

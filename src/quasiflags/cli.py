@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
@@ -39,10 +40,11 @@ class UsageError(Exception):
 
 
 def _parse_vector(text, rank, what, cap):
-    try:
-        vec = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    # int() would also take "1_0", " 1" and non-ASCII digits
+    parts = text.split(",")
+    if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
         raise UsageError(f"--{what} must be comma-separated integers, got {text!r}")
+    vec = tuple(map(int, parts))
     if len(vec) != rank:
         raise UsageError(f"--{what} must have {rank} coordinates, got {len(vec)}")
     if any(a < 0 for a in vec):

@@ -1,4 +1,6 @@
-"""Poincare polynomials of quasiflag spaces and the global generating function.
+"""Two routes to the Poincare polynomials of quasiflag spaces.
+
+This module holds routes only; suites.run_genfunc compares them.
 
 The space of degree-alpha quasiflags is smooth projective of dimension
 2|alpha| + dim(flag variety); it is stratified by the defect type kappa
@@ -17,8 +19,7 @@ CharSeries and LaurentPoly arithmetic, which the Cousin sum never uses:
 
 with the coefficient of e^{alpha+2rho} equal to the recentered Poincare
 polynomial of the degree-alpha space; it divides by each factor in place
-(CharSeries.divide_geometric).  verify_generating_function checks that
-identity coefficient by coefficient.
+(CharSeries.divide_geometric).
 """
 
 from __future__ import annotations
@@ -28,14 +29,12 @@ from math import factorial
 from operator import sub
 
 from .charseries import CharSeries, LaurentPoly
-from .kostant import list_up_to, listed_profiles
-from .reports import FAIL, PASS, THEOREM, Entry, Report
+from .kostant import listed_profiles
 from .rootdata import (
     dim_flag,
     height,
     positive_coroots,
     two_rho,
-    vectors_up_to,
     weyl_poincare,
 )
 
@@ -179,33 +178,3 @@ def generating_function(n, bound):
     for theta in positive_coroots(n):
         series = series.divide_geometric(t, theta).divide_geometric(tinv, theta)
     return series
-
-
-def verify_generating_function(n, bound):
-    """Compare closed-form coefficients with the Cousin-sum polynomials.
-
-    For every alpha with |alpha + 2rho| <= bound the coefficient of
-    e^{alpha+2rho} must equal shifted_poincare(alpha), exactly.
-    """
-    rho2 = two_rho(n)
-    closed = generating_function(n, bound)
-    list_up_to(n, bound - height(rho2))  # one listing walk for the whole sweep
-    entries = []
-    for alpha in vectors_up_to(n - 1, bound - height(rho2)):
-        lhs = closed.coefficient(tuple(x + y for x, y in zip(alpha, rho2)))
-        rhs = shifted_poincare(alpha)
-        ok = lhs == rhs
-        details = {}
-        if not ok:
-            details = {"closed_form": lhs.to_json(), "cousin_sum": rhs.to_json()}
-        entries.append(
-            Entry(
-                case={"alpha": list(alpha)},
-                status=PASS if ok else FAIL,
-                category=THEOREM,
-                details=details,
-            )
-        )
-    return Report(
-        name="genfunc", params={"n": n, "degree": bound}, entries=entries
-    )

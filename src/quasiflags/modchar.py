@@ -1,18 +1,19 @@
-"""Character-level identities for the module built from all degrees at once.
+"""Character series of the module built from all degrees at once.
+
+This module holds routes only; suites.run_characters and
+suites.run_freeness compare them with the other routes.
 
 The graded pieces over all alpha assemble into a module whose character
 is |W| e^{2rho} / prod_{theta>0} (1 - e^theta)^2: each weight space
 alpha+2rho has dimension equal to the total cohomology of the degree-
 alpha space, i.e. its Poincare polynomial at t=1 and the q=1 value of
-the closed-form generating function.  weight_space_check verifies the
-three agree.
+the closed-form generating function.
 
 Dividing one factor out gives |W| e^{2rho} / prod (1 - e^theta), the
 candidate series of Verma multiplicities if the module is free over the
 enveloping algebra of the nilpotent part.  Freeness is conjectural, so
-freeness_consistency_check only certifies the necessary conditions
-(nonnegative coefficients, and that multiplying back reproduces the
-character); it reports in the CONJECTURE-CONSISTENCY category.
+its check certifies only necessary conditions (nonnegative coefficients,
+and that multiplying back reproduces the character).
 """
 
 from __future__ import annotations
@@ -21,17 +22,7 @@ from functools import lru_cache
 from math import factorial
 
 from .charseries import CharSeries, LaurentPoly
-from .cohomology import generating_function, laumon_poincare
-from .kostant import list_up_to
-from .reports import (
-    CONJECTURE_CONSISTENCY,
-    FAIL,
-    PASS,
-    THEOREM,
-    Entry,
-    Report,
-)
-from .rootdata import height, positive_coroots, two_rho, vectors_up_to
+from .rootdata import positive_coroots, two_rho
 
 
 @lru_cache(maxsize=None)
@@ -59,67 +50,3 @@ def module_character(n, bound):
 def verma_multiplicity_series(n, bound):
     """|W| e^{2rho} / prod (1 - e^theta), truncated at total degree `bound`."""
     return _character_series(n, bound, 1)
-
-
-def weight_space_check(n, bound):
-    """Character coefficient = Poincare value at t=1 = genfunc value at q=1."""
-    rho2 = two_rho(n)
-    char = module_character(n, bound)
-    closed = generating_function(n, bound)
-    list_up_to(n, bound - height(rho2))  # one listing walk, so one Cousin table
-    entries = []
-    for alpha in vectors_up_to(n - 1, bound - height(rho2)):
-        weight = tuple(a + r for a, r in zip(alpha, rho2))
-        lhs = char.coefficient(weight).eval_at_one()
-        mid = laumon_poincare(alpha).eval_at_one()
-        rhs = closed.coefficient(weight).eval_at_one()
-        ok = lhs == mid == rhs
-        entries.append(
-            Entry(
-                case={"alpha": list(alpha)},
-                status=PASS if ok else FAIL,
-                category=THEOREM,
-                details={"character": lhs, "poincare_at_1": mid, "genfunc_at_1": rhs},
-            )
-        )
-    return Report(
-        name="characters", params={"n": n, "degree": bound}, entries=entries
-    )
-
-
-def freeness_consistency_check(n, bound):
-    """Necessary conditions for freeness: nonnegativity and factorization."""
-    verma = verma_multiplicity_series(n, bound)
-    entries = []
-    for alpha in verma.support():
-        coeff = verma.coefficient(alpha).eval_at_one()
-        ok = coeff >= 0
-        entries.append(
-            Entry(
-                case={"weight": list(alpha)},
-                status=PASS if ok else FAIL,
-                category=CONJECTURE_CONSISTENCY,
-                details={"verma_multiplicity": coeff},
-            )
-        )
-    if not entries:  # bound < |2rho|: both series are zero, nothing to refactor
-        return Report(name="freeness", params={"n": n, "degree": bound}, entries=[])
-    char = module_character(n, bound)
-    rebuilt = verma
-    for theta in positive_coroots(n):
-        rebuilt = rebuilt.divide_geometric(1, theta)
-    consistent = rebuilt == char
-    entries.append(
-        Entry(
-            case={"identity": "verma_series * prod(1-e^theta)^-1 = character"},
-            status=PASS if consistent else FAIL,
-            category=CONJECTURE_CONSISTENCY,
-            details={} if consistent else {
-                "rebuilt": rebuilt.to_json(),
-                "character": char.to_json(),
-            },
-        )
-    )
-    return Report(
-        name="freeness", params={"n": n, "degree": bound}, entries=entries
-    )

@@ -408,13 +408,18 @@ def test_euler_failure_is_a_theorem_failure(one_cell_too_many):
         assert entry["details"]["cells"] == entry["details"]["euler"] + 1
 
 
-def test_bad_alpha_length_is_usage_error():
+def test_bad_alpha_length_is_usage_error(capsys):
     code, _ = run_cli(["poincare", "--n", "3", "--alpha", "1"])
     assert code == 2
     code, _ = run_cli(["cells", "--n", "2", "--alpha", "1,2"])
     assert code == 2
     code, _ = run_cli(["kostant", "--n", "2", "--gamma", "x"])
     assert code == 2
+    # int() reads both of these, as (10, 0) and (1, 0)
+    for alpha in ("1_0,0", "\u0661,0"):
+        code, out = run_cli(["poincare", "--n", "3", "--alpha", alpha, "--cap", "20"])
+        assert (code, out) == (2, "")
+        assert "--alpha must be comma-separated integers" in capsys.readouterr().err
 
 
 def test_rank_too_small_is_usage_error():

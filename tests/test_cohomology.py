@@ -16,14 +16,13 @@ from quasiflags.cohomology import (
     generating_function,
     laumon_poincare,
     shifted_poincare,
-    verify_generating_function,
 )
 from quasiflags.kostant import (
     KostantPartition,
     kostant_partitions,
     listed_profiles,
 )
-from quasiflags.modchar import _character_series, freeness_consistency_check
+from quasiflags.modchar import _character_series
 from quasiflags.rootdata import (
     dim_flag,
     height,
@@ -32,6 +31,7 @@ from quasiflags.rootdata import (
     vectors_up_to,
     weyl_poincare,
 )
+from quasiflags.suites import run_freeness, run_genfunc
 
 
 def projective_space_poincare(d):
@@ -171,7 +171,7 @@ def test_closed_form_divides_without_series_products():
     for key, series in characters.items():
         assert _character_series.__wrapped__(*key) == series, key
     # its factorization check multiplies the Verma series back the same way
-    assert freeness_consistency_check(3, 12).passed()
+    assert run_freeness(3, 12).passed()
 
 
 def test_laumon_euler_is_weyl_times_partition_convolution():
@@ -295,12 +295,12 @@ def test_generating_function_truncation_coherent():
     [(2, 9, 9), (3, 10, 28), (4, 11, 4), (4, 9, 0)],
 )
 def test_verify_generating_function_passes(n, degree, expected_checks):
-    report = verify_generating_function(n, degree)
+    report = run_genfunc(n, degree)
     assert report.passed()
     assert len(report.entries) == expected_checks
 
 
 def test_verify_report_is_sorted_by_height_then_lex():
-    report = verify_generating_function(3, 8)
+    report = run_genfunc(3, 8)
     cases = [tuple(e.case["alpha"]) for e in report.entries]
     assert cases == sorted(cases, key=lambda a: (sum(a), a))

@@ -6,14 +6,10 @@ import pytest
 from oracles import kostant_count_profile, series_at_one
 
 from quasiflags.cohomology import generating_function, laumon_poincare
-from quasiflags.modchar import (
-    freeness_consistency_check,
-    module_character,
-    verma_multiplicity_series,
-    weight_space_check,
-)
+from quasiflags.modchar import module_character, verma_multiplicity_series
 from quasiflags.reports import CONJECTURE_CONSISTENCY, THEOREM
 from quasiflags.rootdata import height, positive_coroots, two_rho
+from quasiflags.suites import run_characters, run_freeness
 
 
 def brute_character_coefficient(n, weight):
@@ -102,14 +98,14 @@ def test_character_equals_cell_count_identity():
 
 
 def test_weight_space_check_examples():
-    report = weight_space_check(2, 8)
+    report = run_characters(2, 8)
     assert report.passed()
     assert all(e.category == THEOREM for e in report.entries)
     by_alpha = {tuple(e.case["alpha"]): e.details for e in report.entries}
     assert by_alpha[(2,)]["character"] == 6
     assert by_alpha[(0,)]["character"] == 2
 
-    report = weight_space_check(3, 8)
+    report = run_characters(3, 8)
     assert report.passed()
     by_alpha = {tuple(e.case["alpha"]): e.details for e in report.entries}
     assert by_alpha[(1, 0)]["character"] == 12
@@ -179,7 +175,7 @@ def test_character_coefficients_are_partition_count_convolutions():
 
 @pytest.mark.parametrize("n,bound", [(2, 10), (3, 8), (4, 7), (4, 12)])
 def test_freeness_consistency_passes(n, bound):
-    report = freeness_consistency_check(n, bound)
+    report = run_freeness(n, bound)
     assert report.passed()
     assert all(e.category == CONJECTURE_CONSISTENCY for e in report.entries)
     # below |2rho| both series are zero and there is nothing to check
@@ -187,7 +183,7 @@ def test_freeness_consistency_passes(n, bound):
 
 
 def test_freeness_nonnegative_and_factorization_details():
-    report = freeness_consistency_check(2, 6)
+    report = run_freeness(2, 6)
     mults = [
         e.details["verma_multiplicity"]
         for e in report.entries
