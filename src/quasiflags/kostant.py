@@ -14,6 +14,7 @@ DP convolution, which lives with the other oracles in tests/oracles.py.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain, repeat
 
 from .rootdata import coroot_intervals, height, interval_sum, iter_subvectors, vectors_up_to
 
@@ -48,10 +49,7 @@ class KostantPartition(namedtuple("KostantPartition", "n mults")):
 
     def intervals(self):
         """The summands as (q, p) pairs, with repetition, canonical order."""
-        out = []
-        for (q, p), m in zip(coroot_intervals(self.n), self.mults):
-            out.extend([(q, p)] * m)
-        return out
+        return list(chain.from_iterable(map(repeat, coroot_intervals(self.n), self.mults)))
 
     def to_json(self):
         """Nonzero summands as [{"coroot": [q, p], "mult": m}, ...]."""

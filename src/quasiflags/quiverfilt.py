@@ -27,10 +27,11 @@ depends only on the multiset of point states, so each route starts from
 rep.points and keeps one memo keyed on the sorted point states for the
 length of a single call (a state's total dimension fixes k).  Equal
 points peel alike into distinct subobjects, so each route peels one of
-them and multiplies by their number.  The field route names each point
-state by a small int from one process-wide id table, and reads one
-process-wide peel table, keyed by (point id, step, field); the symbolic
-route reads neither, so the routes share no table.
+them and multiplies by their number.  Each route names its point
+states by small ints from its own process-wide id table, and reads its
+own process-wide peel table: the symbolic route's is keyed by (point
+id, step), the field route's by (point id, step, field).  The routes
+share no table, no peel function and no id.
 
 filtration_counts is the one entry point to the routes: it validates the
 steps and the dimension cap once, and the routes trust its steps.  It
@@ -43,7 +44,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain, repeat
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .rootdata import ResourceCapError, coroot_intervals, interval_sum, pairing, two_rho
 
@@ -78,18 +81,21 @@ class TorsionRep(namedtuple("TorsionRep", "n points")):
     @classmethod
     def of(cls, n, summands):
         """Build from an iterable of ((q, p), label) pairs; labels only group."""
-        by_label = {}
+        pairs = []
         for iv, label in summands:
             q, p = iv
             if not 1 <= q <= p <= n - 1:
                 raise ValueError(f"bad interval {iv} for n={n}")
-            by_label.setdefault(label, []).append((q, p))
-        points = sorted(tuple(sorted(ivs)) for ivs in by_label.values())
-        return cls(n=n, points=tuple(points))
+            pairs.append(((q, p), label))
+        pairs.sort(key=itemgetter(0))  # so each point collects its intervals sorted
+        by_label = {}
+        for iv, label in pairs:
+            by_label[label] = by_label.get(label, ()) + (iv,)
+        return cls(n, tuple(sorted(by_label.values())))
 
     def dimension(self):
         """Dimension vector as a coroot vector."""
-        return interval_sum(self.n, (iv for ivs in self.points for iv in ivs))
+        return interval_sum(self.n, chain.from_iterable(self.points))
 
 
 def simple_step(i):
@@ -116,50 +122,89 @@ class _Ambiguous(Exception):
     """A step admits a positive-dimensional family of kernels."""
 
 
+# A symbolic point state is the sorted tuple of the point's intervals.
+# _symbolic_id names each one by its index in the process-wide id table
+# of this route (_SYMBOLIC_STATES, with the reverse map _SYMBOLIC_IDS),
+# so a call's state is a sorted tuple of ints.  A peel depends on the
+# point state and the step alone: _peel_symbolic is memoized for the
+# process.  Neither table is the field route's, and no id is shared.
+
+_SYMBOLIC_STATES = []
+_SYMBOLIC_IDS = {}
+_AMBIGUOUS = -1  # a peel result: no id is negative
+
+
+def _symbolic_id(ivs):
+    """The id of the symbolic point state ivs, added to the id table if new."""
+    sid = _SYMBOLIC_IDS.get(ivs)
+    if sid is None:
+        sid = _SYMBOLIC_IDS[ivs] = len(_SYMBOLIC_STATES)
+        _SYMBOLIC_STATES.append(ivs)
+    return sid
+
+
+@lru_cache(maxsize=None)
+def _peel_symbolic(sid, q, p):
+    """The id of point state sid with [q, p] peeled, None, or _AMBIGUOUS.
+
+    A summand [a,b] can carry a surjection onto [q,p] iff q <= a <= p <= b,
+    and the map can be onto only when a == q.  None: no summand maps
+    onto the step.  A unique eligible summand gives a unique kernel
+    (tail [p+1,b]); two or more eligible summands give a projective
+    family, and the result is _AMBIGUOUS.
+    """
+    ivs = _SYMBOLIC_STATES[sid]
+    eligible = [iv for iv in ivs if q <= iv[0] <= p <= iv[1]]
+    if not any(iv[0] == q for iv in eligible):
+        return None
+    if len(eligible) > 1:
+        return _AMBIGUOUS
+    iv = eligible[0]
+    rest = list(ivs)
+    rest.remove(iv)
+    if p < iv[1]:
+        rest.append((p + 1, iv[1]))
+    return _symbolic_id(tuple(sorted(rest)))
+
+
 def count_filtrations_symbolic(rep, steps):
     """Interval-calculus count, or None when a field-dependent branch occurs.
 
-    At each step (peeling from the top of the chain) and each point, a
-    summand [a,b] can carry a surjection onto the step interval [q,p]
-    iff q <= a <= p <= b, and the map can be onto only when a == q.  A
-    unique eligible summand gives a unique kernel (tail [p+1,b]); two or
-    more eligible summands at one point give a projective family.  Of
-    equal points one is peeled, and its count taken once per point.  The
-    steps are trusted: filtration_counts has validated them.
+    At each step (peeling from the top of the chain) each point is peeled
+    by _peel_symbolic; an ambiguous peel anywhere makes the count None.
+    The count below step k depends only on the multiset of point states,
+    so each sorted tuple of point ids is counted once per call.  Of equal
+    points one is peeled, and its count taken once per point.  The steps
+    are trusted: filtration_counts has validated them.
     """
     memo = {}
 
     def rec(k, state):
-        # state: sorted tuple of per-point sorted interval tuples, whose
-        # total dimension fixes k, as every step has positive dimension.
-        # A state in the memo was explored in full without raising
-        # _Ambiguous.
+        # a state's total dimension fixes k, as every step has positive
+        # dimension.  A state in the memo was explored in full without
+        # raising _Ambiguous.
         if k < 0:
             return 1
         if state in memo:
             return memo[state]
         q, p = steps[k]
         total = 0
-        for i, at_x in enumerate(state):
-            if i and state[i - 1] == at_x:
+        for i, sid in enumerate(state):
+            if i and state[i - 1] == sid:
                 continue  # counted with the first of its equal points
-            eligible = [iv for iv in at_x if iv[0] >= q and iv[0] <= p <= iv[1]]
-            if not any(iv[0] == q for iv in eligible):
+            peeled = _peel_symbolic(sid, q, p)
+            if peeled is None:
                 continue
-            if len(eligible) > 1:
+            if peeled == _AMBIGUOUS:
                 raise _Ambiguous
-            iv = eligible[0]
-            rest = list(at_x)
-            rest.remove(iv)
-            if p < iv[1]:
-                rest.append((p + 1, iv[1]))
-            peeled = state[:i] + (tuple(sorted(rest)),) + state[i + 1 :]
-            total += state.count(at_x) * rec(k - 1, tuple(sorted(peeled)))
+            below = tuple(sorted(state[:i] + (peeled,) + state[i + 1 :]))
+            total += state.count(sid) * rec(k - 1, below)
         memo[state] = total
         return total
 
+    start = tuple(sorted(map(_symbolic_id, rep.points)))
     try:
-        return rec(len(steps) - 1, rep.points)
+        return rec(len(steps) - 1, start)
     except _Ambiguous:
         return None
     finally:
@@ -235,18 +280,32 @@ def _peel_point(pid, q, p_end, p):
             new = list(rows)
             for v in range(q, p_end + 1):
                 g = _reduced(phi, ivs, v, rows[v - 1], p)
-                j = next((j for j, c in enumerate(g) if c), None)
-                if j is None:
+                lead = next(filter(None, g), 0)  # the first nonzero entry
+                if not lead:
                     break
-                inv = pow(g[j], p - 2, p)
+                j = g.index(lead)
+                inv = pow(lead, p - 2, p)
                 g = tuple(c * inv % p for c in g)
                 cleared = [
                     tuple((a - r[j] * b) % p for a, b in zip(r, g)) for r in rows[v - 1]
                 ]
-                new[v - 1] = tuple(sorted(cleared + [g], key=lambda r: r.index(1)))
+                # a reduced row is 0 before its pivot and at the other rows'
+                # pivots, so descending order is the order of the pivots
+                new[v - 1] = tuple(sorted(cleared + [g], reverse=True))
             else:
                 subs.append(_point_id((ivs, tuple(new))))
     return tuple(subs)
+
+
+@lru_cache(maxsize=1)
+def _field_start(rep):
+    """The sorted point ids of rep with nothing peeled, in every field.
+
+    One entry: the two fields of a filtration_counts call start from the
+    same ids, so the start state is built once per call.
+    """
+    empty = ((),) * (rep.n - 1)
+    return tuple(sorted(map(_point_id, zip(rep.points, repeat(empty)))))
 
 
 def count_filtrations_bruteforce(rep, steps, p):
@@ -283,9 +342,7 @@ def count_filtrations_bruteforce(rep, steps, p):
         memo[state] = total
         return total
 
-    empty = ((),) * (rep.n - 1)
-    start = tuple(sorted(_point_id((ivs, empty)) for ivs in rep.points))
-    count = rec(len(steps) - 1, start)
+    count = rec(len(steps) - 1, _field_start(rep))
     del rec  # rec's closure holds rec: break the cycle, so the memo goes now
     return count
 

@@ -274,16 +274,17 @@ def run_freeness(n, degree):
 
 
 # name -> runner(n, degree), in the order `all` runs them; serre, pbw and
-# commute have fixed sizes and ignore the degree
+# commute have fixed sizes and ignore the degree.  Each entry looks its
+# run_<name> up when called, so a rebound module attribute is the one run.
 _RUNNERS = MappingProxyType({
-    "genfunc": run_genfunc,
-    "euler": run_euler,
-    "celldim": run_celldim,
+    "genfunc": lambda n, degree: run_genfunc(n, degree),
+    "euler": lambda n, degree: run_euler(n, degree),
+    "celldim": lambda n, degree: run_celldim(n, degree),
     "serre": lambda n, degree: run_serre(n),
     "pbw": lambda n, degree: run_pbw(n),
     "commute": lambda n, degree: run_commute(n),
-    "characters": run_characters,
-    "freeness": run_freeness,
+    "characters": lambda n, degree: run_characters(n, degree),
+    "freeness": lambda n, degree: run_freeness(n, degree),
 })
 
 SUITE_NAMES = tuple(_RUNNERS)

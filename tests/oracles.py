@@ -2,9 +2,10 @@
 
 Each one is a second, plainer route to something the package computes
 another way: the partition-count DP beside the listing walk, the Cousin
-sum one stratum at a time beside the packed recurrence, and the series
-product with the geometric inverse beside the in-place division.  None of
-them reads a route it checks.
+sum one stratum at a time beside the packed recurrence, the series
+product with the geometric inverse beside the in-place division, and the
+symbolic filtration count on interval tuples beside the interned one.
+None of them reads a route it checks.
 """
 
 from math import factorial, prod
@@ -137,3 +138,61 @@ def geometric_inverse(coeff, theta, bound):
         out[tuple(k * x for x in theta)] = power
         power = power * coeff
     return CharSeries(len(theta), bound, out)
+
+
+class _Ambiguous(Exception):
+    """A step admits a positive-dimensional family of kernels."""
+
+
+def tuple_keyed_symbolic_count(rep, steps):
+    """The symbolic filtration count with each point state kept as its interval tuple.
+
+    The reference for quiverfilt.count_filtrations_symbolic, which names
+    the same point states by interned ids and memoizes their peels for
+    the process; this one re-derives every peel from the tuples and
+    memoizes per call only.  None where a step is ambiguous.
+
+    At each step (peeling from the top of the chain) and each point, a
+    summand [a,b] can carry a surjection onto the step interval [q,p]
+    iff q <= a <= p <= b, and the map can be onto only when a == q.  A
+    unique eligible summand gives a unique kernel (tail [p+1,b]); two or
+    more eligible summands at one point give a projective family.  Of
+    equal points one is peeled, and its count taken once per point.
+    """
+    memo = {}
+
+    def rec(k, state):
+        # state: sorted tuple of per-point sorted interval tuples, whose
+        # total dimension fixes k, as every step has positive dimension.
+        # A state in the memo was explored in full without raising
+        # _Ambiguous.
+        if k < 0:
+            return 1
+        if state in memo:
+            return memo[state]
+        q, p = steps[k]
+        total = 0
+        for i, at_x in enumerate(state):
+            if i and state[i - 1] == at_x:
+                continue  # counted with the first of its equal points
+            eligible = [iv for iv in at_x if iv[0] >= q and iv[0] <= p <= iv[1]]
+            if not any(iv[0] == q for iv in eligible):
+                continue
+            if len(eligible) > 1:
+                raise _Ambiguous
+            iv = eligible[0]
+            rest = list(at_x)
+            rest.remove(iv)
+            if p < iv[1]:
+                rest.append((p + 1, iv[1]))
+            peeled = state[:i] + (tuple(sorted(rest)),) + state[i + 1 :]
+            total += state.count(at_x) * rec(k - 1, tuple(sorted(peeled)))
+        memo[state] = total
+        return total
+
+    try:
+        return rec(len(steps) - 1, rep.points)
+    except _Ambiguous:
+        return None
+    finally:
+        del rec  # rec's closure holds rec: break the cycle, so the memo goes now

@@ -5,6 +5,7 @@ import pkgutil
 import re
 
 import quasiflags
+from quasiflags import quiverfilt
 
 
 def _named_tables():
@@ -32,11 +33,26 @@ def _fill(table):
 
 def test_cold_tables_empties_every_table(cold_tables):
     tables = _named_tables()
-    # the id table of the field route is a list beside its reverse dict
-    assert {"quasiflags.quiverfilt._POINT_STATES", "quasiflags.quiverfilt._POINT_IDS"} <= set(tables)
+    # the id table of each filtration route is a list beside its reverse dict
+    assert {
+        "quasiflags.quiverfilt._POINT_STATES",
+        "quasiflags.quiverfilt._POINT_IDS",
+        "quasiflags.quiverfilt._SYMBOLIC_STATES",
+        "quasiflags.quiverfilt._SYMBOLIC_IDS",
+    } <= set(tables)
     for qualname, (module, name) in tables.items():
         assert not getattr(module, name), f"{qualname} is not emptied"
         _fill(getattr(module, name))
     cold_tables()
     for qualname, (module, name) in tables.items():
         assert not getattr(module, name), f"{qualname} is not emptied mid-test"
+
+
+def test_cold_tables_clears_the_peel_caches(cold_tables):
+    # each filtration route keeps its own peel cache beside its id table
+    rep = quiverfilt.TorsionRep.of(3, [((1, 2), "x"), ((2, 2), "y")])
+    quiverfilt.filtration_counts(rep, [(2, 2), (2, 2), (1, 1)])
+    caches = (quiverfilt._peel_point, quiverfilt._peel_symbolic, quiverfilt._field_start)
+    assert all(cache.cache_info().currsize for cache in caches)
+    cold_tables()
+    assert not any(cache.cache_info().currsize for cache in caches)

@@ -11,7 +11,9 @@ from quasiflags import quiverfilt
 from quasiflags.quiverfilt import (
     NOT_RIGID,
     TorsionRep,
+    _field_start,
     _peel_point,
+    _peel_symbolic,
     alternative_coroot_order,
     canonical_coroot_order,
     commutator_constant,
@@ -28,7 +30,7 @@ from quasiflags.quiverfilt import (
 )
 from quasiflags.rootdata import ResourceCapError, pairing, two_rho
 
-from oracles import pbw_expected
+from oracles import pbw_expected, tuple_keyed_symbolic_count
 
 
 def three_routes(rep, steps):
@@ -313,6 +315,49 @@ def test_symbolic_memo_matches_unmemoized_reference(case):
     assert count_filtrations_symbolic(rep, steps) == expected
 
 
+@st.composite
+def crowded_point_configurations(draw):
+    """n from 2 to 5, up to three summands at one point, and a step order.
+
+    The steps are a shuffle of the summands' own intervals (PBW-like) or
+    of the simple steps they contain (Serre-like).  No field route runs on
+    these, so the dimension is not capped.
+    """
+    n = draw(st.integers(min_value=2, max_value=5))
+    count = draw(st.integers(min_value=1, max_value=5))
+    intervals = [draw(interval_strategy(n)) for _ in range(count)]
+    labels = []
+    for k in range(count):
+        # point k is new; an old point takes a summand while it has fewer than three
+        labels.append(draw(st.sampled_from([x for x in range(k + 1) if labels.count(x) < 3])))
+    if draw(st.booleans()):
+        steps = list(intervals)
+    else:
+        steps = [(v, v) for q, p in intervals for v in range(q, p + 1)]
+    return TorsionRep.of(n, list(zip(intervals, labels))), list(draw(st.permutations(steps)))
+
+
+@given(crowded_point_configurations())
+# two equal points: the interned route peels one and counts it twice
+@example((TorsionRep.of(3, [((1, 2), "x"), ((1, 2), "y")]), [(1, 2), (1, 2)]))
+# three equal simple points and one ambiguous point of three summands
+@example((TorsionRep.of(2, [((1, 1), x) for x in "xyz"]), [(1, 1)] * 3))
+@example((TorsionRep.of(4, [((1, 3), "x"), ((3, 3), "x"), ((3, 3), "x")]), [(3, 3), (1, 3), (3, 3)]))
+# cold_tables is set up once per test, and each example calls it again
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_interned_symbolic_route_matches_tuple_keyed_oracle(cold_tables, case):
+    # the same count or None from cold tables and again from warm ones
+    rep, steps = case
+    expected = tuple_keyed_symbolic_count(rep, steps)
+    cold_tables()
+    assert count_filtrations_symbolic(rep, steps) == expected
+    assert count_filtrations_symbolic(rep, steps) == expected
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_complete_flags_at_one_point(d):
     # d simples at one point: the chains are the complete flags of F_p^d,
@@ -413,18 +458,22 @@ def test_field_counts_match_subspace_oracle(cold_tables, case):
     # and from warm ones, filled in either field order, all equal the oracle
     rep, steps = case
     oracle = {p: subspace_oracle_count(rep, steps, p) for p in (2, 3)}
-    # the symbolic route reads neither table: from cold tables it fills
-    # none, and it abstains or agrees with the oracle
+    # the symbolic route reads neither field table: from cold tables it
+    # fills none, and it abstains or agrees with the oracle
     cold_tables()
     before = _peel_point.cache_info()
     sym = count_filtrations_symbolic(rep, steps)
     assert _peel_point.cache_info() == before
     assert quiverfilt._POINT_STATES == [] and quiverfilt._POINT_IDS == {}
     assert sym is None or sym == oracle[2] == oracle[3]
+    # and conversely, the field routes leave the symbolic tables empty
     for fields in ((3, 2), (2, 3)):
         cold_tables()
+        before = _peel_symbolic.cache_info()
         for p in fields + fields:
             assert count_filtrations_bruteforce(rep, steps, p) == oracle[p]
+        assert _peel_symbolic.cache_info() == before
+        assert quiverfilt._SYMBOLIC_STATES == [] and quiverfilt._SYMBOLIC_IDS == {}
 
 
 # --- PBW multiplicities ----------------------------------------------------
@@ -522,6 +571,13 @@ def test_torsion_rep_rejects_bad_interval():
         TorsionRep.of(3, [((2, 1), "x")])
     with pytest.raises(ValueError):
         TorsionRep.of(3, [((1, 3), "x")])
+
+
+def test_both_fields_start_from_one_start_state(cold_tables):
+    # filtration_counts builds the field start state once, not once per field
+    rep = TorsionRep.of(3, [((1, 2), "x"), ((2, 2), "x"), ((1, 1), "y")])
+    filtration_counts(rep, [(2, 2), (1, 1), (1, 2)])
+    assert _field_start.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_routes_leave_no_cyclic_garbage():

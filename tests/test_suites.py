@@ -36,6 +36,23 @@ def test_each_suite_has_a_module_level_runner():
         assert [r.name for r in reports] == [name]
 
 
+def test_run_suites_calls_the_module_attribute_of_each_runner(monkeypatch):
+    # the tracer rebinds suites.run_<name>: run_suites must call what is
+    # bound there when it runs, not the function it was defined with
+    calls = []
+    for name in SUITE_NAMES:
+        def patched(*args, name=name):
+            calls.append((name, args))
+            return name
+
+        monkeypatch.setattr(suites, f"run_{name}", patched)
+    for name in SUITE_NAMES:
+        calls.clear()
+        assert run_suites(3, 12, name) == [name]
+        assert [called for called, _ in calls] == [name]
+        assert calls[0][1][0] == 3
+
+
 def test_run_pbw_covers_both_orders():
     report = run_pbw(3)
     assert report.passed()
