@@ -25,13 +25,17 @@ The count is computed two independent ways:
 Both recursions count per state, not per chain: a count below step k
 depends only on the multiset of point states, so each route starts from
 rep.points and keeps one memo keyed on the sorted point states for the
-length of a single call (a state's total dimension fixes k).  Equal
-points peel alike into distinct subobjects, so each route peels one of
-them and multiplies by their number.  Each route names its point
-states by small ints from its own process-wide id table, and reads its
-own process-wide peel table: the symbolic route's is keyed by (point
-id, step), the field route's by (point id, step, field).  The routes
-share no table, no peel function and no id.
+length of a single call (a state's total dimension fixes k).  A state
+holds live points only: a peel that leaves a point with nothing drops
+the point, so the state below the last step is ().  Equal points peel
+alike into distinct subobjects, so each route peels one of them and
+multiplies by their number.  Each route names its point states by small
+ints from its own process-wide id table, and keeps its own process-wide
+table of peels, one dict per step that maps a point id to its peel: the
+symbolic route's is keyed by the step (q, p), the field route's by the
+step and the field, (q, p_end, p).  A call fetches the dicts of its
+steps once, and a miss computes the peel and stores it.  The routes
+share no table, no peel function, no sentinel and no id.
 
 filtration_counts is the one entry point to the routes: it validates the
 steps and the dimension cap once, and the routes trust its steps.  It
@@ -122,16 +126,21 @@ class _Ambiguous(Exception):
     """A step admits a positive-dimensional family of kernels."""
 
 
-# A symbolic point state is the sorted tuple of the point's intervals.
-# _symbolic_id names each one by its index in the process-wide id table
-# of this route (_SYMBOLIC_STATES, with the reverse map _SYMBOLIC_IDS),
-# so a call's state is a sorted tuple of ints.  A peel depends on the
-# point state and the step alone: _peel_symbolic is memoized for the
-# process.  Neither table is the field route's, and no id is shared.
+# A symbolic point state is the sorted, nonempty tuple of the point's
+# intervals.  _symbolic_id names each one by its index in the
+# process-wide id table of this route (_SYMBOLIC_STATES, with the reverse
+# map _SYMBOLIC_IDS), so a call's state is a sorted tuple of ints.  A
+# peel depends on the point state and the step alone: _SYMBOLIC_PEELS
+# maps each step (q, p) to the dict {sid: peel result} for the process.
+# A peel result is an id or one of the negative sentinels below.  None
+# of these is the field route's, and no id is shared.
 
 _SYMBOLIC_STATES = []
 _SYMBOLIC_IDS = {}
-_AMBIGUOUS = -1  # a peel result: no id is negative
+_SYMBOLIC_PEELS = {}
+_UNPEELABLE = -1  # no summand maps onto the step
+_AMBIGUOUS = -2  # two or more summands do
+_SYMBOLIC_EMPTIED = -3  # the peel leaves the point no interval
 
 
 def _symbolic_id(ivs):
@@ -143,20 +152,20 @@ def _symbolic_id(ivs):
     return sid
 
 
-@lru_cache(maxsize=None)
 def _peel_symbolic(sid, q, p):
-    """The id of point state sid with [q, p] peeled, None, or _AMBIGUOUS.
+    """The id of point state sid with [q, p] peeled, or a sentinel.
 
     A summand [a,b] can carry a surjection onto [q,p] iff q <= a <= p <= b,
-    and the map can be onto only when a == q.  None: no summand maps
-    onto the step.  A unique eligible summand gives a unique kernel
-    (tail [p+1,b]); two or more eligible summands give a projective
-    family, and the result is _AMBIGUOUS.
+    and the map can be onto only when a == q.  _UNPEELABLE: no summand
+    maps onto the step.  A unique eligible summand gives a unique kernel
+    (tail [p+1,b]), and _SYMBOLIC_EMPTIED when nothing is left of the
+    point; two or more eligible summands give a projective family, and
+    the result is _AMBIGUOUS.
     """
     ivs = _SYMBOLIC_STATES[sid]
     eligible = [iv for iv in ivs if q <= iv[0] <= p <= iv[1]]
     if not any(iv[0] == q for iv in eligible):
-        return None
+        return _UNPEELABLE
     if len(eligible) > 1:
         return _AMBIGUOUS
     iv = eligible[0]
@@ -164,20 +173,23 @@ def _peel_symbolic(sid, q, p):
     rest.remove(iv)
     if p < iv[1]:
         rest.append((p + 1, iv[1]))
-    return _symbolic_id(tuple(sorted(rest)))
+    return _symbolic_id(tuple(sorted(rest))) if rest else _SYMBOLIC_EMPTIED
 
 
 def count_filtrations_symbolic(rep, steps):
     """Interval-calculus count, or None when a field-dependent branch occurs.
 
     At each step (peeling from the top of the chain) each point is peeled
-    by _peel_symbolic; an ambiguous peel anywhere makes the count None.
-    The count below step k depends only on the multiset of point states,
-    so each sorted tuple of point ids is counted once per call.  Of equal
-    points one is peeled, and its count taken once per point.  The steps
-    are trusted: filtration_counts has validated them.
+    by _peel_symbolic, read from the step's dict of _SYMBOLIC_PEELS; an
+    ambiguous peel anywhere makes the count None, and an emptied point
+    leaves the state.  The count below step k depends only on the
+    multiset of point states, so each sorted tuple of point ids is
+    counted once per call.  Of equal points one is peeled, and its count
+    taken once per point.  The steps are trusted: filtration_counts has
+    validated them.
     """
     memo = {}
+    peels = [_SYMBOLIC_PEELS.setdefault(step, {}) for step in steps]
 
     def rec(k, state):
         # a state's total dimension fixes k, as every step has positive
@@ -185,19 +197,25 @@ def count_filtrations_symbolic(rep, steps):
         # raising _Ambiguous.
         if k < 0:
             return 1
-        if state in memo:
-            return memo[state]
-        q, p = steps[k]
+        total = memo.get(state)
+        if total is not None:
+            return total
+        table = peels[k]
         total = 0
         for i, sid in enumerate(state):
             if i and state[i - 1] == sid:
                 continue  # counted with the first of its equal points
-            peeled = _peel_symbolic(sid, q, p)
+            peeled = table.get(sid)
             if peeled is None:
+                peeled = table[sid] = _peel_symbolic(sid, *steps[k])
+            if peeled >= 0:
+                below = tuple(sorted(state[:i] + (peeled,) + state[i + 1 :]))
+            elif peeled == _UNPEELABLE:
                 continue
-            if peeled == _AMBIGUOUS:
+            elif peeled == _SYMBOLIC_EMPTIED:
+                below = state[:i] + state[i + 1 :]
+            else:
                 raise _Ambiguous
-            below = tuple(sorted(state[:i] + (peeled,) + state[i + 1 :]))
             total += state.count(sid) * rec(k - 1, below)
         memo[state] = total
         return total
@@ -222,15 +240,20 @@ def count_filtrations_symbolic(rep, steps):
 # The rows are fully reduced and sorted by pivot: each row is 1 at its
 # pivot, its first nonzero entry, and 0 at the pivots of all the other
 # rows, so one row tuple stands for one subspace and a point state
-# (ivs, rows) has no labels.  _point_id names each point state by its
-# index in the process-wide id table (_POINT_STATES, with the reverse
-# map _POINT_IDS), so a call's state is a sorted tuple of ints.  A peel
-# depends on nothing else: _peel_point is memoized for the process (the
-# field is in its key), and count_filtrations_bruteforce memoizes per
-# call on point-id multisets.
+# (ivs, rows) has no labels.  _point_id names each point state of
+# positive dimension by its index in the process-wide id table
+# (_POINT_STATES, with the reverse map _POINT_IDS), so a call's state is
+# a sorted tuple of ints.  A peel depends on nothing else: _POINT_PEELS
+# maps each step and field (q, p_end, p) to the dict {pid: subs} for the
+# process, and count_filtrations_bruteforce memoizes per call on
+# point-id multisets.  A sub of dimension 0 is not interned: it is
+# _POINT_EMPTIED, the one sub of its peel, as distinct functionals give
+# distinct kernels.
 
 _POINT_STATES = []
 _POINT_IDS = {}
+_POINT_PEELS = {}
+_POINT_EMPTIED = -1  # a sub with nothing left: no id is negative
 
 
 def _point_id(state):
@@ -256,7 +279,6 @@ def _reduced(phi, ivs, v, rows, p):
     return vec
 
 
-@lru_cache(maxsize=None)
 def _peel_point(pid, q, p_end, p):
     """The ids of the subreps of point state pid with quotient iso to [q, p_end].
 
@@ -265,8 +287,11 @@ def _peel_point(pid, q, p_end, p):
     first nonzero entry 1.  At each v in [q, p_end] the reduced phi must
     be nonzero; normalized to 1 at its pivot j, it clears column j of
     the rows there and joins them.  On the arrow into q it must vanish.
+    When the step takes all that is left of the point, the sub is
+    _POINT_EMPTIED.
     """
     ivs, rows = _POINT_STATES[pid]
+    kept = sum(b - a + 1 for a, b in ivs) - sum(map(len, rows)) - (p_end - q + 1)  # dim of a sub
     pivots = {row.index(1) for row in rows[p_end - 1]}
     free = [j for j, (a, b) in enumerate(ivs) if a <= p_end <= b and j not in pivots]
     subs = []
@@ -293,7 +318,7 @@ def _peel_point(pid, q, p_end, p):
                 # pivots, so descending order is the order of the pivots
                 new[v - 1] = tuple(sorted(cleared + [g], reverse=True))
             else:
-                subs.append(_point_id((ivs, tuple(new))))
+                subs.append(_point_id((ivs, tuple(new))) if kept else _POINT_EMPTIED)
     return tuple(subs)
 
 
@@ -313,32 +338,42 @@ def count_filtrations_bruteforce(rep, steps, p):
 
     The count below step k depends only on the multiset of point states,
     so each sorted tuple of point ids is counted once per call; each peel
-    is computed once per process and field.  Of equal points one is
-    peeled, and its count taken once per point: peeling any of them
-    leaves the same multiset, and their subobjects are distinct.  The
-    steps are trusted: filtration_counts has validated them.
+    is computed once per process and field, and read from the step's
+    dict of _POINT_PEELS.  An emptied point leaves the state.  Of equal
+    points one is peeled, and its count taken once per point: peeling
+    any of them leaves the same multiset, and their subobjects are
+    distinct.  The steps are trusted: filtration_counts has validated
+    them.
     """
     memo = {}
+    peels = [_POINT_PEELS.setdefault((q, p_end, p), {}) for q, p_end in steps]
 
     def rec(k, state):
         # a state's total dimension fixes k, as every step has positive
         # dimension, so the memo is keyed on the state alone
         if k < 0:
             return 1
-        if state in memo:
-            return memo[state]
-        q, p_end = steps[k]
+        total = memo.get(state)
+        if total is not None:
+            return total
+        table = peels[k]
         total = 0
         for i, pid in enumerate(state):
             if i and state[i - 1] == pid:
                 continue  # counted with the first of its equal points
-            subs = _peel_point(pid, q, p_end, p)
-            if subs:
-                rest = state[:i] + state[i + 1 :]
+            subs = table.get(pid)
+            if subs is None:
+                subs = table[pid] = _peel_point(pid, *steps[k], p)
+            if not subs:
+                continue
+            rest = state[:i] + state[i + 1 :]
+            if subs[0] == _POINT_EMPTIED:
+                below = rec(k - 1, rest)
+            else:
                 below = 0
                 for sub in subs:
                     below += rec(k - 1, tuple(sorted(rest + (sub,))))
-                total += state.count(pid) * below
+            total += state.count(pid) * below
         memo[state] = total
         return total
 

@@ -33,12 +33,15 @@ def _fill(table):
 
 def test_cold_tables_empties_every_table(cold_tables):
     tables = _named_tables()
-    # the id table of each filtration route is a list beside its reverse dict
+    # the id table of each filtration route is a list beside its reverse
+    # dict, and its peels are a dict of per-step dicts
     assert {
         "quasiflags.quiverfilt._POINT_STATES",
         "quasiflags.quiverfilt._POINT_IDS",
+        "quasiflags.quiverfilt._POINT_PEELS",
         "quasiflags.quiverfilt._SYMBOLIC_STATES",
         "quasiflags.quiverfilt._SYMBOLIC_IDS",
+        "quasiflags.quiverfilt._SYMBOLIC_PEELS",
     } <= set(tables)
     for qualname, (module, name) in tables.items():
         assert not getattr(module, name), f"{qualname} is not emptied"
@@ -49,10 +52,16 @@ def test_cold_tables_empties_every_table(cold_tables):
 
 
 def test_cold_tables_clears_the_peel_caches(cold_tables):
-    # each filtration route keeps its own peel cache beside its id table
+    # each filtration route keeps its own table of peels, one dict per step,
+    # beside its id table, and the field start state is an lru_cache
     rep = quiverfilt.TorsionRep.of(3, [((1, 2), "x"), ((2, 2), "y")])
-    quiverfilt.filtration_counts(rep, [(2, 2), (2, 2), (1, 1)])
-    caches = (quiverfilt._peel_point, quiverfilt._peel_symbolic, quiverfilt._field_start)
-    assert all(cache.cache_info().currsize for cache in caches)
+    steps = [(2, 2), (2, 2), (1, 1)]
+    quiverfilt.filtration_counts(rep, steps)
+    tables = (quiverfilt._SYMBOLIC_PEELS, quiverfilt._POINT_PEELS)
+    assert set(tables[0]) == set(steps)
+    assert set(tables[1]) == {(q, p_end, p) for q, p_end in steps for p in (2, 3)}
+    assert all(all(table.values()) for table in tables)
+    assert quiverfilt._field_start.cache_info().currsize
     cold_tables()
-    assert not any(cache.cache_info().currsize for cache in caches)
+    assert not quiverfilt._SYMBOLIC_PEELS and not quiverfilt._POINT_PEELS
+    assert not quiverfilt._field_start.cache_info().currsize

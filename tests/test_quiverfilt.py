@@ -12,8 +12,6 @@ from quasiflags.quiverfilt import (
     NOT_RIGID,
     TorsionRep,
     _field_start,
-    _peel_point,
-    _peel_symbolic,
     alternative_coroot_order,
     canonical_coroot_order,
     commutator_constant,
@@ -458,22 +456,61 @@ def test_field_counts_match_subspace_oracle(cold_tables, case):
     # and from warm ones, filled in either field order, all equal the oracle
     rep, steps = case
     oracle = {p: subspace_oracle_count(rep, steps, p) for p in (2, 3)}
-    # the symbolic route reads neither field table: from cold tables it
-    # fills none, and it abstains or agrees with the oracle
+    # the symbolic route reads no field table: from cold tables it fills
+    # its own peel table and none of the field route's, and it abstains or
+    # agrees with the oracle
     cold_tables()
-    before = _peel_point.cache_info()
     sym = count_filtrations_symbolic(rep, steps)
-    assert _peel_point.cache_info() == before
+    assert quiverfilt._SYMBOLIC_PEELS
+    assert quiverfilt._POINT_PEELS == {}
     assert quiverfilt._POINT_STATES == [] and quiverfilt._POINT_IDS == {}
     assert sym is None or sym == oracle[2] == oracle[3]
     # and conversely, the field routes leave the symbolic tables empty
     for fields in ((3, 2), (2, 3)):
         cold_tables()
-        before = _peel_symbolic.cache_info()
         for p in fields + fields:
             assert count_filtrations_bruteforce(rep, steps, p) == oracle[p]
-        assert _peel_symbolic.cache_info() == before
+        assert {key[2] for key in quiverfilt._POINT_PEELS} == set(fields)
+        assert quiverfilt._SYMBOLIC_PEELS == {}
         assert quiverfilt._SYMBOLIC_STATES == [] and quiverfilt._SYMBOLIC_IDS == {}
+
+
+def _zero_dimensional(point_state):
+    ivs, rows = point_state
+    return sum(b - a + 1 for a, b in ivs) == sum(map(len, rows))
+
+
+@given(st.one_of(point_configurations(shared_point=True), twin_point_configurations()))
+# y empties on the third peel from the top, and two steps of x follow
+@example(
+    (
+        TorsionRep.of(5, [((2, 4), "y"), ((1, 1), "x"), ((1, 1), "x")]),
+        [(1, 1), (1, 1), (4, 4), (3, 3), (2, 2)],
+    )
+)
+# the two equal points x and y both empty at the top step
+@example(
+    (
+        TorsionRep.of(3, [((2, 2), "x"), ((2, 2), "y"), ((1, 1), "z")]),
+        [(2, 2), (1, 1), (2, 2)],
+    )
+)
+# cold_tables is set up once per test, and each example calls it again
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_no_state_carries_an_emptied_point(cold_tables, case):
+    # a peel that empties a point drops it: no route interns an empty state
+    rep, steps = case
+    cold_tables()
+    assert count_filtrations_symbolic(rep, steps) == tuple_keyed_symbolic_count(rep, steps)
+    for p in (2, 3):
+        assert count_filtrations_bruteforce(rep, steps, p) == subspace_oracle_count(rep, steps, p)
+    assert quiverfilt._POINT_STATES and quiverfilt._SYMBOLIC_STATES
+    assert not any(map(_zero_dimensional, quiverfilt._POINT_STATES))
+    assert () not in quiverfilt._SYMBOLIC_STATES
 
 
 # --- PBW multiplicities ----------------------------------------------------
