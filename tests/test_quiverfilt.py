@@ -488,7 +488,7 @@ def _zero_dimensional(point_state):
         [(1, 1), (1, 1), (4, 4), (3, 3), (2, 2)],
     )
 )
-# the two equal points x and y both empty at the top step
+# the top step empties either of the equal points x and y
 @example(
     (
         TorsionRep.of(3, [((2, 2), "x"), ((2, 2), "y"), ((1, 1), "z")]),
