@@ -15,10 +15,11 @@ dimension l(w) + ||kappa0|| + ||kappaInf|| + K(kappa0) - K(kappaInf) is
 only expected, not proved, so celldim reports in the CONJECTURE category.
 
 enumerate_cells lists the labels for the cells command and as a test
-oracle.  Both checks read one cell sum, cell_dimension_poly, packed for
-every listed weight at once without building the cells, from the listing's
-summand counts and the Weyl group only (not the DP, nor the Cousin sum's
-packing): each cell adds one monomial, so euler reads it at t=1.
+oracle.  Both checks read one cell sum, cell_dimension_poly(alpha), which
+the rank's table {beta: polynomial} holds, as the Cousin sum's does, for
+every listed weight, packed at once without building the cells, from the
+listing's summand counts and the Weyl group only (not the DP, nor the
+Cousin sum's packing): each cell adds one monomial, so euler reads it at t=1.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def conjectured_dim(cell):
     )
 
 
-# rank n -> {beta: cell_dimension_poly(n, beta)} over the listed table
+# rank n -> {beta: cell_dimension_poly(beta)} over the listed table
 _CELLS = {}
 
 
@@ -84,7 +85,7 @@ def _split_sums(low, high, alphas):
 
 
 def _cell_sums(n, listed, weights, alphas, width):
-    """{alpha: cell_dimension_poly(n, alpha)} for alphas in lexicographic order, at width.
+    """{alpha: cell_dimension_poly(alpha)} for alphas in lexicographic order, at width.
 
     The packed t^|beta| P_beta(t) and t^|beta| P_beta(1/t) go to rows
     {head: [(head, 0), (head, 1), ...]}, as weights is lexicographic.
@@ -104,7 +105,7 @@ def _cell_sums(n, listed, weights, alphas, width):
     return sums
 
 
-def cell_dimension_poly(n, alpha):
+def cell_dimension_poly(alpha):
     """sum over the cells of t^conjectured_dim, without building them.
 
     ||kappa0|| + ||kappaInf|| = |alpha| on every cell, and the rest of the
@@ -123,8 +124,7 @@ def cell_dimension_poly(n, alpha):
     sweep, or once per height in a loop that does not walk first.  Callers
     share the polynomials and must not mutate them.
     """
-    if len(alpha) != n - 1:
-        raise ValueError(f"alpha must have length {n - 1}")
+    n = len(alpha) + 1
     table = _CELLS.setdefault(n, {})
     if alpha not in table:
         listed = listed_profiles(alpha)

@@ -10,7 +10,8 @@ of the stratum polynomials (the Cousin sum).  laumon_poincare groups the
 strata by (|kappa|, K(kappa)), all a stratum polynomial depends on, and
 sums them in packed plain integers (Kronecker substitution): one
 shift-add recurrence per rank over the listed downset gives the sums of
-every alpha in it at once, with no product and no call of the DP.
+every alpha in it at once, with no product and no call of the DP, into
+one table of polynomials per rank, as the cell sum's is.
 The tests check it against the sum taken one stratum at a time
 (tests/oracles.py).  The closed form collects all degrees at once, in
 CharSeries and LaurentPoly arithmetic, which the Cousin sum never uses:
@@ -58,7 +59,7 @@ def _unpack(packed, width):
     return out
 
 
-# rank n -> (slot width, {beta: packed Cousin sum T(beta)}) over the listed table
+# rank n -> {beta: laumon_poincare(beta)} over the listed table
 _COUSIN = {}
 
 
@@ -96,28 +97,6 @@ def _cousin_sums(listed, weights, steps, width):
     return sums
 
 
-def _cousin_table(alpha):
-    """The rank's (slot width, {beta: packed T(beta)}), built to hold alpha.
-
-    Built over the whole listed table D, which is downward closed and
-    holds alpha once listed_profiles(alpha) has walked.  A table without
-    alpha is rebuilt over D as it is now: once per sweep, which walks
-    first, or once per height in a loop that does not (listed_profiles).
-    """
-    n = len(alpha) + 1
-    width, table = _COUSIN.get(n, (0, {}))
-    if alpha not in table:
-        listed = listed_profiles(alpha)
-        weights = sorted(listed)
-        steps = _downset_steps(n, weights)
-        # chi(beta) = n! T(beta)(1) bounds every coefficient, partial sums too
-        width = (factorial(n) * max(_cousin_sums(listed, weights, steps, 0))).bit_length()
-        table = dict(zip(weights, _cousin_sums(listed, weights, steps, width)))
-        _COUSIN[n] = width, table
-    return width, table
-
-
-@lru_cache(maxsize=None)
 def laumon_poincare(alpha):
     """Poincare polynomial of the degree-alpha quasiflag space (in t).
 
@@ -136,9 +115,11 @@ def laumon_poincare(alpha):
     one, in every partial sum too, is at most the Euler characteristic
     chi(beta) = n! T(beta)(1); the recurrence run at t=1 gives T(beta)(1)
     for every beta, and no slot of the bit length of the largest chi
-    carries into the next.  alpha is a tuple; the polynomial is computed
-    once per alpha in a process.  No cap applies here: the CLI bounds
-    |alpha| where it reads the vector.
+    carries into the next.  A miss builds every weight of the listed table
+    D that the rank's table (_COUSIN) lacks: once per sweep, which walks
+    first, or once per height in a loop that does not.  Callers share the
+    polynomials and must not mutate them.  alpha is a tuple.  No cap
+    applies here: the CLI bounds |alpha| where it reads the vector.
 
     >>> laumon_poincare((1,)).pretty()
     '1 + t + t^2 + t^3'
@@ -146,10 +127,18 @@ def laumon_poincare(alpha):
     '1 + 2*t + 3*t^2 + 3*t^3 + 2*t^4 + t^5'
     """
     n = len(alpha) + 1
-    width, table = _cousin_table(alpha)
-    weyl = {e // 2: c for e, c in weyl_poincare(n).terms.items()}
-    total = table[alpha] * _pack(weyl, width, dim_flag(n))
-    return LaurentPoly.t_poly(_unpack(total, width))
+    table = _COUSIN.setdefault(n, {})
+    if alpha not in table:
+        listed = listed_profiles(alpha)
+        weights = sorted(listed)
+        steps = _downset_steps(n, weights)
+        # chi(beta) = n! T(beta)(1) bounds every coefficient, partial sums too
+        width = (factorial(n) * max(_cousin_sums(listed, weights, steps, 0))).bit_length()
+        weyl = _pack({e // 2: c for e, c in weyl_poincare(n).terms.items()}, width, dim_flag(n))
+        for beta, total in zip(weights, _cousin_sums(listed, weights, steps, width)):
+            if beta not in table:
+                table[beta] = LaurentPoly.t_poly(_unpack(total * weyl, width))
+    return table[alpha]
 
 
 def shifted_poincare(alpha):

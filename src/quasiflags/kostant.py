@@ -6,9 +6,10 @@ interval order.
 
 The listing is one walk over a downward-closed set of weights (the box
 below alpha, or a sweep's simplex), which visits each partition once and
-adds it to its weight's summand-count profile; that listed table is the
-module's one store.  The tests check the profiles against an independent
-DP convolution, which lives with the other oracles in tests/oracles.py.
+adds it to its weight's summand-count profile.  Only listed_profiles and
+list_up_to keep a walk's profiles, in the listed table D, the module's
+one store.  The tests check the profiles against an independent DP
+convolution, which lives with the other oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def kostant_partitions(gamma):
     """All Kostant partitions of gamma, lexicographic in the multiplicity vector.
 
     gamma is a coroot vector for rank n = len(gamma) + 1.  Each call walks
-    the box below gamma and returns a fresh list.  Nothing here bounds
-    |gamma|: the CLI checks the weight cap where a vector comes in.
+    the box below gamma, stores nothing and returns a fresh list.  Nothing
+    here bounds |gamma|: the CLI checks the weight cap where a vector comes in.
 
     >>> [kappa.intervals() for kappa in kostant_partitions((1, 1))]
     [[(1, 2)], [(1, 1), (2, 2)]]
@@ -85,13 +86,13 @@ def kostant_partitions(gamma):
     [2, 3]
     """
     gamma = _checked(gamma)
-    return _walk(gamma, height(gamma), [gamma])[gamma]
+    return _walk(gamma, height(gamma), [gamma])[1][gamma]
 
 
 def partitions_below(alpha):
     """{beta: kostant_partitions(beta)} in the box below alpha, in order, from one walk."""
     alpha = _checked(alpha)
-    return _walk(alpha, height(alpha), iter_subvectors(alpha))
+    return _walk(alpha, height(alpha), iter_subvectors(alpha))[1]
 
 
 # rank n -> {beta: {K: listed Kostant partitions of beta with K summands}}
@@ -105,8 +106,8 @@ def _walk(top, cap, keep):
     are the partitions, with no dead branch.  A child adds m copies of a
     coroot after its parent's last one: coroots from the last back, m
     upwards, so each weight's partitions come in lexicographic order.
-    Each node adds one to its weight's profile {K: count}; the profiles go
-    to the rank's listed table.  Returns {beta: partitions} for beta in keep.
+    Each node adds one to its weight's profile {K: count}.  Returns, and
+    stores neither, ({beta: profile} over the walk, {beta: partitions} for beta in keep).
     """
     n = len(top) + 1
     intervals = coroot_intervals(n)
@@ -133,8 +134,12 @@ def _walk(top, cap, keep):
 
     visit(len(fits), tuple(top), cap, 0)
     del visit  # visit's closure holds visit: break the cycle, so the profiles go now
-    _LISTED.setdefault(n, {}).update((mirror(s), p) for s, p in profiles.items())
-    return {mirror(s): parts for s, parts in leaves.items()}
+    return {mirror(s): p for s, p in profiles.items()}, {mirror(s): v for s, v in leaves.items()}
+
+
+def _list(top, cap):
+    """Walk the weights beta <= top with |beta| <= cap into the rank's listed table."""
+    _LISTED.setdefault(len(top) + 1, {}).update(_walk(top, cap, ())[0])
 
 
 def listed_profiles(alpha):
@@ -151,7 +156,7 @@ def listed_profiles(alpha):
     if alpha not in table:
         cap = height(_checked(alpha))
         below = all(beta in table for beta in vectors_up_to(n - 1, cap - 1))
-        _walk((cap,) * (n - 1) if below else alpha, cap, ())
+        _list((cap,) * (n - 1) if below else alpha, cap)
     return _LISTED[n]
 
 
@@ -159,4 +164,4 @@ def list_up_to(n, cap):
     """Walk the weights of height <= cap into the listed table, unless it holds them."""
     table = _LISTED.get(n, {})
     if not all(beta in table for beta in vectors_up_to(n - 1, cap)):
-        _walk((cap,) * (n - 1), cap, ())
+        _list((cap,) * (n - 1), cap)

@@ -408,7 +408,7 @@ def filtration_counts(rep, steps, cap=DEFAULT_DIMENSION_CAP):
     return count_filtrations_symbolic(rep, steps), f2, f3
 
 
-def count_filtrations(rep, steps, cap=DEFAULT_DIMENSION_CAP):
+def count_filtrations(rep, steps):
     """Field-independent chain count, or NOT_RIGID.
 
     The two finite-field counts decide; the symbolic count, when
@@ -423,7 +423,7 @@ def count_filtrations(rep, steps, cap=DEFAULT_DIMENSION_CAP):
     >>> count_filtrations(same_point, [(1, 1), (1, 1)])
     NOT_RIGID
     """
-    symbolic, f2, f3 = filtration_counts(rep, steps, cap=cap)
+    symbolic, f2, f3 = filtration_counts(rep, steps)
     if f2 != f3:
         return NOT_RIGID
     if symbolic is not None and symbolic != f2:

@@ -55,7 +55,7 @@ def run_euler(n, degree):
     """
 
     def entry(alpha):
-        ncells = cells.cell_dimension_poly(n, alpha).eval_at_one()
+        ncells = cells.cell_dimension_poly(alpha).eval_at_one()
         euler = cohomology.laumon_poincare(alpha).eval_at_one()
         ok = ncells == euler
         details = {"value": ncells} if ok else {"cells": ncells, "euler": euler}
@@ -69,7 +69,7 @@ def run_celldim(n, degree):
     """sum_cells t^dim = Poincare polynomial, per alpha (CONJECTURE)."""
 
     def entry(alpha):
-        lhs = cells.cell_dimension_poly(n, alpha)
+        lhs = cells.cell_dimension_poly(alpha)
         rhs = cohomology.laumon_poincare(alpha)
         ok = lhs == rhs
         details = {} if ok else {"cell_sum": lhs.to_json(), "poincare": rhs.to_json()}

@@ -362,8 +362,8 @@ def test_celldim_conjecture_failure_is_reported(monkeypatch):
 
     cell_sum = cells.cell_dimension_poly
 
-    def every_cell_one_degree_up(n, alpha):
-        return cell_sum(n, alpha).shift(2)
+    def every_cell_one_degree_up(alpha):
+        return cell_sum(alpha).shift(2)
 
     monkeypatch.setattr(cells, "cell_dimension_poly", every_cell_one_degree_up)
     argv = ["verify", "--n", "2", "--degree", "4", "--suite", "celldim"]
@@ -391,9 +391,7 @@ def one_cell_too_many(monkeypatch):
     from quasiflags import cells
 
     cell_sum = cells.cell_dimension_poly
-    monkeypatch.setattr(
-        cells, "cell_dimension_poly", lambda n, alpha: cell_sum(n, alpha) + 1
-    )
+    monkeypatch.setattr(cells, "cell_dimension_poly", lambda alpha: cell_sum(alpha) + 1)
 
 
 def test_euler_failure_is_a_theorem_failure(one_cell_too_many):

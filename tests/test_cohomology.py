@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from oracles import negate_exponents, stratum_poincare_compact, truncate
 
-from quasiflags import cohomology
+from quasiflags import cohomology, kostant
 from quasiflags.charseries import CharSeries, LaurentPoly
 from quasiflags.cohomology import (
     _cousin_sums,
@@ -20,6 +20,7 @@ from quasiflags.cohomology import (
 from quasiflags.kostant import (
     KostantPartition,
     kostant_partitions,
+    list_up_to,
     listed_profiles,
 )
 from quasiflags.modchar import _character_series
@@ -85,15 +86,40 @@ def test_laumon_n3_example():
     )
 
 
+def by_stratum(alpha):
+    """Oracle: the Cousin sum taken one defect stratum at a time."""
+    n = len(alpha) + 1
+    total = LaurentPoly.zero()
+    for gamma in iter_subvectors(alpha):
+        for kappa in kostant_partitions(gamma):
+            total = total + stratum_poincare_compact(n, alpha, kappa)
+    return total
+
+
 @pytest.mark.parametrize("n,alpha_cap", [(2, 10), (3, 7), (4, 5)])
 def test_grouped_cousin_sum_matches_stratum_by_stratum(n, alpha_cap):
-    # oracle: the Cousin sum taken one defect stratum at a time
     for alpha in vectors_up_to(n - 1, alpha_cap):
-        by_stratum = LaurentPoly.zero()
-        for gamma in iter_subvectors(alpha):
-            for kappa in kostant_partitions(gamma):
-                by_stratum = by_stratum + stratum_poincare_compact(n, alpha, kappa)
-        assert laumon_poincare(alpha) == by_stratum, alpha
+        assert laumon_poincare(alpha) == by_stratum(alpha), alpha
+
+
+def test_one_call_fills_the_cousin_table_over_the_listed_downset(cold_tables):
+    alpha = (2, 1, 2)
+    n = len(alpha) + 1
+    poly = laumon_poincare(alpha)
+    # one polynomial per weight of D, which a cold table walks as the box below alpha
+    table = cohomology._COUSIN[n]
+    assert sorted(table) == sorted(kostant._LISTED[n]) == list(iter_subvectors(alpha))
+    assert table[alpha] is poly
+    for beta, value in table.items():
+        assert type(value) is LaurentPoly, beta
+        assert value == by_stratum(beta), beta
+    # a wider D adds its new weights and keeps the polynomials the table holds
+    kept = dict(table)
+    list_up_to(n, 6)
+    laumon_poincare((6, 0, 0))
+    assert cohomology._COUSIN[n] is table
+    assert sorted(table) == sorted(kostant._LISTED[n]) == sorted(vectors_up_to(n - 1, 6))
+    assert all(table[beta] is value for beta, value in kept.items())
 
 
 def cousin_recurrence(alpha, width):
@@ -143,9 +169,10 @@ def test_cousin_recurrence_needs_its_slot_width():
     assert all(narrow[beta] != proven[beta] for beta in widest)
 
 
-def test_cousin_sum_shares_no_series_arithmetic(monkeypatch):
+def test_cousin_sum_shares_no_series_arithmetic(monkeypatch, cold_tables):
     alphas = [alpha for n in (2, 3, 4) for alpha in vectors_up_to(n - 1, 5)]
-    expected = {alpha: laumon_poincare.__wrapped__(alpha) for alpha in alphas}
+    # from cold tables: these calls build every table, and rootdata's caches, they read
+    expected = {alpha: laumon_poincare(alpha) for alpha in alphas}
 
     def refuse(*args):
         raise AssertionError("the Cousin sum must not use series arithmetic")
@@ -156,7 +183,7 @@ def test_cousin_sum_shares_no_series_arithmetic(monkeypatch):
     # an empty per-rank table, so that the recurrence runs again under the refusal
     monkeypatch.setattr(cohomology, "_COUSIN", {})
     for alpha in alphas:
-        assert laumon_poincare.__wrapped__(alpha) == expected[alpha], alpha
+        assert laumon_poincare(alpha) == expected[alpha], alpha
     assert sorted(cohomology._COUSIN) == [2, 3, 4]
 
 

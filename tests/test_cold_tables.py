@@ -1,5 +1,6 @@
 """The cold_tables fixture empties every process-wide table of quasiflags."""
 
+import functools
 import importlib
 import pkgutil
 import re
@@ -7,19 +8,63 @@ import re
 import quasiflags
 from quasiflags import quiverfilt
 
+MODULES = [
+    importlib.import_module(f"quasiflags.{info.name}")
+    for info in pkgutil.iter_modules(quasiflags.__path__)
+]
+
+# every store that outlives a call: a new one must be added here on purpose
+TABLES = {
+    "quasiflags.kostant._LISTED",
+    "quasiflags.cohomology._COUSIN",
+    "quasiflags.cells._CELLS",
+    "quasiflags.quiverfilt._POINT_STATES",
+    "quasiflags.quiverfilt._POINT_IDS",
+    "quasiflags.quiverfilt._POINT_PEELS",
+    "quasiflags.quiverfilt._SYMBOLIC_STATES",
+    "quasiflags.quiverfilt._SYMBOLIC_IDS",
+    "quasiflags.quiverfilt._SYMBOLIC_PEELS",
+}
+CACHES = {
+    "quasiflags.rootdata.coroot_intervals",
+    "quasiflags.rootdata.positive_coroots",
+    "quasiflags.rootdata.two_rho",
+    "quasiflags.rootdata.weyl_elements",
+    "quasiflags.rootdata.weyl_poincare",
+    "quasiflags.cohomology.generating_function",
+    "quasiflags.modchar._character_series",
+    "quasiflags.quiverfilt._field_start",
+}
+# the module-level containers that are no store: the CLI's command table
+CONSTANTS = {"quasiflags.cli.COMMANDS"}
+
 
 def _named_tables():
     """Each module-level dict, list or set of quasiflags.* named like _UPPER."""
-    modules = [
-        importlib.import_module(f"quasiflags.{info.name}")
-        for info in pkgutil.iter_modules(quasiflags.__path__)
-    ]
     return {
         f"{module.__name__}.{name}": (module, name)
-        for module in modules
+        for module in MODULES
         for name, obj in vars(module).items()
         if re.fullmatch(r"_[A-Z][A-Z0-9_]*", name) and isinstance(obj, (dict, list, set))
     }
+
+
+def test_the_package_keeps_exactly_the_listed_stores():
+    containers = {
+        f"{module.__name__}.{name}"
+        for module in MODULES
+        for name, obj in vars(module).items()
+        if not name.startswith("__") and isinstance(obj, (dict, list, set, bytearray))
+    }
+    caches = {
+        f"{module.__name__}.{name}"
+        for module in MODULES
+        for name, obj in vars(module).items()
+        if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == module.__name__
+    }
+    assert set(_named_tables()) == TABLES
+    assert containers == TABLES | CONSTANTS
+    assert caches == CACHES
 
 
 def _fill(table):

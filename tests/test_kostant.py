@@ -238,20 +238,14 @@ def test_pruned_listing_equals_unpruned_in_order():
 def _walk_nodes(monkeypatch):
     """A list that gets the node count of each listing walk from now on.
 
-    Each walk runs against an empty store, so the counts in the profiles
-    it leaves there add up to its nodes; then the store is merged back.
+    A walk's profiles count each of its nodes once, at the node's weight.
     """
     walk, counts = kostant._walk, []
 
     def counted(top, cap, keep):
-        n = len(top) + 1
-        store = kostant._LISTED.pop(n, {})
-        leaves = walk(top, cap, keep)
-        walked = kostant._LISTED[n]
-        counts.append(sum(sum(profile.values()) for profile in walked.values()))
-        store.update(walked)
-        kostant._LISTED[n] = store
-        return leaves
+        profiles, leaves = walk(top, cap, keep)
+        counts.append(sum(sum(profile.values()) for profile in profiles.values()))
+        return profiles, leaves
 
     monkeypatch.setattr(kostant, "_walk", counted)
     return counts
@@ -267,6 +261,30 @@ def test_each_partition_is_visited_once_per_sweep(monkeypatch, cold_tables):
     dp = box_profiles((16, 16, 16))
     assert counts == [sum(sum(dp[beta].values()) for beta in vectors_up_to(3, 16))]
     assert sorted(kostant._LISTED[4]) == sorted(vectors_up_to(3, 16))
+
+
+def test_partition_listings_store_nothing(monkeypatch, cold_tables):
+    # a walk returns what it listed: only listed_profiles and list_up_to
+    # store profiles, so the partition listings leave the listed table as
+    # they found it, empty or not
+    counts = _walk_nodes(monkeypatch)
+    for setup in (lambda: None, lambda: list_up_to(4, 3)):
+        cold_tables()
+        setup()
+        before = {n: dict(table) for n, table in kostant._LISTED.items()}
+        walks = len(counts)
+        kostant_partitions((2, 1, 2))
+        partitions_below((2, 3, 1, 2))
+        kostant_partitions((1,) * 7)
+        assert len(counts) == walks + 3
+        assert kostant._LISTED == before
+    # the box walk behind listed_profiles is the one partitions_below takes
+    cold_tables()
+    box = partitions_below((2, 3, 1, 2))
+    listed = listed_profiles((2, 3, 1, 2))
+    assert sorted(listed) == list(box)
+    for beta, parts in box.items():
+        assert listed[beta] == listed_profile(beta) == Counter(k.num_summands() for k in parts)
 
 
 def test_listing_never_reads_the_dp_table(cold_tables):

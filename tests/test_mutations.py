@@ -1,24 +1,31 @@
-"""Planted faults in the filtration routes: the suites that compare them must FAIL.
+"""Planted faults in the routes: the suites that compare them must FAIL.
 
-Each row plants one fault by patching the module attribute of quiverfilt
-that the faulty code is read through (filtration_counts reads the three
-route counters, the field route reads _peel_point), empties every
-process-wide table so that the patched code really runs, and names the
-suites at n = 3 that must report FAIL.
+Each row plants one fault by patching the module attribute that the
+faulty code is read through (for example cohomology.weyl_poincare, which
+both Poincare routes read, and not rootdata's), empties every
+process-wide table so that the patched code really runs, runs every
+suite at n = 3 (the sweeps up to degree 14), and names the number of
+FAIL entries each suite must report; every other suite must pass.
 """
 
 import io
 
 import pytest
 
-from quasiflags import cli, quiverfilt, suites
+from quasiflags import cells, cli, cohomology, kostant, quiverfilt, suites
+from quasiflags.charseries import CharSeries, LaurentPoly
+from quasiflags.reports import FAIL
+from quasiflags.rootdata import height
+
+N, DEGREE = 3, 14
 
 # O_x[1] + O_y[1] + O_z[2] with the type (1, 1, 2), bottom to top: serre's
 # arrangement "iij" of (i, j) = (1, 2) on its three-point shape, and pbw's
-# diagonal rep of the exponents (2, 0, 1), so both suites count it
+# diagonal rep of the exponents (2, 0, 1), so both suites count it, pbw
+# once per coroot order
 CASE = ((((1, 1),), ((1, 1),), ((2, 2),)), ((1, 1), (1, 1), (2, 2)))
 
-SUITES = {"pbw": suites.run_pbw, "serre": suites.run_serre}
+T = LaurentPoly.t_power(1)
 
 
 def _is_case(rep, steps):
@@ -60,34 +67,153 @@ def drop_last_line(real):
     return peel
 
 
-# (attribute patched, patch, suites that must FAIL at n = 3).  pbw cannot
-# see the dropped line: its coroot orders put each interval's head first,
-# so every chain it counts peels whole points, and a dropped point only
-# loses chains, which the reps it expects to count 0 do not have.
+def extra_partition_at_1_1(real):
+    """A walk that lists the last partition of weight (1, 1) twice."""
+
+    def walk(top, cap, keep):
+        profiles, leaves = real(top, cap, keep)
+        if (1, 1) in profiles:
+            profiles[(1, 1)][2] += 1  # the last partition, (1, 1) + (2, 2)
+        if (1, 1) in leaves:
+            leaves[(1, 1)].append(leaves[(1, 1)][-1])
+        return profiles, leaves
+
+    return walk
+
+
+def weyl_gains_t(real):
+    return lambda n: real(n) + T
+
+
+def weyl_one_becomes_t(real):
+    """W(t) - 1 + t: the same value at t = 1, no longer palindromic."""
+    return lambda n: real(n) + T + LaurentPoly({0: -1})
+
+
+def division_drops_its_top_term(real):
+    """A quotient that loses its lexicographically last support point."""
+
+    def divide(series, coeff, theta):
+        out = real(series, coeff, theta)
+        top = max(out.coeffs, default=None)
+        return CharSeries(out.rank, out.bound, {a: p for a, p in out.coeffs.items() if a != top})
+
+    return divide
+
+
+def times_t_at_height_2(real):
+    return lambda alpha: real(alpha) * T if height(alpha) == 2 else real(alpha)
+
+
+def plus_one_at_height_2(real):
+    return lambda alpha: real(alpha) + 1 if height(alpha) == 2 else real(alpha)
+
+
+def closed_form_times_t_at_height_2(real):
+    """The closed form's coefficients at |alpha| = 2 times t: their values at q = 1 kept."""
+
+    def series(n, bound):
+        closed = real(n, bound)
+        lift = height(cohomology.two_rho(n)) + 2
+        coeffs = {a: p * T if sum(a) == lift else p for a, p in closed.coeffs.items()}
+        return CharSeries(closed.rank, closed.bound, coeffs)
+
+    return series
+
+
+def commutator_off_by_one(real):
+    return lambda i, alpha: real(i, alpha) + 1 if (i, alpha) == (1, (0, 0)) else real(i, alpha)
+
+
+# (owner, attribute patched, patch, {suite: FAIL entries}); every suite not
+# named must pass.  Each row's zeros are expected: euler and characters
+# compare values at t = 1, so a fault that keeps them is invisible there,
+# and pbw cannot see the dropped line, as its coroot orders put each
+# interval's head first, so every chain it counts peels whole points, and
+# a dropped point only loses chains, which the reps it expects to count 0
+# do not have.
 ROWS = {
-    "symbolic_off_by_one": ("count_filtrations_symbolic", symbolic_off_by_one, {"pbw", "serre"}),
-    "f2_off_by_one": ("count_filtrations_bruteforce", field_off_by_one(2), {"pbw", "serre"}),
-    "f3_off_by_one": ("count_filtrations_bruteforce", field_off_by_one(3), {"pbw", "serre"}),
-    "field_peel_drops_a_live_point": ("_peel_point", drop_last_line, {"serre"}),
+    "symbolic_off_by_one": (
+        quiverfilt, "count_filtrations_symbolic", symbolic_off_by_one, {"pbw": 2, "serre": 1}
+    ),
+    "f2_off_by_one": (
+        quiverfilt, "count_filtrations_bruteforce", field_off_by_one(2), {"pbw": 2, "serre": 1}
+    ),
+    "f3_off_by_one": (
+        quiverfilt, "count_filtrations_bruteforce", field_off_by_one(3), {"pbw": 2, "serre": 1}
+    ),
+    "field_peel_drops_a_live_point": (quiverfilt, "_peel_point", drop_last_line, {"serre": 2}),
+    "walk_lists_an_extra_partition": (
+        kostant, "_walk", extra_partition_at_1_1,
+        {"genfunc": 45, "euler": 45, "celldim": 45, "characters": 45},
+    ),
+    "weyl_poincare_gains_t": (
+        cohomology, "weyl_poincare", weyl_gains_t,
+        {"genfunc": 66, "euler": 66, "celldim": 66, "characters": 66},
+    ),
+    "weyl_poincare_one_becomes_t": (
+        cohomology, "weyl_poincare", weyl_one_becomes_t, {"genfunc": 66, "celldim": 66}
+    ),
+    "divide_geometric_drops_its_top_term": (
+        CharSeries, "divide_geometric", division_drops_its_top_term,
+        {"genfunc": 2, "characters": 2},
+    ),
+    "cell_sum_times_t_at_height_2": (
+        cells, "cell_dimension_poly", times_t_at_height_2, {"celldim": 3}
+    ),
+    "cousin_sum_plus_one_at_height_2": (
+        cohomology, "laumon_poincare", plus_one_at_height_2,
+        {"genfunc": 3, "euler": 3, "celldim": 3, "characters": 3},
+    ),
+    "closed_form_times_t_at_height_2": (
+        cohomology, "generating_function", closed_form_times_t_at_height_2, {"genfunc": 3}
+    ),
+    "commutator_constant_off_by_one": (
+        quiverfilt, "commutator_constant", commutator_off_by_one, {"commute": 1}
+    ),
 }
+
+# freeness compares the Verma series with the module character, and both
+# come from one start divided by the same factors: no row flips it until
+# it gets a second route for the Verma series (ROADMAP item 4)
+UNCAUGHT = {"freeness"}
+
+
+def _plant(monkeypatch, row):
+    owner, name, patch, _ = ROWS[row]
+    monkeypatch.setattr(owner, name, patch(getattr(owner, name)))
+
+
+def _failures():
+    reports = suites.run_suites(N, DEGREE)
+    return {r.name: n for r in reports if (n := sum(e.status == FAIL for e in r.entries))}
 
 
 @pytest.mark.parametrize("row", sorted(ROWS))
 def test_planted_fault_fails_its_suites(monkeypatch, cold_tables, row):
-    name, patch, must_fail = ROWS[row]
-    monkeypatch.setattr(quiverfilt, name, patch(getattr(quiverfilt, name)))
-    failed = set()
-    for suite, run in SUITES.items():
-        cold_tables()
-        if not run(3).passed():
-            failed.add(suite)
-    assert failed == must_fail
+    _plant(monkeypatch, row)
+    cold_tables()
+    assert _failures() == ROWS[row][-1]
+
+
+def test_every_suite_has_a_row():
+    caught = {suite for *_, fails in ROWS.values() for suite in fails}
+    assert not caught & UNCAUGHT
+    assert caught | UNCAUGHT == set(suites.SUITE_NAMES)
 
 
 def test_planted_fault_makes_verify_exit_1(monkeypatch, cold_tables):
     argv = ["verify", "--n", "3", "--degree", "10", "--suite", "pbw"]
     assert cli.main(argv, out=io.StringIO()) == 0
-    name, patch, _ = ROWS["symbolic_off_by_one"]
-    monkeypatch.setattr(quiverfilt, name, patch(getattr(quiverfilt, name)))
+    _plant(monkeypatch, "symbolic_off_by_one")
     cold_tables()
     assert cli.main(argv, out=io.StringIO()) == 1
+
+
+def test_celldim_only_fault_makes_verify_exit_3(monkeypatch, cold_tables):
+    argv = ["verify", "--n", str(N), "--degree", str(DEGREE), "--suite", "all"]
+    assert cli.main(argv, out=io.StringIO()) == 0
+    _plant(monkeypatch, "cell_sum_times_t_at_height_2")
+    cold_tables()
+    assert cli.main(argv, out=io.StringIO()) == 3
+    assert cli.main([*argv, "--strict"], out=io.StringIO()) == 1

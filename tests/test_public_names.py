@@ -32,7 +32,6 @@ TEST_ONLY = {}
 
 TEST_ONLY_PARAMS = {
     "main.out": "the tests' substitute for sys.stdout",
-    "count_filtrations.cap": "tests lower and raise the dimension cap of the public counter",
 }
 
 

@@ -7,8 +7,10 @@ test-local digests: `--suite all` at (4, 26); `--suite genfunc` at
 (4, 30) and at (5, 36), whose Cousin tables take the widest slots of the
 ladder (the second at n = 5, over 4,845 weights); `--suite euler` and
 `--suite celldim` at (5, 36), whose cell table is the largest of the
-ladder; and `--suite pbw` at n = 5, the largest document any check
-writes (38.9 MB), which takes the json writer through the most records.
+ladder; `--suite pbw` at n = 5, the largest document any check
+writes (38.9 MB), which takes the json writer through the most records;
+and the five sweep suites at (6, 45), which take the listed, Cousin and
+cell tables to n = 6.
 """
 
 import hashlib
@@ -57,6 +59,30 @@ N5_DEGREE24_PBW = {
     "bytes": 38924402,
 }
 
+# stdout of `verify --n 6 --degree 45 --suite <suite>`, recorded at f84e3e1
+N6_DEGREE45 = {
+    "genfunc": {
+        "sha256": "ad92314b6e3d4f4978c0c2bb679a8db911a7e5cb0af97027b3f74e10d0f0d8c4",
+        "bytes": 706155,
+    },
+    "euler": {
+        "sha256": "6f1e96255cda8cae64315350c7093ccab18fb1f94966f0863cd18b9631309252",
+        "bytes": 897148,
+    },
+    "celldim": {
+        "sha256": "c113f215136469c6374b6d6267e2d79a1e62dc8972bd86714015ce2b06008f4d",
+        "bytes": 715167,
+    },
+    "characters": {
+        "sha256": "061d957fcf72313f5eae9c810a5ed593a346c220b61978d5df3b904a82e53db7",
+        "bytes": 1125990,
+    },
+    "freeness": {
+        "sha256": "e3628413f936bca57b78740e40c1a9e23bb10197617d73bd208f9af18415d695",
+        "bytes": 984884,
+    },
+}
+
 
 def check_verify(n, degree, expected, suite="all"):
     argv = ["verify", "--n", str(n), "--degree", str(degree), "--suite", suite]
@@ -100,3 +126,8 @@ def test_verify_celldim_stdout_at_n5_degree36():
 def test_verify_pbw_stdout_at_n5():
     # pbw ignores --degree; 24 is the value the digest was recorded with
     check_verify(5, 24, N5_DEGREE24_PBW, suite="pbw")
+
+
+@pytest.mark.parametrize("suite", sorted(N6_DEGREE45))
+def test_verify_sweep_stdout_at_n6_degree45(suite):
+    check_verify(6, 45, N6_DEGREE45[suite], suite=suite)
