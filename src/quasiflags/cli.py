@@ -2,12 +2,14 @@
 
 All commands print one machine-readable document to stdout (json by
 default; csv and latex render the same rows).  Identical invocations
-produce byte-identical output.  Exit codes: 0 ok, 1 a theorem identity
-failed, 2 usage error (including a verify run with nothing to check),
-3 only conjecture-level checks failed (without --strict), 4 internal
-error (one line on stderr, nothing on stdout) or stdout closed before
-the document was written (one line on stderr).  A closed stderr loses
-its line, never the exit code.
+produce byte-identical output.  verify writes one note line to stderr
+for each suite with nothing to check; its report of 0 checks stays in
+the document.  Exit codes: 0 ok, 1 a theorem identity failed, 2 usage
+error (including a verify run with nothing to check at all), 3 only
+conjecture-level checks failed (without --strict), 4 internal error (one
+line on stderr, nothing on stdout) or stdout closed before the document
+was written (one line on stderr).  A closed stderr loses its line, never
+the exit code.
 
 The json document is exactly ``json.dumps(doc, indent=2, sort_keys=True)``
 and a newline.  ``render`` writes that text itself: CPython's C encoder
@@ -196,11 +198,12 @@ def cmd_verify(args):
     if args.degree < 0:
         raise UsageError(f"--degree must be nonnegative, got {args.degree}")
     reports = suites.run_suites(args.n, args.degree, suite=args.suite)
+    where = f"at n={args.n}, degree={args.degree}"
     if not any(r.entries for r in reports):
-        raise UsageError(
-            f"suite {args.suite!r} has nothing to check at n={args.n}, "
-            f"degree={args.degree}"
-        )
+        raise UsageError(f"suite {args.suite!r} has nothing to check {where}")
+    for r in reports:
+        if not r.entries:  # its PASS of no checks says nothing
+            _warn(f"note: suite {r.name} has nothing to check {where}")
     code = suites.exit_code(reports, strict=args.strict)
     doc = {
         "command": "verify",

@@ -42,6 +42,9 @@ steps and the dimension cap once, and the routes trust its steps.  It
 returns all three counts.  count_filtrations returns NOT_RIGID (a
 result, not an error) when the two field counts differ, as the family is
 then positive-dimensional; a symbolic number must agree.
+commutator_constant is commute's route.  The module holds routes only:
+the shapes and steps of each filtration identity are stated by the
+runner in suites that checks it.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from itertools import chain, repeat
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .rootdata import ResourceCapError, coroot_intervals, interval_sum, pairing, two_rho
+from .rootdata import ResourceCapError, interval_sum, pairing, two_rho
 
 DEFAULT_DIMENSION_CAP = 8
 BRUTE_FORCE_FIELDS = (2, 3)
@@ -100,11 +103,6 @@ class TorsionRep(namedtuple("TorsionRep", "n points")):
     def dimension(self):
         """Dimension vector as a coroot vector."""
         return interval_sum(self.n, chain.from_iterable(self.points))
-
-
-def simple_step(i):
-    """The step quotienting off one simple at vertex i."""
-    return (i, i)
 
 
 def _validate_steps(rep, steps):
@@ -434,47 +432,7 @@ def count_filtrations(rep, steps):
 
 
 # ---------------------------------------------------------------------------
-# the identity inputs
-
-
-def serre_split_shape(n, i, j):
-    """Three simples at three distinct points: O_x[j] + O_y[i] + O_z[i]."""
-    return TorsionRep.of(n, [((j, j), "x"), ((i, i), "y"), ((i, i), "z")])
-
-
-def serre_extension_shape(n, i, j):
-    """The interval module of dimension i+j at one point x, plus O_y[i]."""
-    lo, hi = min(i, j), max(i, j)
-    return TorsionRep.of(n, [((lo, hi), "x"), ((i, i), "y")])
-
-
-SERRE_ARRANGEMENTS = ("iij", "iji", "jii")
-
-
-def serre_steps(i, j):
-    """(arrangement, steps) for each of SERRE_ARRANGEMENTS, in that order."""
-    return [
-        (label, [simple_step(i if c == "i" else j) for c in label])
-        for label in SERRE_ARRANGEMENTS
-    ]
-
-
-def canonical_coroot_order(n):
-    """Intervals sorted by (q, p): the canonical positive-coroot order."""
-    return list(coroot_intervals(n))
-
-
-def alternative_coroot_order(n):
-    """Intervals sorted by (p, q): a second order with the same head-first property."""
-    return sorted(coroot_intervals(n), key=lambda iv: (iv[1], iv[0]))
-
-
-def pbw_steps(exponents, order):
-    """Expand an exponent vector into the filtration type it prescribes."""
-    steps = []
-    for c, theta in zip(exponents, order):
-        steps.extend([theta] * c)
-    return steps
+# commute's route
 
 
 def commutator_constant(i, alpha):

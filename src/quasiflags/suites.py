@@ -5,6 +5,9 @@ side each and import no other route; each runner here joins two or
 three of them and returns a Report whose entries are exact
 integer/polynomial comparisons.  Suite names: genfunc, euler, celldim,
 serre, pbw, commute, characters, freeness.
+
+Each runner states the inputs of its identity (shapes, coroot orders,
+steps) next to the values it expects; quiverfilt only counts.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from types import MappingProxyType
 from . import cells, cohomology, modchar, quiverfilt
 from .kostant import kostant_partitions, list_up_to
 from .reports import CONJECTURE, CONJECTURE_CONSISTENCY, FAIL, PASS, THEOREM, Entry, Report
-from .rootdata import height, interval_sum, positive_coroots, two_rho, vectors_up_to
+from .rootdata import (
+    coroot_intervals, height, interval_sum, positive_coroots, two_rho, vectors_up_to,
+)
 
 PBW_MAX_TOTAL = 4
 COMMUTE_ALPHA_CAP = 6
@@ -80,11 +85,12 @@ def run_celldim(n, degree):
 
 
 def _serre_entry(i, j, shape_name, rep, expected):
+    """One shape's counts over the arrangements (i,i,j), (i,j,i), (j,i,i) of simples."""
     counts = []
     routes = {}
     agree = True
-    for label, steps in quiverfilt.serre_steps(i, j):
-        sym, f2, f3 = quiverfilt.filtration_counts(rep, steps)
+    for label, ty in (("iij", (i, i, j)), ("iji", (i, j, i)), ("jii", (j, i, i))):
+        sym, f2, f3 = quiverfilt.filtration_counts(rep, [(k, k) for k in ty])
         routes[label] = {"symbolic": sym, "f2": f2, "f3": f3}
         if not (sym == f2 == f3):
             agree = False
@@ -111,12 +117,14 @@ def run_serre(n):
         for j in (i - 1, i + 1):
             if not 1 <= j <= n - 1:
                 continue
-            split = quiverfilt.serre_split_shape(n, i, j)
+            # three simples at three distinct points: O_x[j] + O_y[i] + O_z[i]
+            split = quiverfilt.TorsionRep.of(n, [((j, j), "x"), ((i, i), "y"), ((i, i), "z")])
             entries.append(_serre_entry(i, j, "three_points", split, (2, 2, 2)))
-            ext = quiverfilt.serre_extension_shape(n, i, j)
-            # The interval summand has its head at min(i,j): peeling the
+            # the interval module of dimension i+j at one point x, plus
+            # O_y[i].  The interval has its head at min(i,j): peeling the
             # head first is forced, which mirrors the count vector when
             # j sits above i.
+            ext = quiverfilt.TorsionRep.of(n, [((min(i, j), max(i, j)), "x"), ((i, i), "y")])
             expected = (2, 1, 0) if j == i - 1 else (0, 1, 2)
             entries.append(_serre_entry(i, j, "two_points", ext, expected))
     return Report(name="serre", params={"n": n}, entries=entries)
@@ -136,8 +144,7 @@ def run_commute(n):
             results = {}
             ok = True
             for label, ty in (("ij", (i, j)), ("ji", (j, i))):
-                steps = [quiverfilt.simple_step(k) for k in ty]
-                sym, f2, f3 = quiverfilt.filtration_counts(rep, steps)
+                sym, f2, f3 = quiverfilt.filtration_counts(rep, [(k, k) for k in ty])
                 results[label] = {"symbolic": sym, "f2": f2, "f3": f3}
                 if not (sym == f2 == f3 == 1):
                     ok = False
@@ -182,13 +189,13 @@ def run_pbw(n):
     """
     entries = []
     listed = {}  # one listing walk per weight, not per exponent vector
-    orders = (
-        ("canonical", quiverfilt.canonical_coroot_order(n)),
-        ("by_upper_end", quiverfilt.alternative_coroot_order(n)),
-    )
-    for order_name, order in orders:
+    canonical = coroot_intervals(n)  # sorted by (q, p)
+    # a second order with the same head-first property: sorted by (p, q)
+    by_upper_end = sorted(canonical, key=lambda iv: (iv[1], iv[0]))
+    for order_name, order in (("canonical", canonical), ("by_upper_end", by_upper_end)):
         for c in vectors_up_to(len(order), PBW_MAX_TOTAL):
-            steps = quiverfilt.pbw_steps(c, order)
+            # c_k copies of the k-th coroot, in order: the type c prescribes
+            steps = [theta for m, theta in zip(c, order) for _ in range(m)]
             gamma = interval_sum(n, steps)
             # the partition of the steps themselves is the diagonal;
             # kappa.intervals() is sorted, so == compares multisets

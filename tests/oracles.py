@@ -3,23 +3,24 @@
 Each one is a second, plainer route to something the package computes
 another way: the partition-count DP beside the listing walk, the Cousin
 sum one stratum at a time beside the packed recurrence, the series
-product with the geometric inverse beside the in-place division, and the
-symbolic filtration count on interval tuples beside the interned one.
-None of them reads a route it checks.
+product with the geometric inverse beside the in-place division, the
+divided-power count read off the multiset of summands beside the
+filtration routes, and the symbolic filtration count on interval tuples
+beside the interned one.  None of them reads a route it checks: from the
+package they import only the root data and the series arithmetic.
 """
 
+from collections import Counter
 from math import factorial, prod
 
 from quasiflags.charseries import CharSeries, LaurentPoly
-from quasiflags.quiverfilt import pbw_steps
 from quasiflags.rootdata import coroot_intervals, dim_flag, height, iter_subvectors, weyl_poincare
 
 
 def pbw_expected(rep, exponents, order):
-    """prod c_k! when the rep's intervals match the exponents, else 0."""
-    want = sorted(pbw_steps(exponents, order))
-    have = sorted(iv for ivs in rep.points for iv in ivs)
-    if want != have:
+    """prod c_k! when the rep has c_k summands of the k-th coroot of order, else 0."""
+    have = Counter(iv for ivs in rep.points for iv in ivs)
+    if have != Counter({iv: c for iv, c in zip(order, exponents) if c}):
         return 0
     return prod(factorial(c) for c in exponents)
 

@@ -19,21 +19,15 @@ from quasiflags.cohomology import (
 )
 from quasiflags.modchar import module_character
 from quasiflags.quiverfilt import (
-    canonical_coroot_order,
     commutator_constant,
     count_filtrations,
     count_filtrations_bruteforce,
     count_filtrations_symbolic,
     filtration_counts,
-    pbw_steps,
-    serre_extension_shape,
-    serre_split_shape,
-    serre_steps,
-    simple_step,
     TorsionRep,
 )
 from quasiflags.reports import CONJECTURE, CONJECTURE_CONSISTENCY
-from quasiflags.rootdata import dim_flag, height, two_rho, vectors_up_to
+from quasiflags.rootdata import coroot_intervals, dim_flag, height, two_rho, vectors_up_to
 from quasiflags.suites import (
     run_celldim,
     run_characters,
@@ -115,17 +109,19 @@ def test_criterion_6_serre_and_commuting_relations():
             for j in (i - 1, i + 1):
                 if not 1 <= j <= n - 1:
                     continue
-                split = serre_split_shape(n, i, j)
-                ext = serre_extension_shape(n, i, j)
-                arrangements = [steps for _, steps in serre_steps(i, j)]
+                # three simples at three points, and the interval of
+                # dimension i+j at one point beside a simple at another
+                split = TorsionRep.of(n, [((j, j), "x"), ((i, i), "y"), ((i, i), "z")])
+                ext = TorsionRep.of(n, [((min(i, j), max(i, j)), "x"), ((i, i), "y")])
+                types = ((i, i, j), (i, j, i), (j, i, i))
+                arrangements = [[(k, k) for k in ty] for ty in types]
                 counts_split = tuple(count_filtrations(split, s) for s in arrangements)
                 counts_ext = tuple(count_filtrations(ext, s) for s in arrangements)
                 ok = ok and counts_split == (2, 2, 2)
                 expected_ext = (2, 1, 0) if j == i - 1 else (0, 1, 2)
                 ok = ok and counts_ext == expected_ext
                 for rep in (split, ext):
-                    for ty in ((i, i, j), (i, j, i), (j, i, i)):
-                        steps = [simple_step(k) for k in ty]
+                    for steps in arrangements:
                         sym = count_filtrations_symbolic(rep, steps)
                         f2 = count_filtrations_bruteforce(rep, steps, 2)
                         f3 = count_filtrations_bruteforce(rep, steps, 3)
@@ -136,8 +132,7 @@ def test_criterion_6_serre_and_commuting_relations():
         for i in range(1, n):
             for j in range(i + 2, n):
                 rep = TorsionRep.of(n, [((i, i), "x"), ((j, j), "y")])
-                for ty in ((i, j), (j, i)):
-                    steps = [simple_step(k) for k in ty]
+                for steps in ([(i, i), (j, j)], [(j, j), (i, i)]):
                     sym = count_filtrations_symbolic(rep, steps)
                     f2 = count_filtrations_bruteforce(rep, steps, 2)
                     f3 = count_filtrations_bruteforce(rep, steps, 3)
@@ -151,7 +146,7 @@ def test_criterion_7_pbw_divided_power_multiplicities():
     start = time.monotonic()
     ok = True
     for n in (2, 3, 4):
-        order = canonical_coroot_order(n)
+        order = coroot_intervals(n)
         for c in vectors_up_to(len(order), 4):
             gamma = [0] * (n - 1)
             for mult, (q, p) in zip(c, order):
@@ -163,7 +158,8 @@ def test_criterion_7_pbw_divided_power_multiplicities():
                 )
                 # count_filtrations' decision at a dimension cap of 12: F_2 and
                 # F_3 agree on the expected count, and a defined symbolic count too
-                sym, f2, f3 = filtration_counts(rep, pbw_steps(c, order), cap=12)
+                steps = [theta for mult, theta in zip(c, order) for _ in range(mult)]
+                sym, f2, f3 = filtration_counts(rep, steps, cap=12)
                 ok = ok and f2 == f3 == pbw_expected(rep, c, order=order) and sym in (None, f2)
     elapsed = time.monotonic() - start
     record(7, f"PBW divided-power multiplicities ({elapsed:.1f}s)", ok and elapsed < 60)

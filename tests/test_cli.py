@@ -160,6 +160,18 @@ def test_verify_with_nothing_to_check_is_usage_error(capsys, n, degree, suite):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_verify_all_notes_each_suite_with_nothing_to_check(capsys):
+    # degree 3 is below |2rho| = 4: the five sweeps have no alpha, while
+    # serre, pbw and commute have fixed sizes and check something
+    code, doc = run_json(["verify", "--n", "3", "--degree", "3", "--suite", "all"])
+    assert code == 0
+    empty = ["genfunc", "euler", "celldim", "characters", "freeness"]
+    assert [s["suite"] for s in doc["suites"] if not s["checks"]] == empty
+    assert capsys.readouterr().err.splitlines() == [
+        f"note: suite {name} has nothing to check at n=3, degree=3" for name in empty
+    ]
+
+
 def test_deep_rank_enumeration_succeeds(schema):
     # 1,225 coroots at n=50: the enumeration must not take one recursion
     # level per coroot that cannot fit

@@ -3,21 +3,24 @@
 Each identity is checked as the agreement of independent routes, so a
 route module imports from the package only the ground the routes share
 (root data, series arithmetic and the Kostant listing), never another
-route, and only suites, which holds every check, builds reports.
+route, and only suites, which holds every check, builds reports.  The
+tests' oracles stay off the code they check: they import from the
+package only the root data and the series arithmetic.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quasiflags"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "quasiflags"
 ROUTES = ("kostant", "cohomology", "cells", "modchar", "quiverfilt")
 SHARED = {"rootdata", "charseries", "kostant"}
 
 
-def package_imports(name):
-    """The quasiflags modules that module `name` imports."""
+def package_imports(name, folder=SRC):
+    """The quasiflags modules that module `name` of `folder` imports."""
     found = set()
-    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+    for node in ast.walk(ast.parse((folder / f"{name}.py").read_text())):
         if isinstance(node, ast.Import):
             names = [a.name.split(".") for a in node.names]
             found.update(parts[1] for parts in names if parts[0] == "quasiflags" and parts[1:])
@@ -44,6 +47,10 @@ def test_route_modules_import_only_the_shared_layers():
 def test_only_suites_imports_reports():
     importers = sorted(p.stem for p in SRC.glob("*.py") if "reports" in package_imports(p.stem))
     assert importers == ["suites"]
+
+
+def test_oracles_import_only_root_data_and_series():
+    assert package_imports("oracles", TESTS) == {"rootdata", "charseries"}
 
 
 def test_package_imports_reads_every_import_form():

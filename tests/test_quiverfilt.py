@@ -12,21 +12,14 @@ from quasiflags.quiverfilt import (
     NOT_RIGID,
     TorsionRep,
     _field_start,
-    alternative_coroot_order,
-    canonical_coroot_order,
     commutator_constant,
     count_filtrations,
     count_filtrations_bruteforce,
     count_filtrations_symbolic,
     filtration_counts,
     is_rigid,
-    pbw_steps,
-    serre_extension_shape,
-    serre_split_shape,
-    serre_steps,
-    simple_step,
 )
-from quasiflags.rootdata import ResourceCapError, pairing, two_rho
+from quasiflags.rootdata import ResourceCapError, coroot_intervals, pairing, two_rho
 
 from oracles import pbw_expected, tuple_keyed_symbolic_count
 
@@ -52,14 +45,31 @@ def decided_count(rep, steps, cap):
     return f2
 
 
+def simples(ty):
+    """The steps that quotient off one simple at each vertex of ty, in order."""
+    return [(k, k) for k in ty]
+
+
+def split_shape(n, i, j):
+    """Three simples at three distinct points: O_x[j] + O_y[i] + O_z[i]."""
+    return TorsionRep.of(n, [((j, j), "x"), ((i, i), "y"), ((i, i), "z")])
+
+
+def extension_shape(n, i, j):
+    """The interval module of dimension i+j at one point x, plus O_y[i]."""
+    return TorsionRep.of(n, [((min(i, j), max(i, j)), "x"), ((i, i), "y")])
+
+
 def serre_counts(i, j, rep):
     """Chain counts for the arrangements (i,i,j), (i,j,i), (j,i,i), in that order."""
-    return tuple(count_filtrations(rep, steps) for _, steps in serre_steps(i, j))
+    arrangements = ((i, i, j), (i, j, i), (j, i, i))
+    return tuple(count_filtrations(rep, simples(ty)) for ty in arrangements)
 
 
 def pbw_count(rep, exponents, order):
     """Chain count of the divided-power type the exponents prescribe."""
-    return decided_count(rep, pbw_steps(exponents, order), cap=12)
+    steps = [theta for c, theta in zip(exponents, order) for _ in range(c)]
+    return decided_count(rep, steps, cap=12)
 
 
 # --- the two generic Serre shapes, j = i - 1 (the computed case) -----------
@@ -67,19 +77,19 @@ def pbw_count(rep, exponents, order):
 
 def test_split_shape_counts_all_two():
     i, j = 2, 1
-    rep = serre_split_shape(3, i, j)
+    rep = split_shape(3, i, j)
     assert serre_counts(i, j, rep) == (2, 2, 2)
 
 
 def test_extension_shape_counts_2_1_0():
     i, j = 2, 1
-    rep = serre_extension_shape(3, i, j)
+    rep = extension_shape(3, i, j)
     assert serre_counts(i, j, rep) == (2, 1, 0)
 
 
 def test_extension_shape_mirrored_for_j_above_i():
     i, j = 1, 2
-    rep = serre_extension_shape(3, i, j)
+    rep = extension_shape(3, i, j)
     assert serre_counts(i, j, rep) == (0, 1, 2)
 
 
@@ -89,7 +99,7 @@ def test_serre_alternating_sum_vanishes_all_adjacent_pairs(n):
         for j in (i - 1, i + 1):
             if not 1 <= j <= n - 1:
                 continue
-            for rep in (serre_split_shape(n, i, j), serre_extension_shape(n, i, j)):
+            for rep in (split_shape(n, i, j), extension_shape(n, i, j)):
                 first, middle, last = serre_counts(i, j, rep)
                 assert first - 2 * middle + last == 0
 
@@ -105,9 +115,9 @@ def test_far_commuting_counts():
 
 def test_symbolic_matches_bruteforce_on_serre_shapes():
     for n, i, j in [(3, 2, 1), (3, 1, 2), (4, 2, 3), (5, 4, 3)]:
-        for rep in (serre_split_shape(n, i, j), serre_extension_shape(n, i, j)):
+        for rep in (split_shape(n, i, j), extension_shape(n, i, j)):
             for ty in ((i, i, j), (i, j, i), (j, i, i)):
-                steps = [simple_step(k) for k in ty]
+                steps = simples(ty)
                 sym, f2, f3 = three_routes(rep, steps)
                 assert sym == f2 == f3
 
@@ -132,10 +142,10 @@ def test_not_rigid_nested_intervals_same_point():
 
 
 def test_relabeling_invariance():
-    rep = serre_extension_shape(3, 2, 1)
+    rep = extension_shape(3, 2, 1)
     swapped = TorsionRep.of(3, [((1, 2), "u"), ((2, 2), "v")])
     for ty in ((2, 2, 1), (2, 1, 2), (1, 2, 2)):
-        steps = [simple_step(k) for k in ty]
+        steps = simples(ty)
         assert count_filtrations(rep, steps) == count_filtrations(swapped, steps)
 
 
@@ -533,16 +543,16 @@ def test_no_state_carries_an_emptied_point(cold_tables, case):
 
 def test_pbw_examples_from_small_ranks():
     rep = TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "y")])
-    assert pbw_count(rep, (2,), canonical_coroot_order(2)) == 2
+    assert pbw_count(rep, (2,), coroot_intervals(2)) == 2
 
     rep = TorsionRep.of(3, [((1, 2), "x")])
-    order = canonical_coroot_order(3)
+    order = coroot_intervals(3)
     assert pbw_count(rep, (0, 1, 0), order) == 1  # single theta, c=1
     assert pbw_count(rep, (1, 0, 1), order) == 0  # wrong partition: count 0
 
 
 def test_pbw_expected_oracle():
-    order = canonical_coroot_order(3)
+    order = coroot_intervals(3)
     rep = TorsionRep.of(3, [((1, 1), "p0"), ((1, 1), "p1"), ((2, 2), "p2")])
     assert pbw_expected(rep, (2, 0, 1), order=order) == 2
     assert pbw_expected(rep, (1, 1, 0), order=order) == 0
@@ -553,7 +563,7 @@ def test_pbw_diagonal_and_off_diagonal(n):
     from quasiflags.kostant import kostant_partitions
     from quasiflags.rootdata import vectors_up_to
 
-    order = canonical_coroot_order(n)
+    order = coroot_intervals(n)
     for c in vectors_up_to(len(order), 3):
         gamma = [0] * (n - 1)
         for mult, (q, p) in zip(c, order):
@@ -567,8 +577,8 @@ def test_pbw_diagonal_and_off_diagonal(n):
 
 
 def test_pbw_alternative_order_differs_but_identity_holds():
-    can = canonical_coroot_order(4)
-    alt = alternative_coroot_order(4)
+    can = list(coroot_intervals(4))
+    alt = sorted(coroot_intervals(4), key=lambda iv: (iv[1], iv[0]))
     assert can != alt
     rep = TorsionRep.of(4, [((1, 3), "x"), ((2, 2), "y")])
     for order in (can, alt):
@@ -634,7 +644,7 @@ def test_both_fields_start_from_one_start_state(cold_tables):
 
 def test_routes_leave_no_cyclic_garbage():
     # each route recurses through a closure over itself, and drops it on return
-    rigid = (serre_extension_shape(3, 2, 1), [simple_step(k) for k in (2, 1, 2)])
+    rigid = (extension_shape(3, 2, 1), simples((2, 1, 2)))
     family = (TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")]), [(1, 1), (1, 1)])
     gc.collect()
     gc.disable()

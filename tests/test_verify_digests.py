@@ -9,8 +9,9 @@ ladder (the second at n = 5, over 4,845 weights); `--suite euler` and
 `--suite celldim` at (5, 36), whose cell table is the largest of the
 ladder; `--suite pbw` at n = 5, the largest document any check
 writes (38.9 MB), which takes the json writer through the most records;
-and the five sweep suites at (6, 45), which take the listed, Cousin and
-cell tables to n = 6.
+the five sweep suites at (6, 45), which take the listed, Cousin and
+cell tables to n = 6; and `--suite euler` and `--suite celldim` at
+(6, 49), whose cell tables reach |alpha| = 14.
 """
 
 import hashlib
@@ -84,6 +85,19 @@ N6_DEGREE45 = {
 }
 
 
+# stdout of `verify --n 6 --degree 49 --suite <suite>`, recorded at 87c21ee
+N6_DEGREE49 = {
+    "euler": {
+        "sha256": "9e0196ffceb1117559ca78d4eeaeacba524cb2871fe4603163c17ddcc18de79a",
+        "bytes": 3481087,
+    },
+    "celldim": {
+        "sha256": "f92994f0739814af36227f5d66f588ec8a52dead26a4d177317ce1fd295b77c5",
+        "bytes": 2768543,
+    },
+}
+
+
 def check_verify(n, degree, expected, suite="all"):
     argv = ["verify", "--n", str(n), "--degree", str(degree), "--suite", suite]
     proc = subprocess.run(
@@ -131,3 +145,8 @@ def test_verify_pbw_stdout_at_n5():
 @pytest.mark.parametrize("suite", sorted(N6_DEGREE45))
 def test_verify_sweep_stdout_at_n6_degree45(suite):
     check_verify(6, 45, N6_DEGREE45[suite], suite=suite)
+
+
+@pytest.mark.parametrize("suite", sorted(N6_DEGREE49))
+def test_verify_cell_stdout_at_n6_degree49(suite):
+    check_verify(6, 49, N6_DEGREE49[suite], suite=suite)
