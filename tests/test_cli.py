@@ -258,6 +258,59 @@ def test_listing_output_is_pinned(argv, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,fmt,size,digest",
+    [
+        (
+            "verify --n 3 --degree 22 --suite all", "csv", 55_369,
+            "e6e7e28895a09d7c4b2f6c3467245cd887d068eea0e668a6eaf015cf08e604c2",
+        ),
+        (
+            "verify --n 3 --degree 22 --suite all", "latex", 62_455,
+            "69636742e7ad4888e5001aefd5c84a0ca814fe134bf2629fe0ea45a968c4d537",
+        ),
+        (
+            "kostant --n 4 --gamma 2,2,1", "csv", 864,
+            "7fd4b2163c422060744af7e2668ebc4cf6eb0aaa89fdced4f53f23aa739bd306",
+        ),
+        (
+            "kostant --n 4 --gamma 2,2,1", "latex", 911,
+            "10a93dcc3fc043e8f122b21c437058cd835c618ed22ee4bf2d3d18d2d1bd5f26",
+        ),
+        (
+            "poincare --n 4 --alpha 1,2,1 --shifted", "csv", 110,
+            "c98cda72a77444d99cbfac96ee0f9937f5fffa38ad2b6c13937bdfe2eda7fe1e",
+        ),
+        (
+            "poincare --n 4 --alpha 1,2,1 --shifted", "latex", 231,
+            "53769adc8b1031126ff7d6ab24a5c38f6c0773c8daa52f64dcac390dbbf20caa",
+        ),
+        (
+            "genfunc --n 3 --degree 10", "csv", 4_715,
+            "d608d753da5f4b3648b646fac221557a57352b21b093c37d4cdad6f3ba203818",
+        ),
+        (
+            "genfunc --n 3 --degree 10", "latex", 4_117,
+            "b6a9148185b93285b3c3bd02c55e01e82dda8b51d87a7bf7e754cc992c36571e",
+        ),
+        (
+            "cells --n 3 --alpha 2,1 --dims", "csv", 5_979,
+            "8a6bc87654f9ada557cfb7de61515d3484440296ea0ad830ba9babb5b6675edf",
+        ),
+        (
+            "cells --n 3 --alpha 2,1 --dims", "latex", 6_119,
+            "bb0c275683e7928ad415a221bb7537e4bc9bb0a4c4ff2c341874d696232c9261",
+        ),
+    ],
+)
+def test_table_output_is_pinned(argv, fmt, size, digest):
+    # every command's csv and latex table, byte for byte
+    code, text = run_cli([*argv.split(), "--format", fmt])
+    assert code == 0
+    data = text.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_exception_in_a_suite_is_internal_error(monkeypatch, capsys):
     from quasiflags import suites
 
