@@ -19,11 +19,7 @@ from .cells import (
     conjectured_dim,
     enumerate_cells,
 )
-from .kostant import (
-    KostantPartition,
-    kostant_partitions,
-    stats,
-)
+from .kostant import KostantPartition, kostant_partitions
 from .modchar import (
     module_character,
     verma_multiplicity_series,
@@ -66,7 +62,6 @@ __all__ = [
     "pairing",
     "positive_coroots",
     "shifted_poincare",
-    "stats",
     "two_rho",
     "verma_multiplicity_series",
     "weyl_elements",

@@ -52,11 +52,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def t_power(cls, k):
-        """t^k, i.e. q^(2k)."""
-        return cls({2 * k: 1})
-
-    @classmethod
     def t_poly(cls, tcoeffs):
         """Build from a map int t-exponent -> int coefficient (zeros dropped)."""
         return cls._of({2 * k: c for k, c in tcoeffs.items() if c})
@@ -201,25 +196,19 @@ class CharSeries:
             and self.coeffs == other.coeffs
         )
 
-    def divide_geometric(self, coeff, theta):
-        """self * (1 - coeff * e^theta)^{-1}, in one pass over the support.
+    def divide_geometric(self, theta, e):
+        """self * (1 - q^e e^theta)^{-1}, in one pass over the support.
 
-        The quotient T satisfies T(beta) = S(beta) + coeff * T(beta - theta),
-        truncated at the bound.  coeff must be a power of q (the int 1, or a
-        LaurentPoly q^e), so multiplying by it is a shift, and by 1 nothing;
-        |theta| >= 1, so that the quotient stops at the bound.  Returns a
-        new series.
+        The quotient T satisfies T(beta) = S(beta) + q^e T(beta - theta),
+        truncated at the bound, so multiplying by the factor is a shift,
+        and by q^0 nothing.  |theta| >= 1, so that the quotient stops at
+        the bound.  Returns a new series.
         """
         theta = tuple(theta)
         if len(theta) != self.rank:
             raise ValueError(f"theta {theta} has wrong rank (expected {self.rank})")
         if sum(theta) < 1:
             raise ValueError("cannot invert along a direction with |theta| = 0")
-        if isinstance(coeff, int):
-            coeff = LaurentPoly({0: coeff})
-        if list(coeff.terms.values()) != [1]:
-            raise ValueError("geometric factor coefficient must be a power of q")
-        (e,) = coeff.terms
         coeffs = self.coeffs
         out = {}
         # lexicographic order: beta - theta comes before beta
@@ -229,7 +218,7 @@ class CharSeries:
             if below is not None:
                 poly = poly + (below.shift(e) if e else below)
             # the points beta + k theta up to the next support point take
-            # coeff * T(. - theta) alone; that support point continues the chain
+            # q^e T(. - theta) alone; that support point continues the chain
             while poly:
                 out[beta] = poly
                 beta = tuple(b + x for b, x in zip(beta, theta))

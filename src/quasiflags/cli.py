@@ -1,15 +1,16 @@
 """Command-line front end: kostant, poincare, genfunc, cells, verify.
 
-All commands print one machine-readable document to stdout (json by
-default; csv and latex render the same rows).  Identical invocations
-produce byte-identical output.  verify writes one note line to stderr
-for each suite with nothing to check; its report of 0 checks stays in
-the document.  Exit codes: 0 ok, 1 a theorem identity failed, 2 usage
-error (including a verify run with nothing to check at all), 3 only
-conjecture-level checks failed (without --strict), 4 internal error (one
-line on stderr, nothing on stdout) or stdout closed before the document
-was written (one line on stderr).  A closed stderr loses its line, never
-the exit code.
+All commands print one machine-readable document to stdout: json by
+default, or a csv or latex table of rows picked from that document, in
+which a cell that is not a str or an int is its json text.  Identical
+invocations produce byte-identical output.  verify writes one note line
+to stderr for each suite with nothing to check; its report of 0 checks
+stays in the document.  Exit codes: 0 ok, 1 a theorem identity failed,
+2 usage error (including a verify run with nothing to check at all),
+3 only conjecture-level checks failed (without --strict), 4 internal
+error (one line on stderr, nothing on stdout) or stdout closed before the
+document was written (one line on stderr).  A closed stderr loses its
+line, never the exit code.
 
 The json document is exactly ``json.dumps(doc, indent=2, sort_keys=True)``
 and a newline.  ``render`` writes that text itself: CPython's C encoder
@@ -29,7 +30,7 @@ from types import MappingProxyType
 
 from . import cells as cells_mod
 from . import cohomology, suites
-from .kostant import kostant_partitions, stats
+from .kostant import kostant_partitions
 from .rootdata import ResourceCapError, dim_flag, height, two_rho
 
 # The largest |vector| the one-vector commands accept unless --cap says
@@ -110,17 +111,16 @@ def build_parser():
 
 def cmd_kostant(args):
     gamma = _parse_vector(args.gamma, args.n - 1, "gamma", args.cap)
-    rows = []
-    for kappa in kostant_partitions(gamma):
-        weight, norm, summands = stats(kappa)
-        rows.append(
-            {
-                "partition": kappa.to_json(),
-                "weight": list(weight),
-                "norm": norm,
-                "summands": summands,
-            }
-        )
+    # every partition of gamma has weight gamma and norm |gamma|
+    rows = [
+        {
+            "partition": kappa.to_json(),
+            "weight": list(gamma),
+            "norm": height(gamma),
+            "summands": kappa.num_summands(),
+        }
+        for kappa in kostant_partitions(gamma)
+    ]
     doc = {
         "command": "kostant",
         "params": {"n": args.n, "gamma": list(gamma), "cap": args.cap},
@@ -236,59 +236,31 @@ _TEX = MappingProxyType(str.maketrans({
 
 
 def _flatten_rows(doc):
-    """Uniform tabular view of a document, for csv and latex."""
+    """The table of a document, for csv and latex: a header and its rows.
+
+    Each command picks its rows from the json document; a str or int cell
+    is written as it is, and any other cell as ``json.dumps(value,
+    sort_keys=True)``.
+    """
     command = doc["command"]
-    if command == "kostant":
-        header = ["partition", "weight", "norm", "summands"]
-        rows = [
-            [
-                json.dumps(r["partition"], sort_keys=True),
-                json.dumps(r["weight"]),
-                r["norm"],
-                r["summands"],
-            ]
-            for r in doc["rows"]
-        ]
+    if command in ("kostant", "cells"):  # every gamma and alpha has rows
+        header = list(doc["rows"][0])
+        rows = [list(r.values()) for r in doc["rows"]]
     elif command == "poincare":
-        header = ["exponent", "coefficient"]
-        rows = [[e, c] for e, c in doc["result"]["poly"]]
+        header, rows = ["exponent", "coefficient"], doc["result"]["poly"]
     elif command == "genfunc":
-        header = ["alpha", "poly"]
-        rows = [
-            [json.dumps(alpha), json.dumps(poly)]
-            for alpha, poly in doc["result"]["series"]
-        ]
-    elif command == "cells":
-        header = ["w", "length", "kappa0", "kappaInf"]
-        if doc["params"]["dims"]:
-            header.append("d_conjectured")
-        rows = []
-        for r in doc["rows"]:
-            row = [
-                json.dumps(r["w"]),
-                r["length"],
-                json.dumps(r["kappa0"], sort_keys=True),
-                json.dumps(r["kappaInf"], sort_keys=True),
-            ]
-            if doc["params"]["dims"]:
-                row.append(r["d_conjectured"])
-            rows.append(row)
+        header, rows = ["alpha", "poly"], doc["result"]["series"]
     elif command == "verify":
         header = ["suite", "case", "category", "status"]
-        rows = []
-        for rep in doc["suites"]:
-            for entry in rep["entries"]:
-                rows.append(
-                    [
-                        rep["suite"],
-                        json.dumps(entry["case"], sort_keys=True),
-                        entry["category"],
-                        entry["status"],
-                    ]
-                )
+        rows = [
+            [rep["suite"], entry["case"], entry["category"], entry["status"]]
+            for rep in doc["suites"]
+            for entry in rep["entries"]
+        ]
     else:  # pragma: no cover
         raise ValueError(command)
-    return header, rows
+    cell = lambda v: v if type(v) in (str, int) else json.dumps(v, sort_keys=True)
+    return header, [[cell(v) for v in row] for row in rows]
 
 
 def _csv_cell(value):

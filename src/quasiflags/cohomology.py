@@ -163,7 +163,6 @@ def generating_function(n, bound):
     series = CharSeries.monomial(
         rank, bound, rho2, weyl_poincare(n).shift(-dim_flag(n))
     )
-    t, tinv = LaurentPoly.t_power(1), LaurentPoly.t_power(-1)
-    for theta in positive_coroots(n):
-        series = series.divide_geometric(t, theta).divide_geometric(tinv, theta)
+    for theta in positive_coroots(n):  # t = q^2
+        series = series.divide_geometric(theta, 2).divide_geometric(theta, -2)
     return series

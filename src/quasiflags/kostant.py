@@ -61,11 +61,6 @@ class KostantPartition(namedtuple("KostantPartition", "n mults")):
         ]
 
 
-def stats(kappa):
-    """(|kappa|, ||kappa||, K(kappa))."""
-    return kappa.weight(), kappa.norm(), kappa.num_summands()
-
-
 def _checked(gamma):
     gamma = tuple(gamma)
     if any(a < 0 for a in gamma):

@@ -12,8 +12,9 @@ the closed-form generating function.
 Dividing one factor out gives |W| e^{2rho} / prod (1 - e^theta), the
 candidate series of Verma multiplicities if the module is free over the
 enveloping algebra of the nilpotent part.  Freeness is conjectural, so
-its check certifies only necessary conditions (nonnegative coefficients,
-and that multiplying back reproduces the character).
+its check certifies only necessary conditions: the coefficient of
+e^{beta+2rho} is |W| times the Kostant partition count of beta (so it is
+nonnegative), and multiplying back reproduces the character.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _character_series(n, bound, denominator_power):
     )
     for theta in positive_coroots(n):
         for _ in range(denominator_power):
-            series = series.divide_geometric(1, theta)
+            series = series.divide_geometric(theta, 0)
     return series
 
 

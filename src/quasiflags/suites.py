@@ -17,7 +17,7 @@ from operator import add
 from types import MappingProxyType
 
 from . import cells, cohomology, modchar, quiverfilt
-from .kostant import kostant_partitions, list_up_to
+from .kostant import kostant_partitions, list_up_to, listed_profiles
 from .reports import CONJECTURE, CONJECTURE_CONSISTENCY, FAIL, PASS, THEOREM, Entry, Report
 from .rootdata import (
     coroot_intervals, height, interval_sum, positive_coroots, two_rho, vectors_up_to,
@@ -256,23 +256,33 @@ def run_characters(n, degree):
 
 
 def run_freeness(n, degree):
-    """Necessary conditions for freeness: nonnegativity and factorization.
+    """Verma coefficient of e^{beta+2rho} = n! #P(beta), per beta.
 
-    Freeness is conjectural, so the entries report in the
-    CONJECTURE-CONSISTENCY category.
+    #P(beta) is the number of PBW-Kostant monomials of weight beta, read
+    from the listing; it is nonnegative, so each entry also checks the
+    nonnegativity that freeness needs.  Freeness is conjectural, so the
+    entries report in the CONJECTURE-CONSISTENCY category.  The last
+    entry divides the Verma series into the character.
     """
+    rho2 = two_rho(n)
     verma = modchar.verma_multiplicity_series(n, degree)
-    entries = []
-    for weight in verma.support():
+
+    def entry(beta):
+        weight = tuple(map(add, beta, rho2))
         coeff = verma.coefficient(weight).eval_at_one()
-        status = PASS if coeff >= 0 else FAIL
+        kostant = factorial(n) * sum(listed_profiles(beta)[beta].values())
+        ok = coeff == kostant
         details = {"verma_multiplicity": coeff}
-        entries.append(Entry({"weight": list(weight)}, status, CONJECTURE_CONSISTENCY, details))
+        if not ok:
+            details["n!_kostant_count"] = kostant
+        return Entry({"weight": list(weight)}, PASS if ok else FAIL, CONJECTURE_CONSISTENCY, details)
+
+    entries = _sweep(n, degree - height(rho2), entry)
     if entries:  # below |2rho| both series are zero, nothing to refactor
         char = modchar.module_character(n, degree)
         rebuilt = verma
         for theta in positive_coroots(n):
-            rebuilt = rebuilt.divide_geometric(1, theta)
+            rebuilt = rebuilt.divide_geometric(theta, 0)
         ok = rebuilt == char
         case = {"identity": "verma_series * prod(1-e^theta)^-1 = character"}
         details = {} if ok else {"rebuilt": rebuilt.to_json(), "character": char.to_json()}

@@ -44,7 +44,7 @@ def factored_oracle(n, alpha):
         for k0 in kostant_partitions(gamma0):
             for kinf in kostant_partitions(rest):
                 exponent = height(alpha) + k0.num_summands() - kinf.num_summands()
-                total = total + LaurentPoly.t_power(exponent)
+                total = total + LaurentPoly.t_poly({exponent: 1})
     return weyl_poincare(n) * total
 
 

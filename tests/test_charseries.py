@@ -35,7 +35,7 @@ def series_sum(a, b):
 
 
 def test_poly_basic_examples():
-    one, q2 = LaurentPoly.one(), LaurentPoly.t_power(1)
+    one, q2 = LaurentPoly.one(), LaurentPoly.t_poly({1: 1})
     assert (one + q2) * (one + q2 * -1) == LaurentPoly.t_poly({0: 1, 2: -1})
     assert negate_exponents(LaurentPoly({3: 1, 1: 1})) == LaurentPoly({-3: 1, -1: 1})
     assert LaurentPoly.t_poly({0: 1, 1: 2, 2: 1}).eval_at_one() == 4
@@ -101,20 +101,20 @@ def test_series_truncation_in_product():
 
 def test_series_zero_annihilates():
     z = CharSeries(2, 4)
-    s = CharSeries.monomial(2, 4, (1, 0), LaurentPoly.t_power(2))
+    s = CharSeries.monomial(2, 4, (1, 0), LaurentPoly.t_poly({2: 1}))
     assert series_product(s, z) == z
     assert series_product(z, s) == z
 
 
 def test_series_difference_of_squares():
     theta = (1, 1)
-    t = LaurentPoly.t_power(1)
+    t = LaurentPoly.t_poly({1: 1})
     plus = CharSeries(2, 4, {(0, 0): LaurentPoly.one(), theta: t})
     minus = CharSeries(2, 4, {(0, 0): LaurentPoly.one(), theta: t * -1})
     prod = series_product(plus, minus)
     assert prod.coefficient((0, 0)) == LaurentPoly.one()
     assert prod.coefficient(theta).is_zero()
-    assert prod.coefficient((2, 2)) == LaurentPoly.t_power(2) * -1
+    assert prod.coefficient((2, 2)) == LaurentPoly.t_poly({2: 1}) * -1
 
 
 def test_series_bound_mismatch():
@@ -126,12 +126,12 @@ def test_series_bound_mismatch():
 
 def test_geometric_inverse_examples():
     theta = (1, 1)
-    t = LaurentPoly.t_power(1)
-    tinv = LaurentPoly.t_power(-1)
+    t = LaurentPoly.t_poly({1: 1})
+    tinv = LaurentPoly.t_poly({-1: 1})
     geo = geometric_inverse(t, theta, 4)
     assert geo.coefficient((0, 0)) == LaurentPoly.one()
     assert geo.coefficient((1, 1)) == t
-    assert geo.coefficient((2, 2)) == LaurentPoly.t_power(2)
+    assert geo.coefficient((2, 2)) == LaurentPoly.t_poly({2: 1})
 
     geo_inv = geometric_inverse(tinv, theta, 2)
     assert geo_inv.coefficient((1, 1)) == tinv
@@ -142,12 +142,12 @@ def test_geometric_inverse_examples():
 
 def test_geometric_inverse_rejects_zero_direction():
     with pytest.raises(ValueError):
-        geometric_inverse(LaurentPoly.t_power(1), (0, 0), 4)
+        geometric_inverse(LaurentPoly.t_poly({1: 1}), (0, 0), 4)
 
 
 def test_geometric_inverse_times_factor_is_one():
     # (1 - c e^theta)^{-1} * (1 - c e^theta) == 1 up to the bound
-    for coeff in (LaurentPoly.t_power(1), LaurentPoly.t_power(-1), LaurentPoly.one()):
+    for coeff in (LaurentPoly.t_poly({1: 1}), LaurentPoly.t_poly({-1: 1}), LaurentPoly.one()):
         for theta in ((1, 0), (1, 1)):
             bound = 5
             geo = geometric_inverse(coeff, theta, bound)
@@ -156,19 +156,15 @@ def test_geometric_inverse_times_factor_is_one():
 
 
 def test_divide_geometric_rejects_bad_factors():
-    t = LaurentPoly.t_power(1)
     with pytest.raises(ValueError):
-        series_one(4).divide_geometric(t, (0, 0))
+        series_one(4).divide_geometric((0, 0), 2)
     with pytest.raises(ValueError):
-        series_one(4).divide_geometric(t, (1,))
-    for coeff in (2, t * 2, t + 1):
-        with pytest.raises(ValueError):
-            series_one(4).divide_geometric(coeff, (1, 0))
+        series_one(4).divide_geometric((1,), 2)
 
 
 @st.composite
 def division_cases(draw):
-    """(series, coeff, theta): ranks 1-3, bounds <= 8, sparse, one entry on the bound."""
+    """(series, theta, e): ranks 1-3, bounds <= 8, sparse, one entry on the bound."""
     rank = draw(st.integers(min_value=1, max_value=3))
     bound = draw(st.integers(min_value=0, max_value=8))
     coord = st.integers(min_value=0, max_value=bound)
@@ -180,27 +176,27 @@ def division_cases(draw):
     theta = draw(
         st.tuples(*[st.integers(min_value=0, max_value=3)] * rank).filter(lambda v: sum(v) >= 1)
     )
-    coeff = draw(st.sampled_from((1, LaurentPoly.t_power(1), LaurentPoly.t_power(-1))))
-    return CharSeries(rank, bound, coeffs), coeff, theta
+    e = draw(st.sampled_from((0, 2, -2)))
+    return CharSeries(rank, bound, coeffs), theta, e
 
 
 @given(division_cases())
 @settings(max_examples=300, deadline=None)
 def test_divide_geometric_equals_inverse_product(case):
-    series, coeff, theta = case
-    expected = series_product(series, geometric_inverse(coeff, theta, series.bound))
-    assert series.divide_geometric(coeff, theta) == expected
+    series, theta, e = case
+    expected = series_product(series, geometric_inverse(LaurentPoly({e: 1}), theta, series.bound))
+    assert series.divide_geometric(theta, e) == expected
 
 
 def test_divide_geometric_covers_tall_directions():
     # |theta| >= 2 steps over heights: the chain above a support point
     # must still run to the bound, and stop at the next support point;
     # along (2, 1) the quotient cancels at (4, 2) and stays zero above it
-    t = LaurentPoly.t_power(1)
+    t = LaurentPoly.t_poly({1: 1})
     series = CharSeries(2, 8, {(0, 0): LaurentPoly.one(), (2, 1): t, (4, 2): (t * t) * -2})
     for theta in ((1, 1), (2, 1), (0, 3)):
         expected = series_product(series, geometric_inverse(t, theta, 8))
-        assert series.divide_geometric(t, theta) == expected
+        assert series.divide_geometric(theta, 2) == expected
 
 
 @given(series2, series2)
@@ -233,7 +229,7 @@ def test_series_json_sorted_by_height_then_lex():
         {
             (2, 0): LaurentPoly.one(),
             (0, 1): LaurentPoly.one(),
-            (1, 1): LaurentPoly.t_power(1),
+            (1, 1): LaurentPoly.t_poly({1: 1}),
         },
     )
     assert [alpha for alpha, _ in s.to_json()] == [[0, 1], [1, 1], [2, 0]]

@@ -265,7 +265,7 @@ def brute_genfunc_coefficient(n, weight):
         nonlocal total
         if idx == len(thetas):
             if not any(remaining):
-                total = total + LaurentPoly.t_power(tpow)
+                total = total + LaurentPoly.t_poly({tpow: 1})
             return
         theta = thetas[idx]
         covered = [r for r, t in zip(remaining, theta) if t]

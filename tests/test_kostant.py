@@ -17,7 +17,6 @@ from quasiflags.kostant import (
     list_up_to,
     listed_profiles,
     partitions_below,
-    stats,
 )
 from quasiflags.rootdata import coroot_intervals, iter_subvectors, vectors_up_to
 
@@ -99,12 +98,13 @@ def test_returned_partition_list_is_a_fresh_copy():
     assert kostant_partitions((2, 2)) is not kostant_partitions((2, 2))
 
 
-def test_stats():
-    kappa = from_intervals(3, [(1, 2)])
-    assert stats(kappa) == ((1, 1), 2, 1)
-    kappa = from_intervals(3, [(1, 1), (2, 2)])
-    assert stats(kappa) == ((1, 1), 2, 2)
-    assert stats(KostantPartition(3, (0, 0, 0))) == ((0, 0), 0, 0)
+def test_partition_weight_norm_and_summands():
+    def described(kappa):
+        return kappa.weight(), kappa.norm(), kappa.num_summands()
+
+    assert described(from_intervals(3, [(1, 2)])) == ((1, 1), 2, 1)
+    assert described(from_intervals(3, [(1, 1), (2, 2)])) == ((1, 1), 2, 2)
+    assert described(KostantPartition(3, (0, 0, 0))) == ((0, 0), 0, 0)
 
 
 def test_lusztig_kostant_poly_examples():

@@ -5,9 +5,11 @@ from itertools import product
 import pytest
 from oracles import kostant_count_profile, series_at_one
 
+from quasiflags import modchar
+from quasiflags.charseries import CharSeries, LaurentPoly
 from quasiflags.cohomology import generating_function, laumon_poincare
 from quasiflags.modchar import module_character, verma_multiplicity_series
-from quasiflags.reports import CONJECTURE_CONSISTENCY, THEOREM
+from quasiflags.reports import CONJECTURE_CONSISTENCY, FAIL, THEOREM
 from quasiflags.rootdata import height, positive_coroots, two_rho
 from quasiflags.suites import run_characters, run_freeness
 
@@ -193,6 +195,16 @@ def test_freeness_nonnegative_and_factorization_details():
     assert report.entries[-1].case == {
         "identity": "verma_series * prod(1-e^theta)^-1 = character"
     }
+
+
+def test_freeness_failure_names_the_kostant_count(monkeypatch):
+    # at n=3 the coefficient of e^{(1,0)+2rho} is 3! * #P((1, 0)) = 6
+    real = verma_multiplicity_series(3, 6)
+    wrong = CharSeries(2, 6, {**real.coeffs, (3, 2): LaurentPoly({0: 5})})
+    monkeypatch.setattr(modchar, "verma_multiplicity_series", lambda n, bound: wrong)
+    report = run_freeness(3, 6)
+    failed = [(e.case, e.details) for e in report.entries[:-1] if e.status == FAIL]
+    assert failed == [({"weight": [3, 2]}, {"verma_multiplicity": 5, "n!_kostant_count": 6})]
 
 
 def test_character_identity_with_poincare_values():

@@ -25,7 +25,7 @@ N, DEGREE = 3, 14
 # once per coroot order
 CASE = ((((1, 1),), ((1, 1),), ((2, 2),)), ((1, 1), (1, 1), (2, 2)))
 
-T = LaurentPoly.t_power(1)
+T = LaurentPoly.t_poly({1: 1})
 
 
 def _is_case(rep, steps):
@@ -93,8 +93,8 @@ def weyl_one_becomes_t(real):
 def division_drops_its_top_term(real):
     """A quotient that loses its lexicographically last support point."""
 
-    def divide(series, coeff, theta):
-        out = real(series, coeff, theta)
+    def divide(series, theta, e):
+        out = real(series, theta, e)
         top = max(out.coeffs, default=None)
         return CharSeries(out.rank, out.bound, {a: p for a, p in out.coeffs.items() if a != top})
 
@@ -156,7 +156,7 @@ ROWS = {
     "field_peel_drops_a_live_point": (quiverfilt, "_peel_point", drop_last_line, {"serre": 2}),
     "walk_lists_an_extra_partition": (
         kostant, "_walk", extra_partition_at_1_1,
-        {"genfunc": 45, "euler": 45, "celldim": 45, "characters": 45},
+        {"genfunc": 45, "euler": 45, "celldim": 45, "characters": 45, "freeness": 1},
     ),
     "weyl_poincare_gains_t": (
         cohomology, "weyl_poincare", weyl_gains_t,
@@ -167,7 +167,7 @@ ROWS = {
     ),
     "divide_geometric_drops_its_top_term": (
         CharSeries, "divide_geometric", division_drops_its_top_term,
-        {"genfunc": 2, "characters": 2},
+        {"genfunc": 2, "characters": 2, "freeness": 2},
     ),
     "cell_sum_times_t_at_height_2": (
         cells, "cell_dimension_poly", times_t_at_height_2, {"celldim": 3}
@@ -182,13 +182,13 @@ ROWS = {
     "commutator_constant_off_by_one": (
         quiverfilt, "commutator_constant", commutator_off_by_one, {"commute": 1}
     ),
-    # freeness multiplies the Verma series back and compares it with the
-    # module character, so it catches a fault in either series.  It misses
-    # one in the division both series share: the divide_geometric row
-    # leaves freeness passing until the Verma series has a route of its own
-    # (ROADMAP item 4)
+    # freeness compares each Verma coefficient with n! times the listed
+    # Kostant count, and multiplies the Verma series back into the module
+    # character: a fault in the Verma series fails both, one in the
+    # character the second, and one in the division both series share
+    # fails the counts
     "verma_series_plus_one_at_2rho": (
-        modchar, "verma_multiplicity_series", plus_one_at_lowest_weight, {"freeness": 1}
+        modchar, "verma_multiplicity_series", plus_one_at_lowest_weight, {"freeness": 2}
     ),
     "module_character_plus_one_at_2rho": (
         modchar, "module_character", plus_one_at_lowest_weight,

@@ -96,8 +96,8 @@ def test_run_suites_selection_and_unknown():
 
 
 def test_verify_reads_no_dp_table(cold_tables):
-    # the Cousin sum and the cells read the listing only; the closed form,
-    # the characters and freeness read series only
+    # the Cousin sum and the cells read the listing only; the closed form
+    # and the characters read series only, and freeness series and listing
     runners = (
         suites.run_genfunc,
         suites.run_euler,
