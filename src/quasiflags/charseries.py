@@ -13,6 +13,8 @@ the total-degree bound D.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 
 class LaurentPoly:
     """Sparse Laurent polynomial in q with integer coefficients.
@@ -160,21 +162,27 @@ class CharSeries:
 
     __slots__ = ("rank", "bound", "coeffs")
 
-    def __init__(self, rank, bound, coeffs=None):
+    def __init__(self, rank, bound, coeffs):
         if bound < 0:
             raise ValueError("degree bound must be nonnegative")
         self.rank = rank
         self.bound = bound
         clean = {}
-        if coeffs:
-            for alpha, poly in coeffs.items():
-                alpha = tuple(alpha)
-                if len(alpha) != rank:
-                    raise ValueError(f"alpha {alpha} has wrong rank (expected {rank})")
-                if sum(alpha) > bound or poly.is_zero():
-                    continue
-                clean[alpha] = poly
+        for alpha, poly in coeffs.items():
+            alpha = tuple(alpha)
+            if len(alpha) != rank:
+                raise ValueError(f"alpha {alpha} has wrong rank (expected {rank})")
+            if sum(alpha) > bound or poly.is_zero():
+                continue
+            clean[alpha] = poly
         self.coeffs = clean
+
+    @classmethod
+    def _of(cls, rank, bound, coeffs):
+        """Wrap a fresh {rank-tuple: nonzero poly} dict within the bound, with no copy or check."""
+        res = cls.__new__(cls)
+        res.rank, res.bound, res.coeffs = rank, bound, coeffs
+        return res
 
     @classmethod
     def monomial(cls, rank, bound, alpha, poly):
@@ -207,26 +215,27 @@ class CharSeries:
         theta = tuple(theta)
         if len(theta) != self.rank:
             raise ValueError(f"theta {theta} has wrong rank (expected {self.rank})")
-        if sum(theta) < 1:
+        if (step := sum(theta)) < 1:
             raise ValueError("cannot invert along a direction with |theta| = 0")
-        coeffs = self.coeffs
+        coeffs, bound = self.coeffs, self.bound
         out = {}
         # lexicographic order: beta - theta comes before beta
         for beta in sorted(coeffs):
-            below = out.get(tuple(b - x for b, x in zip(beta, theta)))
+            below = out.get(tuple(map(sub, beta, theta)))
             poly = coeffs[beta]
             if below is not None:
                 poly = poly + (below.shift(e) if e else below)
             # the points beta + k theta up to the next support point take
             # q^e T(. - theta) alone; that support point continues the chain
+            height = sum(beta)
             while poly:
                 out[beta] = poly
-                beta = tuple(b + x for b, x in zip(beta, theta))
-                if sum(beta) > self.bound or beta in coeffs:
+                beta, height = tuple(map(add, beta, theta)), height + step
+                if height > bound or beta in coeffs:
                     break
                 if e:
                     poly = poly.shift(e)
-        return CharSeries(self.rank, self.bound, out)
+        return CharSeries._of(self.rank, bound, out)
 
     def to_json(self):
         """Sorted [[alpha-list, poly-json], ...]."""

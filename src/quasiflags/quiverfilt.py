@@ -34,14 +34,16 @@ ints from its own process-wide id table, and keeps its own process-wide
 table of peels, one dict per step that maps a point id to its peel: the
 symbolic route's is keyed by the step (q, p), the field route's by the
 step and the field, (q, p_end, p).  A call fetches the dicts of its
-steps once, and a miss computes the peel and stores it.  The routes
-share no table, no peel function, no sentinel and no id.
+steps once (a step's dict is made on its first fetch only), and a miss
+computes the peel and stores it; a field peel with no free coordinate at
+the step's end returns () at once.  The routes share no table, no peel
+function, no sentinel and no id.
 
 filtration_counts is the one entry point to the routes: it validates the
-steps and the dimension cap once, and the routes trust its steps.  It
-returns all three counts.  count_filtrations returns NOT_RIGID (a
-result, not an error) when the two field counts differ, as the family is
-then positive-dimensional; a symbolic number must agree.
+steps in one pass and the dimension cap once, and the routes trust its
+steps.  It returns all three counts.  count_filtrations returns
+NOT_RIGID (a result, not an error) when the two field counts differ, as
+the family is then positive-dimensional; a symbolic number must agree.
 commutator_constant is commute's route.  The module holds routes only:
 the shapes and steps of each filtration identity are stated by the
 runner in suites that checks it.
@@ -49,7 +51,7 @@ runner in suites that checks it.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import lru_cache
 from itertools import chain, repeat
 from itertools import product as iproduct
@@ -100,20 +102,28 @@ class TorsionRep(namedtuple("TorsionRep", "n points")):
             by_label[label] = by_label.get(label, ()) + (iv,)
         return cls(n, tuple(sorted(by_label.values())))
 
-    def dimension(self):
-        """Dimension vector as a coroot vector."""
-        return interval_sum(self.n, chain.from_iterable(self.points))
-
 
 def _validate_steps(rep, steps):
-    """The dimension vector of rep, once the steps are checked to add up to it."""
+    """rep's total dimension, once each step is in range and the steps add up to rep.
+
+    Steps add 1 and summands take 1 on their intervals in one difference
+    array, which is all zero iff the dimension vectors agree.
+    """
+    n, total = rep.n, 0
+    diff = [0] * n
     for q, p in steps:
-        if not 1 <= q <= p <= rep.n - 1:
-            raise ValueError(f"bad step interval ({q},{p}) for n={rep.n}")
-    total, dim = interval_sum(rep.n, steps), rep.dimension()
-    if total != dim:
-        raise ValueError(f"step dimensions {total} do not sum to dim T = {dim}")
-    return dim
+        if not 1 <= q <= p <= n - 1:
+            raise ValueError(f"bad step interval ({q},{p}) for n={n}")
+        diff[q - 1] += 1
+        diff[p] -= 1
+        total += p - q + 1
+    for q, p in chain.from_iterable(rep.points):
+        diff[q - 1] -= 1
+        diff[p] += 1
+    if any(diff):
+        dim = interval_sum(n, chain.from_iterable(rep.points))
+        raise ValueError(f"step dimensions {interval_sum(n, steps)} do not sum to dim T = {dim}")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +145,7 @@ class _Ambiguous(Exception):
 
 _SYMBOLIC_STATES = []
 _SYMBOLIC_IDS = {}
-_SYMBOLIC_PEELS = {}
+_SYMBOLIC_PEELS = defaultdict(dict)
 _UNPEELABLE = -1  # no summand maps onto the step
 _AMBIGUOUS = -2  # two or more summands do
 _SYMBOLIC_EMPTIED = -3  # the peel leaves the point no interval
@@ -187,7 +197,7 @@ def count_filtrations_symbolic(rep, steps):
     validated them.
     """
     memo = {}
-    peels = [_SYMBOLIC_PEELS.setdefault(step, {}) for step in steps]
+    peels = [_SYMBOLIC_PEELS[step] for step in steps]
 
     def rec(k, state):
         # a state's total dimension fixes k, as every step has positive
@@ -250,7 +260,7 @@ def count_filtrations_symbolic(rep, steps):
 
 _POINT_STATES = []
 _POINT_IDS = {}
-_POINT_PEELS = {}
+_POINT_PEELS = defaultdict(dict)
 _POINT_EMPTIED = -1  # a sub with nothing left: no id is negative
 
 
@@ -284,14 +294,17 @@ def _peel_point(pid, q, p_end, p):
     scalar: phi runs over the free (non-pivot) coordinates there with its
     first nonzero entry 1.  At each v in [q, p_end] the reduced phi must
     be nonzero; normalized to 1 at its pivot j, it clears column j of
-    the rows there and joins them.  On the arrow into q it must vanish.
-    When the step takes all that is left of the point, the sub is
-    _POINT_EMPTIED.
+    the rows there (a row already 0 in column j is kept as it is) and
+    joins them.  On the arrow into q it must vanish.  With no free
+    coordinate there is no such phi, and no sub.  When the step takes
+    all that is left of the point, the sub is _POINT_EMPTIED.
     """
     ivs, rows = _POINT_STATES[pid]
-    kept = sum(b - a + 1 for a, b in ivs) - sum(map(len, rows)) - (p_end - q + 1)  # dim of a sub
     pivots = {row.index(1) for row in rows[p_end - 1]}
     free = [j for j, (a, b) in enumerate(ivs) if a <= p_end <= b and j not in pivots]
+    if not free:
+        return ()
+    kept = sum(b - a + 1 for a, b in ivs) - sum(map(len, rows)) - (p_end - q + 1)  # dim of a sub
     subs = []
     for first in range(len(free)):
         for tail in iproduct(range(p), repeat=len(free) - first - 1):
@@ -307,14 +320,16 @@ def _peel_point(pid, q, p_end, p):
                 if not lead:
                     break
                 j = g.index(lead)
-                inv = pow(lead, p - 2, p)
-                g = tuple(c * inv % p for c in g)
+                if lead != 1:
+                    inv = pow(lead, p - 2, p)
+                    g = [c * inv % p for c in g]
                 cleared = [
-                    tuple((a - r[j] * b) % p for a, b in zip(r, g)) for r in rows[v - 1]
+                    tuple((a - r[j] * b) % p for a, b in zip(r, g)) if r[j] else r
+                    for r in rows[v - 1]
                 ]
                 # a reduced row is 0 before its pivot and at the other rows'
                 # pivots, so descending order is the order of the pivots
-                new[v - 1] = tuple(sorted(cleared + [g], reverse=True))
+                new[v - 1] = tuple(sorted(cleared + [tuple(g)], reverse=True))
             else:
                 subs.append(_point_id((ivs, tuple(new))) if kept else _POINT_EMPTIED)
     return tuple(subs)
@@ -344,7 +359,7 @@ def count_filtrations_bruteforce(rep, steps, p):
     them.
     """
     memo = {}
-    peels = [_POINT_PEELS.setdefault((q, p_end, p), {}) for q, p_end in steps]
+    peels = [_POINT_PEELS[q, p_end, p] for q, p_end in steps]
 
     def rec(k, state):
         # a state's total dimension fixes k, as every step has positive
@@ -388,8 +403,8 @@ def filtration_counts(rep, steps, cap=DEFAULT_DIMENSION_CAP):
     """The three independent routes: (symbolic, F_2 count, F_3 count).
 
     The one entry point to the routes.  It validates the steps and the
-    dimension cap once, and the routes trust the steps it passes.  It
-    never raises when the routes disagree; the symbolic count is None
+    dimension cap once (ValueError, ResourceCapError), and the routes
+    trust the steps it passes.  It never raises when the routes disagree; the symbolic count is None
     where it abstains.
 
     >>> same_point = TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")])
@@ -397,7 +412,7 @@ def filtration_counts(rep, steps, cap=DEFAULT_DIMENSION_CAP):
     (None, 3, 4)
     """
     steps = tuple((int(q), int(p)) for q, p in steps)
-    total_dim = sum(_validate_steps(rep, steps))
+    total_dim = _validate_steps(rep, steps)
     if total_dim > cap:
         raise ResourceCapError(
             f"total dimension {total_dim} exceeds brute-force cap {cap}"

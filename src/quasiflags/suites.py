@@ -188,7 +188,7 @@ def run_pbw(n):
     filtration routes give the expected count.
     """
     entries = []
-    listed = {}  # one listing walk per weight, not per exponent vector
+    listed = {}  # per weight, not per exponent vector: one walk, each partition's rep
     canonical = coroot_intervals(n)  # sorted by (q, p)
     # a second order with the same head-first property: sorted by (p, q)
     by_upper_end = sorted(canonical, key=lambda iv: (iv[1], iv[0]))
@@ -204,10 +204,11 @@ def run_pbw(n):
             checked = []
             ok = True
             if gamma not in listed:
-                listed[gamma] = kostant_partitions(gamma)
-            for kappa in listed[gamma]:
-                intervals = kappa.intervals()
-                rep = quiverfilt.TorsionRep.of(n, [(iv, k) for k, iv in enumerate(intervals)])
+                listed[gamma] = [
+                    (ivs, quiverfilt.TorsionRep.of(n, [(iv, k) for k, iv in enumerate(ivs)]))
+                    for ivs in (kappa.intervals() for kappa in kostant_partitions(gamma))
+                ]
+            for intervals, rep in listed[gamma]:
                 expected = diagonal if intervals == want else 0
                 # a pbw rep has total dimension |gamma|: the cap admits it
                 sym, f2, f3 = quiverfilt.filtration_counts(rep, steps, cap=sum(gamma))

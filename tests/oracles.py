@@ -5,16 +5,20 @@ another way: the partition-count DP beside the listing walk, the Cousin
 sum one stratum at a time beside the packed recurrence, the series
 product with the geometric inverse beside the in-place division, the
 divided-power count read off the multiset of summands beside the
-filtration routes, and the symbolic filtration count on interval tuples
-beside the interned one.  None of them reads a route it checks: from the
-package they import only the root data and the series arithmetic.
+filtration routes, the two dimension vectors of a step list and a rep
+beside the one-pass check of the filtration entry point, and the
+symbolic filtration count on interval tuples beside the interned one.
+None of them reads a route it checks: from the package they import only
+the root data and the series arithmetic.
 """
 
 from collections import Counter
 from math import factorial, prod
 
 from quasiflags.charseries import CharSeries, LaurentPoly
-from quasiflags.rootdata import coroot_intervals, dim_flag, height, iter_subvectors, weyl_poincare
+from quasiflags.rootdata import (
+    coroot_intervals, dim_flag, height, interval_sum, iter_subvectors, weyl_poincare,
+)
 
 
 def pbw_expected(rep, exponents, order):
@@ -23,6 +27,12 @@ def pbw_expected(rep, exponents, order):
     if have != Counter({iv: c for iv, c in zip(order, exponents) if c}):
         return 0
     return prod(factorial(c) for c in exponents)
+
+
+def steps_fill_rep(rep, steps):
+    """True when the steps' dimension vector is the rep's, each summed by interval_sum."""
+    summands = [iv for ivs in rep.points for iv in ivs]
+    return interval_sum(rep.n, steps) == interval_sum(rep.n, summands)
 
 
 def box_profiles(gamma):

@@ -100,7 +100,7 @@ def test_series_truncation_in_product():
 
 
 def test_series_zero_annihilates():
-    z = CharSeries(2, 4)
+    z = CharSeries(2, 4, {})
     s = CharSeries.monomial(2, 4, (1, 0), LaurentPoly.t_poly({2: 1}))
     assert series_product(s, z) == z
     assert series_product(z, s) == z

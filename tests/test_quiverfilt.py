@@ -1,13 +1,14 @@
 """Filtration counting: spec'd multiplicities, rigidity, dual-route agreement."""
 
 import gc
-from itertools import product
+import hashlib
+from itertools import chain, permutations, product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quasiflags import quiverfilt
+from quasiflags import quiverfilt, suites
 from quasiflags.quiverfilt import (
     NOT_RIGID,
     TorsionRep,
@@ -19,9 +20,11 @@ from quasiflags.quiverfilt import (
     filtration_counts,
     is_rigid,
 )
-from quasiflags.rootdata import ResourceCapError, coroot_intervals, pairing, two_rho
+from quasiflags.rootdata import (
+    ResourceCapError, coroot_intervals, interval_sum, pairing, two_rho,
+)
 
-from oracles import pbw_expected, tuple_keyed_symbolic_count
+from oracles import pbw_expected, steps_fill_rep, tuple_keyed_symbolic_count
 
 
 def three_routes(rep, steps):
@@ -150,11 +153,19 @@ def test_relabeling_invariance():
 
 
 def test_count_validates_type_dimension():
+    # the exception type and message of each rejection are pinned; the
+    # range of each step is checked before the sum, so a bad interval is
+    # named even where the sum is wrong too
     rep = TorsionRep.of(3, [((1, 1), "x")])
-    with pytest.raises(ValueError):
-        count_filtrations(rep, [(2, 2)])
-    with pytest.raises(ValueError):
-        count_filtrations(rep, [(1, 1), (1, 1)])
+    for steps, message in (
+        ([(2, 2)], "step dimensions (0, 1) do not sum to dim T = (1, 0)"),
+        ([(1, 1), (1, 1)], "step dimensions (2, 0) do not sum to dim T = (1, 0)"),
+        ([(0, 1)], "bad step interval (0,1) for n=3"),
+        ([(1, 1), (2, 3)], "bad step interval (2,3) for n=3"),
+    ):
+        with pytest.raises(ValueError) as err:
+            count_filtrations(rep, steps)
+        assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_dimension_cap():
@@ -166,8 +177,9 @@ def test_dimension_cap():
     assert decided_count(rep, [(1, 1)] * 5, cap=5) == 120  # 5!
     # the public counter applies the default cap, 8
     nine = TorsionRep.of(2, [((1, 1), f"x{k}") for k in range(9)])
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError) as err:
         count_filtrations(nine, [(1, 1)] * 9)
+    assert str(err.value) == "total dimension 9 exceeds brute-force cap 8"
 
 
 def test_single_interval_chain_is_unique():
@@ -287,6 +299,43 @@ def test_filtration_counts_is_the_three_routes(case):
     else:
         assert result == f2
         assert sym in (None, f2)
+
+
+@st.composite
+def checked_step_lists(draw):
+    """A rep with its own valid steps, or with a step list that may not fill it.
+
+    The steps are the rep's own, or those with one piece dropped, one
+    added or one replaced, or any intervals at all.
+    """
+    rep, steps = draw(point_configurations(shared_point=True))
+    edit = draw(st.sampled_from(("own", "drop", "add", "replace", "any")))
+    other = interval_strategy(rep.n)
+    if edit == "any":
+        return rep, draw(st.lists(other, max_size=6))
+    k = draw(st.integers(min_value=0, max_value=len(steps) - 1))
+    if edit == "drop":
+        del steps[k]
+    elif edit == "add":
+        steps.insert(k, draw(other))
+    elif edit == "replace":
+        steps[k] = draw(other)
+    return rep, steps
+
+
+@given(checked_step_lists())
+@settings(max_examples=100, deadline=None)
+def test_filtration_counts_accepts_exactly_the_steps_that_fill_the_rep(case):
+    # the one-pass check admits a step list iff its dimension vector,
+    # summed by interval_sum, is the rep's; an accepted rep is within the cap
+    rep, steps = case
+    try:
+        filtration_counts(rep, steps, cap=SHARED_DIMENSION_CAP)
+    except ValueError as err:
+        assert type(err) is ValueError and str(err).startswith("step dimensions ")
+        assert not steps_fill_rep(rep, steps)
+    else:
+        assert steps_fill_rep(rep, steps)
 
 
 def unmemoized_symbolic_count(rep, steps):
@@ -607,7 +656,7 @@ def test_commutator_constant_equals_pairing(n):
 
 def test_torsion_rep_dimensions():
     rep = TorsionRep.of(3, [((1, 2), "x"), ((2, 2), "y")])
-    assert rep.dimension() == (1, 2)
+    assert interval_sum(rep.n, chain.from_iterable(rep.points)) == (1, 2)
     assert rep.points == (((1, 2),), ((2, 2),))
 
 
@@ -640,6 +689,47 @@ def test_both_fields_start_from_one_start_state(cold_tables):
     rep = TorsionRep.of(3, [((1, 2), "x"), ((2, 2), "x"), ((1, 1), "y")])
     filtration_counts(rep, [(2, 2), (1, 1), (1, 2)])
     assert _field_start.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+# sha256 of repr(_POINT_STATES) and of repr(_SYMBOLIC_STATES), recorded
+# with a field peel that had no early return, normalized every lead and
+# recomputed every row: a faster peel must intern the same point states
+# in the same order, so that the id tables grow alike
+STATE_TABLE_PINS = (
+    (
+        "663eac68b40168d1d3b256f26853406e126b15dc5bb000a5e955c14ac12b4681",
+        "07c53f2f9c30afefbfdaabe0ce20be85cbfcdf3f3f7ced4ced8c1998783110f6",
+    ),
+    (
+        "6490ae4efda61025f4a8072ee03657492da418515765370b0133684765b90f0c",
+        "30f84862f98a4269a6ba9288995ef3de6dd4ecf40806030dd810b70a2f081bcc",
+    ),
+)
+# points of two to four summands, whose subspaces need more than one row
+SHARED_POINT_REPS = (
+    TorsionRep.of(4, [((1, 3), "x"), ((2, 2), "x"), ((1, 1), "y")]),
+    TorsionRep.of(3, [((1, 2), "x"), ((1, 1), "x"), ((2, 2), "x")]),
+    TorsionRep.of(4, [((1, 2), "x"), ((2, 3), "x"), ((2, 2), "x"), ((1, 1), "y")]),
+)
+
+
+def _state_table_digests():
+    return tuple(
+        hashlib.sha256(repr(table).encode()).hexdigest()
+        for table in (quiverfilt._POINT_STATES, quiverfilt._SYMBOLIC_STATES)
+    )
+
+
+def test_routes_intern_the_pinned_point_states(cold_tables):
+    suites.run_pbw(3)
+    suites.run_serre(4)
+    assert _state_table_digests() == STATE_TABLE_PINS[0]
+    # then every order of the simple steps of each shared-point rep
+    for rep in SHARED_POINT_REPS:
+        simple = [(v, v) for q, p in chain.from_iterable(rep.points) for v in range(q, p + 1)]
+        for steps in sorted(set(permutations(simple))):
+            filtration_counts(rep, steps)
+    assert _state_table_digests() == STATE_TABLE_PINS[1]
 
 
 def test_routes_leave_no_cyclic_garbage():
