@@ -19,8 +19,8 @@ The count is computed two independent ways:
     summand at the chosen point can map onto the step interval;
   * exhaustive linear algebra over F_2 and over F_3 in fixed coordinates,
     one per summand: a subrepresentation is a list of fully reduced
-    constraint rows per vertex, and each step adds the functional of one
-    quotient map.
+    constraint rows per vertex of its span, and each step adds the
+    functional of one quotient map.
 
 Both recursions count per state, not per chain: a count below step k
 depends only on the multiset of point states, so each route starts from
@@ -35,9 +35,10 @@ table of peels, one dict per step that maps a point id to its peel: the
 symbolic route's is keyed by the step (q, p), the field route's by the
 step and the field, (q, p_end, p).  A call fetches the dicts of its
 steps once (a step's dict is made on its first fetch only), and a miss
-computes the peel and stores it; a field peel with no free coordinate at
-the step's end returns () at once.  The routes share no table, no peel
-function, no sentinel and no id.
+computes the peel and stores it; a field peel returns () before it
+builds any functional when the step ends above the point's span or no
+free summand can carry a functional's first entry.  The routes share no
+table, no peel function, no sentinel and no id.
 
 filtration_counts is the one entry point to the routes: it validates the
 steps in one pass and the dimension cap once, and the routes trust its
@@ -51,9 +52,10 @@ runner in suites that checks it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict, namedtuple
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from itertools import product as iproduct
 from operator import itemgetter
 
@@ -243,20 +245,20 @@ def count_filtrations_symbolic(rep, steps):
 # Fixed coordinates: at a point with summands ivs there is one coordinate
 # per summand.  The space at vertex v is F_p on the summands covering v,
 # and the arrow v -> v+1 keeps the coordinates of the summands that go on
-# to v+1.  A subrepresentation at the point is a tuple over the vertices
-# of constraint rows: the subspace at v is the common kernel of rows[v-1].
-# The rows are fully reduced and sorted by pivot: each row is 1 at its
-# pivot, its first nonzero entry, and 0 at the pivots of all the other
-# rows, so one row tuple stands for one subspace and a point state
-# (ivs, rows) has no labels.  _point_id names each point state of
-# positive dimension by its index in the process-wide id table
-# (_POINT_STATES, with the reverse map _POINT_IDS), so a call's state is
-# a sorted tuple of ints.  A peel depends on nothing else: _POINT_PEELS
-# maps each step and field (q, p_end, p) to the dict {pid: subs} for the
-# process, and count_filtrations_bruteforce memoizes per call on
-# point-id multisets.  A sub of dimension 0 is not interned: it is
-# _POINT_EMPTIED, the one sub of its peel, as distinct functionals give
-# distinct kernels.
+# to v+1.  A subrepresentation at the point is a tuple of constraint rows
+# per vertex of its span, 1..max b: the subspace at v is the common kernel
+# of rows[v-1].  The rows are fully reduced and sorted by pivot: each row
+# is 1 at its pivot, its first nonzero entry, and 0 at the pivots of all
+# the other rows, so one row tuple stands for one subspace and a point
+# state (ivs, rows) depends on neither labels nor n.  _point_id names each
+# point state of positive dimension by its index in the process-wide id
+# table (_POINT_STATES, with the reverse map _POINT_IDS), so a call's
+# state is a sorted tuple of ints.  A peel depends on nothing else:
+# _POINT_PEELS maps each step and field (q, p_end, p) to the dict
+# {pid: subs} for the process, and count_filtrations_bruteforce memoizes
+# per call on point-id multisets.  A sub of dimension 0 is not interned:
+# it is _POINT_EMPTIED, the one sub of its peel, as distinct functionals
+# give distinct kernels.
 
 _POINT_STATES = []
 _POINT_IDS = {}
@@ -273,64 +275,72 @@ def _point_id(state):
     return pid
 
 
-def _reduced(phi, ivs, v, rows, p):
-    """phi at vertex v reduced by the rows there: zero iff phi vanishes on their kernel.
-
-    At v the functional loses the summands that start above v; the
-    result is zero at every pivot of rows.
-    """
-    vec = [c if a <= v else 0 for c, (a, _) in zip(phi, ivs)]
-    for row in rows:
-        c = vec[row.index(1)]
-        if c:
-            vec = [(a - c * b) % p for a, b in zip(vec, row)]
-    return vec
-
-
 def _peel_point(pid, q, p_end, p):
     """The ids of the subreps of point state pid with quotient iso to [q, p_end].
 
     A quotient map is fixed by its functional phi at p_end, up to a
     scalar: phi runs over the free (non-pivot) coordinates there with its
-    first nonzero entry 1.  At each v in [q, p_end] the reduced phi must
-    be nonzero; normalized to 1 at its pivot j, it clears column j of
-    the rows there (a row already 0 in column j is kept as it is) and
-    joins them.  On the arrow into q it must vanish.  With no free
-    coordinate there is no such phi, and no sub.  When the step takes
-    all that is left of the point, the sub is _POINT_EMPTIED.
+    first nonzero entry 1.  At each v in [q, p_end], phi less the summands
+    that start above v (a suffix of ivs), reduced by the rows there, must
+    be nonzero; normalized to 1 at its pivot j, it clears column j of the
+    rows and joins them.  On the arrow into q it must vanish.  So phi's
+    first entry is on a summand that starts at or below q, and at q if
+    q - 1 has no rows (the arrow then needs no check): a step that ends
+    above the rows or leaves no such entry has no sub, and one that takes
+    all that is left has the one sub _POINT_EMPTIED.
     """
     ivs, rows = _POINT_STATES[pid]
-    pivots = {row.index(1) for row in rows[p_end - 1]}
-    free = [j for j, (a, b) in enumerate(ivs) if a <= p_end <= b and j not in pivots]
-    if not free:
+    if p_end > len(rows):
         return ()
-    kept = sum(b - a + 1 for a, b in ivs) - sum(map(len, rows)) - (p_end - q + 1)  # dim of a sub
-    subs = []
-    for first in range(len(free)):
+    at_end = rows[p_end - 1]
+    pivots = {row.index(1) for row in at_end} if at_end else ()
+    # (start, index) of each free coordinate, so sorted by start
+    free = [(a, j) for j, (a, b) in enumerate(ivs) if a <= p_end <= b and j not in pivots]
+    low = q - 1 if q > 1 and rows[q - 2] else q  # the first vertex checked
+    begin = bisect_left(free, (q,)) if low == q else 0
+    stop = bisect_left(free, (q + 1,))
+    if begin >= stop:
+        return ()
+    zeros = [0] * len(ivs)
+    subs, kept = [], None
+    for first in range(begin, stop):
         for tail in iproduct(range(p), repeat=len(free) - first - 1):
-            phi = [0] * len(ivs)
-            for j, c in zip(free[first:], (1,) + tail):
+            phi = zeros.copy()
+            phi[free[first][1]] = 1
+            for (_, j), c in zip(free[first + 1 :], tail):
                 phi[j] = c
-            if q > 1 and any(_reduced(phi, ivs, q - 1, rows[q - 2], p)):
-                continue
             new = list(rows)
-            for v in range(q, p_end + 1):
-                g = _reduced(phi, ivs, v, rows[v - 1], p)
+            for v in range(low, p_end + 1):
+                g, at = phi, rows[v - 1]
+                if ivs[-1][0] > v:
+                    k = bisect_left(ivs, (v + 1,))
+                    g = phi[:k] + zeros[k:]
+                for row in at:
+                    c = g[row.index(1)]
+                    if c:
+                        g = [(x - c * y) % p for x, y in zip(g, row)]
                 lead = next(filter(None, g), 0)  # the first nonzero entry
+                if v < q:  # the arrow into q
+                    if lead:
+                        break
+                    continue
                 if not lead:
                     break
                 j = g.index(lead)
                 if lead != 1:
                     inv = pow(lead, p - 2, p)
                     g = [c * inv % p for c in g]
-                cleared = [
-                    tuple((a - r[j] * b) % p for a, b in zip(r, g)) if r[j] else r
-                    for r in rows[v - 1]
-                ]
+                level = [tuple(g)]
+                for r in at:
+                    c = r[j]
+                    level.append(tuple((x - c * y) % p for x, y in zip(r, g)) if c else r)
                 # a reduced row is 0 before its pivot and at the other rows'
                 # pivots, so descending order is the order of the pivots
-                new[v - 1] = tuple(sorted(cleared + [tuple(g)], reverse=True))
+                level.sort(reverse=True)
+                new[v - 1] = tuple(level)
             else:
+                if kept is None:  # the dimension of a sub
+                    kept = sum(b - a + 1 for a, b in ivs) - sum(map(len, rows)) - (p_end - q + 1)
                 subs.append(_point_id((ivs, tuple(new))) if kept else _POINT_EMPTIED)
     return tuple(subs)
 
@@ -339,11 +349,11 @@ def _peel_point(pid, q, p_end, p):
 def _field_start(rep):
     """The sorted point ids of rep with nothing peeled, in every field.
 
-    One entry: the two fields of a filtration_counts call start from the
-    same ids, so the start state is built once per call.
+    A point starts with no rows on its span.  One entry: the two fields
+    of a filtration_counts call start from the same ids, so the start
+    state is built once per call.
     """
-    empty = ((),) * (rep.n - 1)
-    return tuple(sorted(map(_point_id, zip(rep.points, repeat(empty)))))
+    return tuple(sorted(_point_id((ivs, ((),) * max(b for _, b in ivs))) for ivs in rep.points))
 
 
 def count_filtrations_bruteforce(rep, steps, p):
@@ -404,8 +414,8 @@ def filtration_counts(rep, steps, cap=DEFAULT_DIMENSION_CAP):
 
     The one entry point to the routes.  It validates the steps and the
     dimension cap once (ValueError, ResourceCapError), and the routes
-    trust the steps it passes.  It never raises when the routes disagree; the symbolic count is None
-    where it abstains.
+    trust the steps it passes.  It never raises when the routes
+    disagree; the symbolic count is None where it abstains.
 
     >>> same_point = TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")])
     >>> filtration_counts(same_point, [(1, 1), (1, 1)])

@@ -67,6 +67,16 @@ def drop_last_line(real):
     return peel
 
 
+def rejects_steps_at_the_first_start(real):
+    """A field peel with the early return off by one: () once no summand starts below q."""
+
+    def peel(pid, q, p_end, p):
+        ivs, _ = quiverfilt._POINT_STATES[pid]
+        return () if ivs[0][0] >= q else real(pid, q, p_end, p)
+
+    return peel
+
+
 def extra_partition_at_1_1(real):
     """A walk that lists the last partition of weight (1, 1) twice."""
 
@@ -154,6 +164,9 @@ ROWS = {
         quiverfilt, "count_filtrations_bruteforce", field_off_by_one(3), {"pbw": 2, "serre": 1}
     ),
     "field_peel_drops_a_live_point": (quiverfilt, "_peel_point", drop_last_line, {"serre": 2}),
+    "field_peel_rejects_steps_at_the_first_start": (
+        quiverfilt, "_peel_point", rejects_steps_at_the_first_start, {"pbw": 68, "serre": 4}
+    ),
     "walk_lists_an_extra_partition": (
         kostant, "_walk", extra_partition_at_1_1,
         {"genfunc": 45, "euler": 45, "celldim": 45, "characters": 45, "freeness": 1},

@@ -24,7 +24,7 @@ from quasiflags.rootdata import (
     ResourceCapError, coroot_intervals, interval_sum, pairing, two_rho,
 )
 
-from oracles import pbw_expected, steps_fill_rep, tuple_keyed_symbolic_count
+from oracles import pbw_expected, reference_peel, steps_fill_rep, tuple_keyed_symbolic_count
 
 
 def three_routes(rep, steps):
@@ -587,6 +587,61 @@ def test_no_state_carries_an_emptied_point(cold_tables, case):
     assert () not in quiverfilt._SYMBOLIC_STATES
 
 
+@given(st.one_of(point_configurations(shared_point=True), twin_point_configurations()))
+# the arrow into q = 2 has a row at vertex 1 once (1,1) is peeled off [1,2]
+@example((TorsionRep.of(3, [((1, 2), "x")]), [(2, 2), (1, 1)]))
+# two summands at one point, one starting above the other
+@example((TorsionRep.of(4, [((1, 3), "x"), ((2, 2), "x")]), [(2, 2), (3, 3), (1, 2)]))
+# cold_tables is set up once per test, and each example calls it again
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_field_peel_matches_reference_peel(cold_tables, case):
+    # every point state that counting over F_p interns, peeled over F_p by
+    # every step, has the reference's subs in the reference's order
+    rep, steps = case
+    every_step = [(q, p_end) for q in range(1, rep.n) for p_end in range(q, rep.n)]
+    for p in (2, 3):
+        cold_tables()
+        count_filtrations_bruteforce(rep, steps, p)
+        for pid, (ivs, rows) in enumerate(list(quiverfilt._POINT_STATES)):
+            for q, p_end in every_step:
+                subs = quiverfilt._peel_point(pid, q, p_end, p)
+                got = tuple(
+                    None if sub == quiverfilt._POINT_EMPTIED else quiverfilt._POINT_STATES[sub]
+                    for sub in subs
+                )
+                assert got == reference_peel(ivs, rows, q, p_end, p), (ivs, rows, q, p_end, p)
+
+
+@given(st.one_of(point_configurations(shared_point=True), twin_point_configurations()))
+# cold_tables is set up once per test, and each example calls it again
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_counts_and_field_states_do_not_depend_on_n(cold_tables, case):
+    # a point's rows stop at its span: one more vertex changes no count and
+    # no field state, and a shift by one vertex changes no count
+    rep, steps = case
+    summands = [(iv, x) for x, ivs in enumerate(rep.points) for iv in ivs]
+    wider = TorsionRep.of(rep.n + 1, summands)
+    shifted = TorsionRep.of(rep.n + 1, [((q + 1, p + 1), x) for (q, p), x in summands])
+    counts = filtration_counts(rep, steps)
+    assert filtration_counts(wider, steps) == counts
+    assert filtration_counts(shifted, [(q + 1, p + 1) for q, p in steps]) == counts
+    tables = []
+    for r in (rep, wider):
+        cold_tables()
+        for p in (2, 3):
+            count_filtrations_bruteforce(r, steps, p)
+        tables.append(quiverfilt._POINT_STATES)
+    assert tables[0] == tables[1]
+
+
 # --- PBW multiplicities ----------------------------------------------------
 
 
@@ -694,14 +749,18 @@ def test_both_fields_start_from_one_start_state(cold_tables):
 # sha256 of repr(_POINT_STATES) and of repr(_SYMBOLIC_STATES), recorded
 # with a field peel that had no early return, normalized every lead and
 # recomputed every row: a faster peel must intern the same point states
-# in the same order, so that the id tables grow alike
+# in the same order, so that the id tables grow alike.  That peel kept
+# rows on the vertices 1..n-1; the field digests are of its table mapped
+# by (ivs, rows) -> (ivs, rows[:max b]), repeats dropped in first-seen
+# order (10 -> 7 states, then 79 -> 76), as a point's rows now stop at
+# its span
 STATE_TABLE_PINS = (
     (
-        "663eac68b40168d1d3b256f26853406e126b15dc5bb000a5e955c14ac12b4681",
+        "7bfa6136849a66983af99f6645a812bc0ac84b55a80e681b58516d646a097382",
         "07c53f2f9c30afefbfdaabe0ce20be85cbfcdf3f3f7ced4ced8c1998783110f6",
     ),
     (
-        "6490ae4efda61025f4a8072ee03657492da418515765370b0133684765b90f0c",
+        "436d29306e1c3b5bd4fdaf11ced3fc46b27c97dbae774c0590ecc0df47bdb2db",
         "30f84862f98a4269a6ba9288995ef3de6dd4ecf40806030dd810b70a2f081bcc",
     ),
 )
@@ -730,6 +789,7 @@ def test_routes_intern_the_pinned_point_states(cold_tables):
         for steps in sorted(set(permutations(simple))):
             filtration_counts(rep, steps)
     assert _state_table_digests() == STATE_TABLE_PINS[1]
+    assert all(len(rows) == max(b for _, b in ivs) for ivs, rows in quiverfilt._POINT_STATES)
 
 
 def test_routes_leave_no_cyclic_garbage():
