@@ -22,8 +22,6 @@ listing's summand counts and the Weyl group only (not the DP, nor the
 Cousin sum's packing): each cell adds one monomial, so euler reads it at t=1.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from itertools import groupby
 from math import factorial

@@ -11,8 +11,6 @@ coroot vectors alpha with |alpha| <= D; all arithmetic truncates above
 the total-degree bound D.
 """
 
-from __future__ import annotations
-
 from operator import add, sub
 
 

@@ -18,8 +18,6 @@ cannot indent, so ``json.dumps`` with an indent runs json's pure-Python
 encoder, the largest single cost of a small verify run.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

@@ -23,8 +23,6 @@ polynomial of the degree-alpha space; it divides by each factor in place
 (CharSeries.divide_geometric).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import factorial
 from operator import sub

@@ -12,8 +12,6 @@ one store.  The tests check the profiles against an independent DP
 convolution, which lives with the other oracles in tests/oracles.py.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import chain, repeat
 

@@ -17,8 +17,6 @@ e^{beta+2rho} is |W| times the Kostant partition count of beta (so it is
 nonnegative), and multiplying back reproduces the character.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import factorial
 

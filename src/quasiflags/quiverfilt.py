@@ -14,9 +14,10 @@ of subrepresentations whose k-th subquotient G_k/G_{k-1} is isomorphic to
 the interval module of the k-th step, concentrated at a single point.
 The count is computed two independent ways:
 
-  * a symbolic interval calculus: quotienting an interval [q,b] by its
-    head [q,p] leaves the tail [p+1,b]; a step is rigid when exactly one
-    summand at the chosen point can map onto the step interval;
+  * a symbolic interval calculus at q = 1: quotienting an interval
+    [q,b] by its head [q,p] leaves the tail [p+1,b], and a step peels
+    each summand at the chosen point that starts at q and ends at or
+    above p, in turn;
   * exhaustive linear algebra over F_2 and over F_3 in fixed coordinates,
     one per summand: a subrepresentation is a list of fully reduced
     constraint rows per vertex of its span, and each step adds the
@@ -44,13 +45,11 @@ filtration_counts is the one entry point to the routes: it validates the
 steps in one pass and the dimension cap once, and the routes trust its
 steps.  It returns all three counts.  count_filtrations returns
 NOT_RIGID (a result, not an error) when the two field counts differ, as
-the family is then positive-dimensional; a symbolic number must agree.
+the family is then positive-dimensional; the symbolic count must agree.
 commutator_constant is commute's route.  The module holds routes only:
 the shapes and steps of each filtration identity are stated by the
 runner in suites that checks it.
 """
-
-from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict, namedtuple
@@ -132,25 +131,19 @@ def _validate_steps(rep, steps):
 # symbolic interval calculus
 
 
-class _Ambiguous(Exception):
-    """A step admits a positive-dimensional family of kernels."""
-
-
 # A symbolic point state is the sorted, nonempty tuple of the point's
 # intervals.  _symbolic_id names each one by its index in the
 # process-wide id table of this route (_SYMBOLIC_STATES, with the reverse
 # map _SYMBOLIC_IDS), so a call's state is a sorted tuple of ints.  A
 # peel depends on the point state and the step alone: _SYMBOLIC_PEELS
-# maps each step (q, p) to the dict {sid: peel result} for the process.
-# A peel result is an id or one of the negative sentinels below.  None
-# of these is the field route's, and no id is shared.
+# maps each step (q, p) to the dict {sid: subs} for the process, each
+# sub the tuple of ids it adds back to the state: (sid',), or () when
+# nothing is left of the point.  None of these is the field route's, and
+# no id is shared.
 
 _SYMBOLIC_STATES = []
 _SYMBOLIC_IDS = {}
 _SYMBOLIC_PEELS = defaultdict(dict)
-_UNPEELABLE = -1  # no summand maps onto the step
-_AMBIGUOUS = -2  # two or more summands do
-_SYMBOLIC_EMPTIED = -3  # the peel leaves the point no interval
 
 
 def _symbolic_id(ivs):
@@ -163,37 +156,32 @@ def _symbolic_id(ivs):
 
 
 def _peel_symbolic(sid, q, p):
-    """The id of point state sid with [q, p] peeled, or a sentinel.
+    """The subs of point state sid with quotient [q, p], one per head summand.
 
-    A summand [a,b] can carry a surjection onto [q,p] iff q <= a <= p <= b,
-    and the map can be onto only when a == q.  _UNPEELABLE: no summand
-    maps onto the step.  A unique eligible summand gives a unique kernel
-    (tail [p+1,b]), and _SYMBOLIC_EMPTIED when nothing is left of the
-    point; two or more eligible summands give a projective family, and
-    the result is _AMBIGUOUS.
+    At q = 1 a family of chains counts by its Euler characteristic, that
+    is by the chains that the torus scaling each summand fixes: chains of
+    sums of subs of the summands.  Such a sub has quotient [q, p] iff it
+    keeps every summand whole but one head [q, b], b >= p, of which it
+    keeps the tail [p+1, b].  So each head gives one sub, equal heads one
+    each, and a point with none gives ().
     """
     ivs = _SYMBOLIC_STATES[sid]
-    eligible = [iv for iv in ivs if q <= iv[0] <= p <= iv[1]]
-    if not any(iv[0] == q for iv in eligible):
-        return _UNPEELABLE
-    if len(eligible) > 1:
-        return _AMBIGUOUS
-    iv = eligible[0]
-    rest = list(ivs)
-    rest.remove(iv)
-    if p < iv[1]:
-        rest.append((p + 1, iv[1]))
-    return _symbolic_id(tuple(sorted(rest))) if rest else _SYMBOLIC_EMPTIED
+    subs = []
+    for j, (a, b) in enumerate(ivs):
+        if a == q and b >= p:
+            rest = ivs[:j] + ivs[j + 1 :] + (((p + 1, b),) if p < b else ())
+            subs.append((_symbolic_id(tuple(sorted(rest))),) if rest else ())
+    return tuple(subs)
 
 
 def count_filtrations_symbolic(rep, steps):
-    """Interval-calculus count, or None when a field-dependent branch occurs.
+    """Interval-calculus count at q = 1.
 
     At each step (peeling from the top of the chain) each point is peeled
-    by _peel_symbolic, read from the step's dict of _SYMBOLIC_PEELS; an
-    ambiguous peel anywhere makes the count None, and an emptied point
-    leaves the state.  The count below step k depends only on the
-    multiset of point states, so each sorted tuple of point ids is
+    by _peel_symbolic, read from the step's dict of _SYMBOLIC_PEELS, and
+    the count sums over its subs as the field route sums over its own; an
+    emptied point leaves the state.  The count below step k depends only
+    on the multiset of point states, so each sorted tuple of point ids is
     counted once per call.  Of equal points one is peeled, and its count
     taken once per point.  The steps are trusted: filtration_counts has
     validated them.
@@ -203,8 +191,7 @@ def count_filtrations_symbolic(rep, steps):
 
     def rec(k, state):
         # a state's total dimension fixes k, as every step has positive
-        # dimension.  A state in the memo was explored in full without
-        # raising _Ambiguous.
+        # dimension, so the memo is keyed on the state alone
         if k < 0:
             return 1
         total = memo.get(state)
@@ -215,28 +202,22 @@ def count_filtrations_symbolic(rep, steps):
         for i, sid in enumerate(state):
             if i and state[i - 1] == sid:
                 continue  # counted with the first of its equal points
-            peeled = table.get(sid)
-            if peeled is None:
-                peeled = table[sid] = _peel_symbolic(sid, *steps[k])
-            if peeled >= 0:
-                below = tuple(sorted(state[:i] + (peeled,) + state[i + 1 :]))
-            elif peeled == _UNPEELABLE:
+            subs = table.get(sid)
+            if subs is None:
+                subs = table[sid] = _peel_symbolic(sid, *steps[k])
+            if not subs:
                 continue
-            elif peeled == _SYMBOLIC_EMPTIED:
-                below = state[:i] + state[i + 1 :]
-            else:
-                raise _Ambiguous
-            total += state.count(sid) * rec(k - 1, below)
+            rest = state[:i] + state[i + 1 :]
+            below = 0
+            for sub in subs:
+                below += rec(k - 1, tuple(sorted(rest + sub)) if sub else rest)
+            total += state.count(sid) * below
         memo[state] = total
         return total
 
-    start = tuple(sorted(map(_symbolic_id, rep.points)))
-    try:
-        return rec(len(steps) - 1, start)
-    except _Ambiguous:
-        return None
-    finally:
-        del rec  # rec's closure holds rec: break the cycle, so the memo goes now
+    count = rec(len(steps) - 1, tuple(sorted(map(_symbolic_id, rep.points))))
+    del rec  # rec's closure holds rec: break the cycle, so the memo goes now
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +396,11 @@ def filtration_counts(rep, steps, cap=DEFAULT_DIMENSION_CAP):
     The one entry point to the routes.  It validates the steps and the
     dimension cap once (ValueError, ResourceCapError), and the routes
     trust the steps it passes.  It never raises when the routes
-    disagree; the symbolic count is None where it abstains.
+    disagree.
 
     >>> same_point = TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")])
     >>> filtration_counts(same_point, [(1, 1), (1, 1)])
-    (None, 3, 4)
+    (2, 3, 4)
     """
     steps = tuple((int(q), int(p)) for q, p in steps)
     total_dim = _validate_steps(rep, steps)
@@ -434,8 +415,8 @@ def filtration_counts(rep, steps, cap=DEFAULT_DIMENSION_CAP):
 def count_filtrations(rep, steps):
     """Field-independent chain count, or NOT_RIGID.
 
-    The two finite-field counts decide; the symbolic count, when
-    defined, must agree with them.
+    The two finite-field counts decide; the symbolic count must agree
+    with them.
 
     >>> T = TorsionRep.of(3, [((1, 2), "x"), ((2, 2), "y")])
     >>> count_filtrations(T, [(2, 2), (2, 2), (1, 1)])   # bottom to top
@@ -449,7 +430,7 @@ def count_filtrations(rep, steps):
     symbolic, f2, f3 = filtration_counts(rep, steps)
     if f2 != f3:
         return NOT_RIGID
-    if symbolic is not None and symbolic != f2:
+    if symbolic != f2:
         raise AssertionError(
             f"symbolic count {symbolic} disagrees with brute force {f2}"
         )

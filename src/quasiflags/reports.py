@@ -8,8 +8,6 @@ is a soft failure.  An Entry and a Report are plain slotted classes
 that only carry their fields to the renderer; they define no equality.
 """
 
-from __future__ import annotations
-
 PASS = "PASS"
 FAIL = "FAIL"
 

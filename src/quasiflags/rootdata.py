@@ -8,8 +8,6 @@ canonical order on them is lexicographic in (q, p).
 The Weyl group is S_n with length = number of inversions.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, permutations, product

@@ -10,8 +10,6 @@ Each runner states the inputs of its identity (shapes, coroot orders,
 steps) next to the values it expects; quiverfilt only counts.
 """
 
-from __future__ import annotations
-
 from math import factorial, prod
 from operator import add
 from types import MappingProxyType

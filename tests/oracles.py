@@ -154,32 +154,25 @@ def geometric_inverse(coeff, theta, bound):
     return CharSeries(len(theta), bound, out)
 
 
-class _Ambiguous(Exception):
-    """A step admits a positive-dimensional family of kernels."""
-
-
 def tuple_keyed_symbolic_count(rep, steps):
     """The symbolic filtration count with each point state kept as its interval tuple.
 
     The reference for quiverfilt.count_filtrations_symbolic, which names
     the same point states by interned ids and memoizes their peels for
     the process; this one re-derives every peel from the tuples and
-    memoizes per call only.  None where a step is ambiguous.
+    memoizes per call only.
 
-    At each step (peeling from the top of the chain) and each point, a
-    summand [a,b] can carry a surjection onto the step interval [q,p]
-    iff q <= a <= p <= b, and the map can be onto only when a == q.  A
-    unique eligible summand gives a unique kernel (tail [p+1,b]); two or
-    more eligible summands at one point give a projective family.  Of
-    equal points one is peeled, and its count taken once per point.
+    At each step [q,p] (peeling from the top of the chain) and each
+    point, each head summand [q,b] with b >= p gives one sub: the point
+    with that summand cut to its tail [p+1,b].  Equal heads give one sub
+    each.  Of equal points one is peeled, and its count taken once per
+    point.
     """
     memo = {}
 
     def rec(k, state):
         # state: sorted tuple of per-point sorted interval tuples, whose
-        # total dimension fixes k, as every step has positive dimension.
-        # A state in the memo was explored in full without raising
-        # _Ambiguous.
+        # total dimension fixes k, as every step has positive dimension
         if k < 0:
             return 1
         if state in memo:
@@ -189,27 +182,20 @@ def tuple_keyed_symbolic_count(rep, steps):
         for i, at_x in enumerate(state):
             if i and state[i - 1] == at_x:
                 continue  # counted with the first of its equal points
-            eligible = [iv for iv in at_x if iv[0] >= q and iv[0] <= p <= iv[1]]
-            if not any(iv[0] == q for iv in eligible):
-                continue
-            if len(eligible) > 1:
-                raise _Ambiguous
-            iv = eligible[0]
-            rest = list(at_x)
-            rest.remove(iv)
-            if p < iv[1]:
-                rest.append((p + 1, iv[1]))
-            peeled = state[:i] + (tuple(sorted(rest)),) + state[i + 1 :]
-            total += state.count(at_x) * rec(k - 1, tuple(sorted(peeled)))
+            for j, (a, b) in enumerate(at_x):
+                if a != q or b < p:
+                    continue
+                rest = list(at_x[:j] + at_x[j + 1 :])
+                if p < b:
+                    rest.append((p + 1, b))
+                peeled = state[:i] + (tuple(sorted(rest)),) + state[i + 1 :]
+                total += state.count(at_x) * rec(k - 1, tuple(sorted(peeled)))
         memo[state] = total
         return total
 
-    try:
-        return rec(len(steps) - 1, rep.points)
-    except _Ambiguous:
-        return None
-    finally:
-        del rec  # rec's closure holds rec: break the cycle, so the memo goes now
+    count = rec(len(steps) - 1, rep.points)
+    del rec  # rec's closure holds rec: break the cycle, so the memo goes now
+    return count
 
 
 def _reduced(phi, ivs, v, rows, p):

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 from itertools import chain, permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -39,12 +40,12 @@ def decided_count(rep, steps, cap):
     """count_filtrations' decision, taken on filtration_counts at another dimension cap.
 
     NOT_RIGID where the F_2 and F_3 counts differ, else their count, which
-    a defined symbolic count must equal.
+    the symbolic count must equal.
     """
     symbolic, f2, f3 = filtration_counts(rep, steps, cap=cap)
     if f2 != f3:
         return NOT_RIGID
-    assert symbolic in (None, f2), (symbolic, f2)
+    assert symbolic == f2, (symbolic, f2)
     return f2
 
 
@@ -128,10 +129,11 @@ def test_symbolic_matches_bruteforce_on_serre_shapes():
 def test_not_rigid_same_point_doubling():
     rep = TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")])
     steps = [(1, 1), (1, 1)]
-    # p+1 lines in F_p^2: the chain family is a projective line
+    # p+1 lines in F_p^2: the chain family is a projective line, whose
+    # Euler characteristic, the count at q = 1, is 2
     assert count_filtrations_bruteforce(rep, steps, 2) == 3
     assert count_filtrations_bruteforce(rep, steps, 3) == 4
-    assert count_filtrations_symbolic(rep, steps) is None
+    assert count_filtrations_symbolic(rep, steps) == 2
     result = count_filtrations(rep, steps)
     assert result is NOT_RIGID
     assert not is_rigid(result)
@@ -140,7 +142,7 @@ def test_not_rigid_same_point_doubling():
 def test_not_rigid_nested_intervals_same_point():
     rep = TorsionRep.of(3, [((1, 2), "x"), ((1, 1), "x")])
     steps = [(2, 2), (1, 1), (1, 1)]
-    assert count_filtrations_symbolic(rep, steps) is None
+    assert count_filtrations_symbolic(rep, steps) == 2
     assert count_filtrations(rep, steps) is NOT_RIGID
 
 
@@ -273,32 +275,65 @@ def twin_point_configurations(draw, n=4):
 @given(point_configurations())
 @settings(max_examples=60, deadline=None)
 def test_distinct_points_are_always_rigid(case):
-    # counts over F_2 and F_3 coincide and the symbolic route never abstains
+    # counts over F_2 and F_3 coincide, and the symbolic count with them
     rep, steps = case
     sym = count_filtrations_symbolic(rep, steps)
     f2 = count_filtrations_bruteforce(rep, steps, 2)
     f3 = count_filtrations_bruteforce(rep, steps, 3)
-    assert sym is not None
     assert sym == f2 == f3
     assert is_rigid(decided_count(rep, steps, cap=12))
 
 
-@given(point_configurations(shared_point=True))
+@st.composite
+def field_sized_crowded_configurations(draw):
+    """n from 2 to 5, dimension at most 6, up to four summands at a point, and steps.
+
+    The steps are a shuffle of the summands' own intervals (PBW-like), of
+    the simple steps they contain (Serre-like) or of pieces cut at random
+    inside each summand (draw_steps).  The field routes run on these.
+    """
+    n = draw(st.integers(min_value=2, max_value=5))
+    count = draw(st.integers(min_value=1, max_value=6))
+    intervals, left = [], 6
+    for k in range(count):
+        q, p = draw(interval_strategy(n, longest=left - (count - k - 1)))
+        intervals.append((q, p))
+        left -= p - q + 1
+    labels = []
+    for k in range(count):
+        labels.append(draw(st.sampled_from([x for x in range(k + 1) if labels.count(x) < 4])))
+    rep = TorsionRep.of(n, list(zip(intervals, labels)))
+    kind = draw(st.sampled_from(("own", "simple", "cut")))
+    if kind == "cut":
+        return rep, draw_steps(draw, intervals)
+    if kind == "own":
+        steps = list(intervals)
+    else:
+        steps = [(v, v) for q, p in intervals for v in range(q, p + 1)]
+    return rep, list(draw(st.permutations(steps)))
+
+
+@given(st.one_of(point_configurations(shared_point=True), field_sized_crowded_configurations()))
 @example((TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")]), [(1, 1), (1, 1)]))
-@settings(max_examples=60, deadline=None)
+# two equal points, each of two equal heads
+@example((TorsionRep.of(2, [((1, 1), x) for x in "xxyy"]), [(1, 1)] * 4))
+@settings(max_examples=200, deadline=None)
 def test_filtration_counts_is_the_three_routes(case):
     # one entry point, the same numbers as the routes called one by one,
-    # and count_filtrations decides on top of them
+    # and count_filtrations decides on top of them; the symbolic count is
+    # always a number, the q = 1 value of the count, so it equals any
+    # count that F_2 and F_3 share
     rep, steps = case
     counts = filtration_counts(rep, steps, cap=12)
     assert counts == three_routes(rep, steps)
     sym, f2, f3 = counts
-    result = count_filtrations(rep, steps)  # at most SHARED_DIMENSION_CAP, under the default cap
+    assert type(sym) is int
+    result = count_filtrations(rep, steps)  # at most dimension 6, under the default cap
     if f2 != f3:
         assert result is NOT_RIGID
     else:
         assert result == f2
-        assert sym in (None, f2)
+        assert sym == f2
 
 
 @st.composite
@@ -339,41 +374,30 @@ def test_filtration_counts_accepts_exactly_the_steps_that_fill_the_rep(case):
 
 
 def unmemoized_symbolic_count(rep, steps):
-    """The symbolic interval calculus on (interval, point index) summands, no memo."""
+    """The symbolic interval calculus on (interval, point index) summands, no memo.
 
-    class Ambiguous(Exception):
-        pass
+    Each summand [q, b] with b >= p, at any point, is peeled in turn by
+    the step [q, p], leaving its tail [p+1, b].
+    """
 
     def rec(state, k):
         if k < 0:
             return 1
         q, p = steps[k]
         total = 0
-        for x in {pt for _, pt in state}:
-            at_x = [iv for iv, pt in state if pt == x]
-            eligible = [iv for iv in at_x if q <= iv[0] <= p <= iv[1]]
-            if not any(iv[0] == q for iv in eligible):
-                continue
-            if len(eligible) > 1:
-                raise Ambiguous
-            iv = eligible[0]
-            rest = list(state)
-            rest.remove((iv, x))
-            if p < iv[1]:
-                rest.append(((p + 1, iv[1]), x))
-            total += rec(rest, k - 1)
+        for j, ((a, b), x) in enumerate(state):
+            if a == q and b >= p:
+                rest = state[:j] + state[j + 1 :] + ([((p + 1, b), x)] if p < b else [])
+                total += rec(rest, k - 1)
         return total
 
-    try:
-        state = [(iv, x) for x, ivs in enumerate(rep.points) for iv in ivs]
-        return rec(state, len(steps) - 1)
-    except Ambiguous:
-        return None
+    state = [(iv, x) for x, ivs in enumerate(rep.points) for iv in ivs]
+    return rec(state, len(steps) - 1)
 
 
 @given(point_configurations(shared_point=True))
 # peeling (3,3) at x or at y leaves the same intervals in two groupings,
-# of which only the one with (1,3) and (3,3) together is ambiguous
+# each counted on its own
 @example(
     (
         TorsionRep.of(4, [((1, 3), "x"), ((3, 3), "x"), ((3, 3), "y")]),
@@ -412,7 +436,8 @@ def crowded_point_configurations(draw):
 @given(crowded_point_configurations())
 # two equal points: the interned route peels one and counts it twice
 @example((TorsionRep.of(3, [((1, 2), "x"), ((1, 2), "y")]), [(1, 2), (1, 2)]))
-# three equal simple points and one ambiguous point of three summands
+# three equal simple points and one point of three summands, two of them
+# equal heads of the step (3,3)
 @example((TorsionRep.of(2, [((1, 1), x) for x in "xyz"]), [(1, 1)] * 3))
 @example((TorsionRep.of(4, [((1, 3), "x"), ((3, 3), "x"), ((3, 3), "x")]), [(3, 3), (1, 3), (3, 3)]))
 # cold_tables is set up once per test, and each example calls it again
@@ -422,7 +447,7 @@ def crowded_point_configurations(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_interned_symbolic_route_matches_tuple_keyed_oracle(cold_tables, case):
-    # the same count or None from cold tables and again from warm ones
+    # the same count from cold tables and again from warm ones
     rep, steps = case
     expected = tuple_keyed_symbolic_count(rep, steps)
     cold_tables()
@@ -430,16 +455,25 @@ def test_interned_symbolic_route_matches_tuple_keyed_oracle(cold_tables, case):
     assert count_filtrations_symbolic(rep, steps) == expected
 
 
+def test_symbolic_route_peels_heads_only():
+    # at one point, [2,2] maps onto the step [1,2] but does not start at 1:
+    # only the head [1,3] peels, and its tail [3,3] leaves no head for [2,3]
+    rep = TorsionRep.of(4, [((1, 3), "x"), ((2, 2), "x")])
+    assert filtration_counts(rep, [(2, 3), (1, 2)]) == (0, 1, 2)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_complete_flags_at_one_point(d):
     # d simples at one point: the chains are the complete flags of F_p^d,
-    # 251,680 of them at d = 5 over F_3, so the count must go per state
+    # 251,680 of them at d = 5 over F_3, so the count must go per state;
+    # at q = 1 they are the d! orders of the d equal heads
     rep = TorsionRep.of(2, [((1, 1), "x")] * d)
     for p in (2, 3) if d <= 5 else (2,):
         flags = 1
         for k in range(1, d + 1):
             flags *= (p**k - 1) // (p - 1)
         assert count_filtrations_bruteforce(rep, [(1, 1)] * d, p) == flags
+    assert count_filtrations_symbolic(rep, [(1, 1)] * d) == factorial(d)
 
 
 def subspace_oracle_count(rep, steps, p):
@@ -531,14 +565,14 @@ def test_field_counts_match_subspace_oracle(cold_tables, case):
     rep, steps = case
     oracle = {p: subspace_oracle_count(rep, steps, p) for p in (2, 3)}
     # the symbolic route reads no field table: from cold tables it fills
-    # its own peel table and none of the field route's, and it abstains or
-    # agrees with the oracle
+    # its own peel table and none of the field route's, and it agrees with
+    # the oracle wherever the two fields do
     cold_tables()
     sym = count_filtrations_symbolic(rep, steps)
     assert quiverfilt._SYMBOLIC_PEELS
     assert quiverfilt._POINT_PEELS == {}
     assert quiverfilt._POINT_STATES == [] and quiverfilt._POINT_IDS == {}
-    assert sym is None or sym == oracle[2] == oracle[3]
+    assert sym == oracle[2] or oracle[2] != oracle[3]
     # and conversely, the field routes leave the symbolic tables empty
     for fields in ((3, 2), (2, 3)):
         cold_tables()
@@ -753,7 +787,10 @@ def test_both_fields_start_from_one_start_state(cold_tables):
 # rows on the vertices 1..n-1; the field digests are of its table mapped
 # by (ivs, rows) -> (ivs, rows[:max b]), repeats dropped in first-seen
 # order (10 -> 7 states, then 79 -> 76), as a point's rows now stop at
-# its span
+# its span.  The symbolic digest of the second pin is of the peel that
+# takes each head in turn, which goes on past a point with two heads of
+# one step where the peel before it gave up: it interns 21 states where
+# that peel interned the 12 of ABSTAINING_PEEL_STATES
 STATE_TABLE_PINS = (
     (
         "7bfa6136849a66983af99f6645a812bc0ac84b55a80e681b58516d646a097382",
@@ -761,8 +798,13 @@ STATE_TABLE_PINS = (
     ),
     (
         "436d29306e1c3b5bd4fdaf11ced3fc46b27c97dbae774c0590ecc0df47bdb2db",
-        "30f84862f98a4269a6ba9288995ef3de6dd4ecf40806030dd810b70a2f081bcc",
+        "cbbce2c632b354f584192e8f80b2cf73557423674e22c6e7161ea22007498adb",
     ),
+)
+ABSTAINING_PEEL_STATES = (
+    ((2, 2),), ((1, 2),), ((1, 1),), ((3, 3),), ((2, 3),), ((1, 3), (2, 2)), ((1, 3),),
+    ((2, 2), (2, 3)), ((1, 1), (1, 2), (2, 2)), ((1, 1), (1, 2)), ((1, 2), (2, 2), (2, 3)),
+    ((2, 2), (2, 2), (2, 3)),
 )
 # points of two to four summands, whose subspaces need more than one row
 SHARED_POINT_REPS = (
@@ -789,6 +831,7 @@ def test_routes_intern_the_pinned_point_states(cold_tables):
         for steps in sorted(set(permutations(simple))):
             filtration_counts(rep, steps)
     assert _state_table_digests() == STATE_TABLE_PINS[1]
+    assert set(ABSTAINING_PEEL_STATES) <= set(quiverfilt._SYMBOLIC_STATES)
     assert all(len(rows) == max(b for _, b in ivs) for ivs, rows in quiverfilt._POINT_STATES)
 
 
