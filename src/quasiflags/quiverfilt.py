@@ -27,25 +27,26 @@ Both recursions count per state, not per chain: a count below step k
 depends only on the multiset of point states, so each route starts from
 rep.points and keeps one memo keyed on the sorted point states for the
 length of a single call (a state's total dimension fixes k).  A state
-holds live points only: a peel that leaves a point with nothing drops
-the point, so the state below the last step is ().  Equal points peel
-alike into distinct subobjects, so each route peels one of them and
-multiplies by their number.  Each route names its point states by small
-ints from its own process-wide id table, and keeps its own process-wide
-table of peels, one dict per step that maps a point id to its peel: the
-symbolic route's is keyed by the step (q, p), the field route's by the
-step and the field, (q, p_end, p).  A call fetches the dicts of its
-steps once (a step's dict is made on its first fetch only), and a miss
-computes the peel and stores it; a field peel returns () before it
-builds any functional when the step ends above the point's span or no
-free summand can carry a functional's first entry.  The routes share no
-table, no peel function, no sentinel and no id.
+holds live points only: each sub of a peel is the tuple of ids it adds
+back to the state, () when nothing is left of the point, so the state
+below the last step is ().  Equal points peel alike into distinct
+subobjects, so each route peels one of them and multiplies by their
+number.  Each route names its point states by small ints from its own
+process-wide id table, and keeps its own process-wide table of peels,
+one dict per step that maps a point id to its peel: the symbolic route's
+is keyed by the step (q, p), the field route's by the step and the
+field, (q, p_end, p).  A call fetches the dicts of its steps once (a
+step's dict is made on its first fetch only), and a miss computes the
+peel and stores it; a field peel returns () before it builds any
+functional when the step ends above the point's span or no free summand
+can carry a functional's first entry.  The routes share no table, no
+peel function and no id.
 
-filtration_counts is the one entry point to the routes: it validates the
-steps in one pass and the dimension cap once, and the routes trust its
-steps.  It returns all three counts.  count_filtrations returns
-NOT_RIGID (a result, not an error) when the two field counts differ, as
-the family is then positive-dimensional; the symbolic count must agree.
+filtration_counts and count_filtrations check their steps once, and the
+routes trust them.  filtration_counts returns all three counts.
+count_filtrations returns NOT_RIGID (a result, not an error) when the two
+field counts differ, as the family is then positive-dimensional, and only
+otherwise runs the symbolic route, whose count must agree.
 commutator_constant is commute's route.  The module holds routes only:
 the shapes and steps of each filtration identity are stated by the
 runner in suites that checks it.
@@ -56,7 +57,7 @@ from collections import defaultdict, namedtuple
 from functools import lru_cache
 from itertools import chain
 from itertools import product as iproduct
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .rootdata import ResourceCapError, interval_sum, pairing, two_rho
 
@@ -93,7 +94,7 @@ class TorsionRep(namedtuple("TorsionRep", "n points")):
         """Build from an iterable of ((q, p), label) pairs; labels only group."""
         pairs = []
         for iv, label in summands:
-            q, p = iv
+            q, p = map(index, iv)  # TypeError on a non-integral end
             if not 1 <= q <= p <= n - 1:
                 raise ValueError(f"bad interval {iv} for n={n}")
             pairs.append(((q, p), label))
@@ -104,27 +105,32 @@ class TorsionRep(namedtuple("TorsionRep", "n points")):
         return cls(n, tuple(sorted(by_label.values())))
 
 
-def _validate_steps(rep, steps):
-    """rep's total dimension, once each step is in range and the steps add up to rep.
+def _checked_steps(rep, steps, cap):
+    """steps as a tuple of int pairs, each in range, adding up to rep, within cap.
 
-    Steps add 1 and summands take 1 on their intervals in one difference
-    array, which is all zero iff the dimension vectors agree.
+    One loop reads each step through operator.index, checks its range and
+    adds it to a difference array, where summands take 1 on their
+    intervals: it is all zero iff the dimension vectors agree.
     """
-    n, total = rep.n, 0
+    n, total, checked = rep.n, 0, []
     diff = [0] * n
-    for q, p in steps:
+    for step in steps:
+        q, p = map(index, step)
         if not 1 <= q <= p <= n - 1:
             raise ValueError(f"bad step interval ({q},{p}) for n={n}")
         diff[q - 1] += 1
         diff[p] -= 1
         total += p - q + 1
+        checked.append((q, p))
     for q, p in chain.from_iterable(rep.points):
         diff[q - 1] -= 1
         diff[p] += 1
     if any(diff):
         dim = interval_sum(n, chain.from_iterable(rep.points))
-        raise ValueError(f"step dimensions {interval_sum(n, steps)} do not sum to dim T = {dim}")
-    return total
+        raise ValueError(f"step dimensions {interval_sum(n, checked)} do not sum to dim T = {dim}")
+    if total > cap:
+        raise ResourceCapError(f"total dimension {total} exceeds brute-force cap {cap}")
+    return tuple(checked)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +189,8 @@ def count_filtrations_symbolic(rep, steps):
     emptied point leaves the state.  The count below step k depends only
     on the multiset of point states, so each sorted tuple of point ids is
     counted once per call.  Of equal points one is peeled, and its count
-    taken once per point.  The steps are trusted: filtration_counts has
-    validated them.
+    taken once per point.  The steps are trusted: the entry points have
+    checked them.
     """
     memo = {}
     peels = [_SYMBOLIC_PEELS[step] for step in steps]
@@ -237,14 +243,14 @@ def count_filtrations_symbolic(rep, steps):
 # state is a sorted tuple of ints.  A peel depends on nothing else:
 # _POINT_PEELS maps each step and field (q, p_end, p) to the dict
 # {pid: subs} for the process, and count_filtrations_bruteforce memoizes
-# per call on point-id multisets.  A sub of dimension 0 is not interned:
-# it is _POINT_EMPTIED, the one sub of its peel, as distinct functionals
-# give distinct kernels.
+# per call on point-id multisets.  Each sub is the tuple of ids it adds
+# back to the state: (pid',), or () when nothing is left of the point,
+# then the one sub of its peel, as distinct functionals give distinct
+# kernels.  No id names a state of dimension 0.
 
 _POINT_STATES = []
 _POINT_IDS = {}
 _POINT_PEELS = defaultdict(dict)
-_POINT_EMPTIED = -1  # a sub with nothing left: no id is negative
 
 
 def _point_id(state):
@@ -257,7 +263,7 @@ def _point_id(state):
 
 
 def _peel_point(pid, q, p_end, p):
-    """The ids of the subreps of point state pid with quotient iso to [q, p_end].
+    """The subs of point state pid with quotient iso to [q, p_end], as id tuples.
 
     A quotient map is fixed by its functional phi at p_end, up to a
     scalar: phi runs over the free (non-pivot) coordinates there with its
@@ -268,7 +274,7 @@ def _peel_point(pid, q, p_end, p):
     first entry is on a summand that starts at or below q, and at q if
     q - 1 has no rows (the arrow then needs no check): a step that ends
     above the rows or leaves no such entry has no sub, and one that takes
-    all that is left has the one sub _POINT_EMPTIED.
+    all that is left has the one sub (), as nothing is added back.
     """
     ivs, rows = _POINT_STATES[pid]
     if p_end > len(rows):
@@ -322,7 +328,7 @@ def _peel_point(pid, q, p_end, p):
             else:
                 if kept is None:  # the dimension of a sub
                     kept = sum(b - a + 1 for a, b in ivs) - sum(map(len, rows)) - (p_end - q + 1)
-                subs.append(_point_id((ivs, tuple(new))) if kept else _POINT_EMPTIED)
+                subs.append((_point_id((ivs, tuple(new))),) if kept else ())
     return tuple(subs)
 
 
@@ -331,8 +337,8 @@ def _field_start(rep):
     """The sorted point ids of rep with nothing peeled, in every field.
 
     A point starts with no rows on its span.  One entry: the two fields
-    of a filtration_counts call start from the same ids, so the start
-    state is built once per call.
+    of a count_filtrations or filtration_counts call start from the same
+    ids, so the start state is built once per call.
     """
     return tuple(sorted(_point_id((ivs, ((),) * max(b for _, b in ivs))) for ivs in rep.points))
 
@@ -346,7 +352,7 @@ def count_filtrations_bruteforce(rep, steps, p):
     dict of _POINT_PEELS.  An emptied point leaves the state.  Of equal
     points one is peeled, and its count taken once per point: peeling
     any of them leaves the same multiset, and their subobjects are
-    distinct.  The steps are trusted: filtration_counts has validated
+    distinct.  The steps are trusted: the entry points have checked
     them.
     """
     memo = {}
@@ -371,12 +377,9 @@ def count_filtrations_bruteforce(rep, steps, p):
             if not subs:
                 continue
             rest = state[:i] + state[i + 1 :]
-            if subs[0] == _POINT_EMPTIED:
-                below = rec(k - 1, rest)
-            else:
-                below = 0
-                for sub in subs:
-                    below += rec(k - 1, tuple(sorted(rest + (sub,))))
+            below = 0
+            for sub in subs:
+                below += rec(k - 1, tuple(sorted(rest + sub)) if sub else rest)
             total += state.count(pid) * below
         memo[state] = total
         return total
@@ -393,21 +396,15 @@ def count_filtrations_bruteforce(rep, steps, p):
 def filtration_counts(rep, steps, cap=DEFAULT_DIMENSION_CAP):
     """The three independent routes: (symbolic, F_2 count, F_3 count).
 
-    The one entry point to the routes.  It validates the steps and the
-    dimension cap once (ValueError, ResourceCapError), and the routes
-    trust the steps it passes.  It never raises when the routes
-    disagree.
+    It checks the steps and the dimension cap once (TypeError,
+    ValueError, ResourceCapError), and the routes trust the steps it
+    passes.  It never raises when the routes disagree.
 
     >>> same_point = TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")])
     >>> filtration_counts(same_point, [(1, 1), (1, 1)])
     (2, 3, 4)
     """
-    steps = tuple((int(q), int(p)) for q, p in steps)
-    total_dim = _validate_steps(rep, steps)
-    if total_dim > cap:
-        raise ResourceCapError(
-            f"total dimension {total_dim} exceeds brute-force cap {cap}"
-        )
+    steps = _checked_steps(rep, steps, cap)
     f2, f3 = (count_filtrations_bruteforce(rep, steps, p) for p in BRUTE_FORCE_FIELDS)
     return count_filtrations_symbolic(rep, steps), f2, f3
 
@@ -415,8 +412,8 @@ def filtration_counts(rep, steps, cap=DEFAULT_DIMENSION_CAP):
 def count_filtrations(rep, steps):
     """Field-independent chain count, or NOT_RIGID.
 
-    The two finite-field counts decide; the symbolic count must agree
-    with them.
+    The two finite-field counts decide, at the default dimension cap; the
+    symbolic route runs only where they agree, and must agree with them.
 
     >>> T = TorsionRep.of(3, [((1, 2), "x"), ((2, 2), "y")])
     >>> count_filtrations(T, [(2, 2), (2, 2), (1, 1)])   # bottom to top
@@ -427,9 +424,11 @@ def count_filtrations(rep, steps):
     >>> count_filtrations(same_point, [(1, 1), (1, 1)])
     NOT_RIGID
     """
-    symbolic, f2, f3 = filtration_counts(rep, steps)
+    steps = _checked_steps(rep, steps, DEFAULT_DIMENSION_CAP)
+    f2, f3 = (count_filtrations_bruteforce(rep, steps, p) for p in BRUTE_FORCE_FIELDS)
     if f2 != f3:
         return NOT_RIGID
+    symbolic = count_filtrations_symbolic(rep, steps)
     if symbolic != f2:
         raise AssertionError(
             f"symbolic count {symbolic} disagrees with brute force {f2}"

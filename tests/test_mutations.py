@@ -57,10 +57,10 @@ def drop_last_line(real):
     def peel(pid, q, p_end, p):
         subs = []
         for sub in real(pid, q, p_end, p):
-            if sub != quiverfilt._POINT_EMPTIED:
-                ivs, rows = quiverfilt._POINT_STATES[sub]
+            if sub:
+                ivs, rows = quiverfilt._POINT_STATES[sub[0]]
                 if sum(b - a + 1 for a, b in ivs) - sum(map(len, rows)) == 1:
-                    sub = quiverfilt._POINT_EMPTIED
+                    sub = ()
             subs.append(sub)
         return tuple(subs)
 

@@ -146,6 +146,33 @@ def test_not_rigid_nested_intervals_same_point():
     assert count_filtrations(rep, steps) is NOT_RIGID
 
 
+@pytest.mark.parametrize(
+    "rep, steps",
+    [
+        (TorsionRep.of(2, [((1, 1), "x"), ((1, 1), "x")]), [(1, 1), (1, 1)]),
+        (TorsionRep.of(3, [((1, 2), "x"), ((1, 1), "x")]), [(2, 2), (1, 1), (1, 1)]),
+    ],
+)
+def test_not_rigid_is_decided_before_the_symbolic_route(monkeypatch, rep, steps):
+    # the field counts differ, so count_filtrations returns without the symbolic count
+    def unread(rep, steps):
+        raise AssertionError("the symbolic route ran on a NOT_RIGID case")
+
+    monkeypatch.setattr(quiverfilt, "count_filtrations_symbolic", unread)
+    assert count_filtrations(rep, steps) is NOT_RIGID
+
+
+def test_symbolic_disagreement_on_a_rigid_case_raises(monkeypatch):
+    rep, steps = extension_shape(3, 2, 1), simples((2, 2, 1))  # F_2 = F_3 = 2
+    real = quiverfilt.count_filtrations_symbolic
+    monkeypatch.setattr(
+        quiverfilt, "count_filtrations_symbolic", lambda rep, steps: real(rep, steps) + 1
+    )
+    with pytest.raises(AssertionError) as err:
+        count_filtrations(rep, steps)
+    assert str(err.value) == "symbolic count 3 disagrees with brute force 2"
+
+
 def test_relabeling_invariance():
     rep = extension_shape(3, 2, 1)
     swapped = TorsionRep.of(3, [((1, 2), "u"), ((2, 2), "v")])
@@ -168,6 +195,15 @@ def test_count_validates_type_dimension():
         with pytest.raises(ValueError) as err:
             count_filtrations(rep, steps)
         assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_non_integral_step_is_rejected():
+    # a step is read through operator.index: (1.9, 2) is not truncated to (1, 2)
+    rep = TorsionRep.of(3, [((1, 2), "x")])
+    for count in (count_filtrations, filtration_counts):
+        with pytest.raises(TypeError):
+            count(rep, [(1.9, 2)])
+    assert filtration_counts(rep, [[1, 2]]) == (1, 1, 1)
 
 
 def test_dimension_cap():
@@ -282,6 +318,14 @@ def test_distinct_points_are_always_rigid(case):
     f3 = count_filtrations_bruteforce(rep, steps, 3)
     assert sym == f2 == f3
     assert is_rigid(decided_count(rep, steps, cap=12))
+
+
+@given(st.one_of(point_configurations(shared_point=True), twin_point_configurations()))
+@settings(max_examples=60, deadline=None)
+def test_count_filtrations_is_the_decided_count(case):
+    # deciding on the field counts before the symbolic route runs changes no result
+    rep, steps = case
+    assert count_filtrations(rep, steps) == decided_count(rep, steps, cap=8)
 
 
 @st.composite
@@ -642,12 +686,12 @@ def test_field_peel_matches_reference_peel(cold_tables, case):
         count_filtrations_bruteforce(rep, steps, p)
         for pid, (ivs, rows) in enumerate(list(quiverfilt._POINT_STATES)):
             for q, p_end in every_step:
-                subs = quiverfilt._peel_point(pid, q, p_end, p)
-                got = tuple(
-                    None if sub == quiverfilt._POINT_EMPTIED else quiverfilt._POINT_STATES[sub]
-                    for sub in subs
-                )
-                assert got == reference_peel(ivs, rows, q, p_end, p), (ivs, rows, q, p_end, p)
+                got = []
+                for sub in quiverfilt._peel_point(pid, q, p_end, p):
+                    assert sub == () or len(sub) == 1, sub
+                    got.append(quiverfilt._POINT_STATES[sub[0]] if sub else None)
+                want = reference_peel(ivs, rows, q, p_end, p)
+                assert tuple(got) == want, (ivs, rows, q, p_end, p)
 
 
 @given(st.one_of(point_configurations(shared_point=True), twin_point_configurations()))
@@ -771,6 +815,12 @@ def test_torsion_rep_rejects_bad_interval():
         TorsionRep.of(3, [((2, 1), "x")])
     with pytest.raises(ValueError):
         TorsionRep.of(3, [((1, 3), "x")])
+
+
+def test_torsion_rep_rejects_non_integral_interval():
+    # read through operator.index up front, not left to fail in a route
+    with pytest.raises(TypeError):
+        TorsionRep.of(3, [((1.5, 2), "x")])
 
 
 def test_both_fields_start_from_one_start_state(cold_tables):
