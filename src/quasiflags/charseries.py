@@ -9,16 +9,25 @@ internal variable.
 A character series is a finite sum  sum_alpha c_alpha(q) e^alpha  over
 coroot vectors alpha with |alpha| <= D; all arithmetic truncates above
 the total-degree bound D.
+
+Only the arithmetic that the closed form, the Cousin and cell tables and
+the CLI run is here: the sum and product of two polynomials, a shift by
+q^e, and division of a series by one geometric factor.  There are no int
+operands: a constant c is LaurentPoly({0: c}), zero is LaurentPoly(), and
+`not p` tests for zero.  The validating constructors read exponents,
+coefficients and weight coordinates through operator.index, so a
+non-integral value raises TypeError rather than being truncated.
 """
 
-from operator import add, sub
+from operator import add, index, sub
 
 
 class LaurentPoly:
     """Sparse Laurent polynomial in q with integer coefficients.
 
     Stored as a map exponent -> nonzero coefficient.  Immutable by
-    convention: no method mutates self.
+    convention: no method mutates self.  Both operands of + and * are
+    LaurentPolys; `p + 1` fails on the int's missing terms.
 
     >>> (LaurentPoly.t_poly({0: 1, 1: 1}) * LaurentPoly.t_poly({0: 1, 1: -1})).pretty()
     '1 - t^2'
@@ -32,8 +41,9 @@ class LaurentPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
+                e, c = index(e), index(c)
                 if c:
-                    clean[int(e)] = int(c)
+                    clean[e] = c
         self.terms = clean
 
     @classmethod
@@ -44,34 +54,19 @@ class LaurentPoly:
         return res
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
     def t_poly(cls, tcoeffs):
         """Build from a map int t-exponent -> int coefficient (zeros dropped)."""
         return cls._of({2 * k: c for k, c in tcoeffs.items() if c})
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.terms == other.terms
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
@@ -81,13 +76,7 @@ class LaurentPoly:
                 out.pop(e, None)
         return LaurentPoly._of(out)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly()
-            return LaurentPoly._of({e: c * other for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -99,8 +88,6 @@ class LaurentPoly:
                     del out[e]
         return LaurentPoly._of(out)
 
-    __rmul__ = __mul__
-
     def eval_at_one(self):
         """Value at q = 1 (= t = 1): the sum of the coefficients."""
         return sum(self.terms.values())
@@ -109,16 +96,9 @@ class LaurentPoly:
         """Multiply by q^e."""
         return LaurentPoly._of({k + e: c for k, c in self.terms.items()})
 
-    def is_even(self):
-        """True when supported on even q-powers only (a genuine t-polynomial)."""
-        return all(e % 2 == 0 for e in self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def to_json(self):
         """Sorted [[q-exponent, coefficient-as-decimal-string], ...]."""
-        return [[e, str(c)] for e, c in self.sorted_terms()]
+        return [[e, str(c)] for e, c in sorted(self.terms.items())]
 
     def pretty(self, var=None):
         """Human-readable string, ascending exponents.
@@ -129,9 +109,9 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         if var is None:
-            var = "t" if self.is_even() else "q"
+            var = "q" if any(e % 2 for e in self.terms) else "t"
         parts = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items()):
             if var == "t":
                 assert e % 2 == 0, "odd q-power cannot be printed in t"
                 e //= 2
@@ -155,7 +135,8 @@ class CharSeries:
     """Truncated formal sum  sum c_alpha(q) e^alpha  over coroot vectors.
 
     rank is the length of the alpha tuples; coefficients with
-    |alpha| > bound are discarded by every operation.
+    |alpha| > bound are discarded by every operation.  A single term
+    c e^alpha is CharSeries(rank, bound, {alpha: c}).
     """
 
     __slots__ = ("rank", "bound", "coeffs")
@@ -167,10 +148,10 @@ class CharSeries:
         self.bound = bound
         clean = {}
         for alpha, poly in coeffs.items():
-            alpha = tuple(alpha)
+            alpha = tuple(map(index, alpha))
             if len(alpha) != rank:
                 raise ValueError(f"alpha {alpha} has wrong rank (expected {rank})")
-            if sum(alpha) > bound or poly.is_zero():
+            if sum(alpha) > bound or not poly:
                 continue
             clean[alpha] = poly
         self.coeffs = clean
@@ -182,12 +163,8 @@ class CharSeries:
         res.rank, res.bound, res.coeffs = rank, bound, coeffs
         return res
 
-    @classmethod
-    def monomial(cls, rank, bound, alpha, poly):
-        return cls(rank, bound, {tuple(alpha): poly})
-
     def coefficient(self, alpha):
-        return self.coeffs.get(tuple(alpha), LaurentPoly.zero())
+        return self.coeffs.get(tuple(alpha), LaurentPoly())
 
     def support(self):
         """Sorted list of alpha with nonzero coefficient (by height, then lex)."""

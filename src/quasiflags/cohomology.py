@@ -158,9 +158,7 @@ def generating_function(n, bound):
     """
     rank = n - 1
     rho2 = two_rho(n)
-    series = CharSeries.monomial(
-        rank, bound, rho2, weyl_poincare(n).shift(-dim_flag(n))
-    )
+    series = CharSeries(rank, bound, {rho2: weyl_poincare(n).shift(-dim_flag(n))})
     for theta in positive_coroots(n):  # t = q^2
         series = series.divide_geometric(theta, 2).divide_geometric(theta, -2)
     return series

@@ -32,9 +32,7 @@ def _character_series(n, bound, denominator_power):
     freeness checks share the one series, so no caller may mutate it.
     """
     rank = n - 1
-    series = CharSeries.monomial(
-        rank, bound, two_rho(n), LaurentPoly({0: factorial(n)})
-    )
+    series = CharSeries(rank, bound, {two_rho(n): LaurentPoly({0: factorial(n)})})
     for theta in positive_coroots(n):
         for _ in range(denominator_power):
             series = series.divide_geometric(theta, 0)

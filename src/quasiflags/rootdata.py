@@ -166,7 +166,7 @@ def weyl_poincare(n):
     """
     if n < 1:
         raise RankError(f"n must be >= 1, got {n}")
-    poly = LaurentPoly.one()
+    poly = LaurentPoly({0: 1})
     for k in range(1, n + 1):
         poly = poly * LaurentPoly({2 * j: 1 for j in range(k)})
     return poly

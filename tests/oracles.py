@@ -114,7 +114,7 @@ def series_product(a, b):
         for beta, pb in b.coeffs.items():
             if sum(alpha) + sum(beta) <= a.bound:
                 ab = tuple(x + y for x, y in zip(alpha, beta))
-                out[ab] = out.get(ab, LaurentPoly.zero()) + pa * pb
+                out[ab] = out.get(ab, LaurentPoly()) + pa * pb
     return CharSeries(a.rank, a.bound, out)
 
 
@@ -134,7 +134,7 @@ def series_at_one(series):
 def geometric_inverse(coeff, theta, bound):
     """Expansion of (1 - coeff * e^theta)^{-1} up to total degree `bound`.
 
-    coeff must be a monomial LaurentPoly (or an int); theta must have
+    coeff must be a monomial LaurentPoly; theta must have
     |theta| >= 1 so that the expansion terminates at the bound.  The
     package divides in place (CharSeries.divide_geometric); this product
     is the reference the division is tested against.
@@ -142,12 +142,10 @@ def geometric_inverse(coeff, theta, bound):
     theta = tuple(theta)
     if sum(theta) < 1:
         raise ValueError("cannot invert along a direction with |theta| = 0")
-    if isinstance(coeff, int):
-        coeff = LaurentPoly({0: coeff})
     if len(coeff.terms) != 1:
         raise ValueError("geometric factor coefficient must be a monomial")
     out = {}
-    power = LaurentPoly.one()
+    power = LaurentPoly({0: 1})
     for k in range(bound // sum(theta) + 1):
         out[tuple(k * x for x in theta)] = power
         power = power * coeff

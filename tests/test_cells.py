@@ -38,7 +38,7 @@ def brute_cell_count(n, alpha):
 
 def factored_oracle(n, alpha):
     """Oracle: W(t) sum over the splits and partition pairs of t^(|alpha| + K0 - KInf)."""
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     for gamma0 in iter_subvectors(alpha):
         rest = tuple(a - g for a, g in zip(alpha, gamma0))
         for k0 in kostant_partitions(gamma0):

@@ -21,29 +21,66 @@ series2 = st.dictionaries(vectors2, polys, max_size=4).map(
     lambda d: CharSeries(2, 6, d)
 )
 
+# constants are polynomials: neither class takes an int operand
+ONE, MINUS_ONE = LaurentPoly({0: 1}), LaurentPoly({0: -1})
+
 
 def series_one(bound):
-    return CharSeries.monomial(2, bound, (0, 0), LaurentPoly.one())
+    return CharSeries(2, bound, {(0, 0): ONE})
 
 
 def series_sum(a, b):
     """Coefficientwise sum, for the ring laws of the oracle product."""
     out = dict(a.coeffs)
     for alpha, poly in b.coeffs.items():
-        out[alpha] = out.get(alpha, LaurentPoly.zero()) + poly
+        out[alpha] = out.get(alpha, LaurentPoly()) + poly
     return CharSeries(a.rank, a.bound, out)
 
 
 def test_poly_basic_examples():
-    one, q2 = LaurentPoly.one(), LaurentPoly.t_poly({1: 1})
-    assert (one + q2) * (one + q2 * -1) == LaurentPoly.t_poly({0: 1, 2: -1})
+    q2 = LaurentPoly.t_poly({1: 1})
+    assert (ONE + q2) * (ONE + q2 * MINUS_ONE) == LaurentPoly.t_poly({0: 1, 2: -1})
     assert negate_exponents(LaurentPoly({3: 1, 1: 1})) == LaurentPoly({-3: 1, -1: 1})
     assert LaurentPoly.t_poly({0: 1, 1: 2, 2: 1}).eval_at_one() == 4
 
 
+def test_poly_rejects_non_integral_terms():
+    # a float exponent or coefficient is rejected, not truncated
+    with pytest.raises(TypeError):
+        LaurentPoly({0.5: 1, 1: 2.7})
+    with pytest.raises(TypeError):
+        LaurentPoly({1: 2.7})
+
+
+def test_poly_rejects_string_terms():
+    # a numeral string is rejected, not parsed
+    with pytest.raises(TypeError):
+        LaurentPoly({"3": "4"})
+
+
+def test_series_rejects_non_integral_weight():
+    # a weight coordinate is an int, as to_json writes it
+    with pytest.raises(TypeError):
+        CharSeries(2, 3, {(0.5, 1): ONE})
+
+
+def test_poly_takes_no_int_operand():
+    p = LaurentPoly({0: 1})
+    with pytest.raises(TypeError):
+        1 + p
+    with pytest.raises(TypeError):
+        2 * p
+    with pytest.raises(AttributeError, match="terms"):
+        p + 1
+    with pytest.raises(AttributeError, match="terms"):
+        p * 2
+    assert (p == 1) is False
+    assert p == LaurentPoly({0: 1})
+
+
 def test_poly_zero_coefficients_dropped():
     assert LaurentPoly({2: 0, 1: 3}).terms == {1: 3}
-    assert (LaurentPoly({1: 5}) + LaurentPoly({1: -5})).is_zero()
+    assert not LaurentPoly({1: 5}) + LaurentPoly({1: -5})
 
 
 @given(polys, polys, polys)
@@ -75,33 +112,34 @@ def test_poly_pretty_and_json():
     assert poly.pretty() == "q^-3 + q^-1 + q + q^3"
     assert poly.to_json() == [[-3, "1"], [-1, "1"], [1, "1"], [3, "1"]]
     assert LaurentPoly.t_poly({0: 1, 1: 1}).pretty() == "1 + t"
-    assert LaurentPoly.zero().pretty() == "0"
+    assert LaurentPoly().pretty() == "0"
 
 
 def test_poly_parity_helpers():
-    assert LaurentPoly.t_poly({0: 1, 3: 2}).is_even()
-    assert not LaurentPoly({1: 1}).is_even()
+    # pretty writes t for an even support and q otherwise
+    assert LaurentPoly.t_poly({0: 1, 3: 2}).pretty() == "1 + 2*t^3"
+    assert LaurentPoly({1: 1, 2: 1}).pretty() == "q + q^2"
     sym = LaurentPoly({-1: 2, 1: 2})
     assert sym == negate_exponents(sym)
     assert LaurentPoly({1: 1, 2: 1}) != negate_exponents(LaurentPoly({1: 1, 2: 1}))
 
 
 def test_series_monomial_product():
-    e_a = CharSeries.monomial(2, 6, (1, 0), LaurentPoly.one())
-    e_b = CharSeries.monomial(2, 6, (0, 2), LaurentPoly.one())
+    e_a = CharSeries(2, 6, {(1, 0): ONE})
+    e_b = CharSeries(2, 6, {(0, 2): ONE})
     prod = series_product(e_a, e_b)
-    assert prod.coefficient((1, 2)) == LaurentPoly.one()
+    assert prod.coefficient((1, 2)) == ONE
     assert prod.support() == [(1, 2)]
 
 
 def test_series_truncation_in_product():
-    e = CharSeries.monomial(2, 2, (1, 1), LaurentPoly.one())
+    e = CharSeries(2, 2, {(1, 1): ONE})
     assert series_product(e, e).support() == []  # |(2,2)| = 4 > 2
 
 
 def test_series_zero_annihilates():
     z = CharSeries(2, 4, {})
-    s = CharSeries.monomial(2, 4, (1, 0), LaurentPoly.t_poly({2: 1}))
+    s = CharSeries(2, 4, {(1, 0): LaurentPoly.t_poly({2: 1})})
     assert series_product(s, z) == z
     assert series_product(z, s) == z
 
@@ -109,19 +147,19 @@ def test_series_zero_annihilates():
 def test_series_difference_of_squares():
     theta = (1, 1)
     t = LaurentPoly.t_poly({1: 1})
-    plus = CharSeries(2, 4, {(0, 0): LaurentPoly.one(), theta: t})
-    minus = CharSeries(2, 4, {(0, 0): LaurentPoly.one(), theta: t * -1})
+    plus = CharSeries(2, 4, {(0, 0): ONE, theta: t})
+    minus = CharSeries(2, 4, {(0, 0): ONE, theta: t * MINUS_ONE})
     prod = series_product(plus, minus)
-    assert prod.coefficient((0, 0)) == LaurentPoly.one()
-    assert prod.coefficient(theta).is_zero()
-    assert prod.coefficient((2, 2)) == LaurentPoly.t_poly({2: 1}) * -1
+    assert prod.coefficient((0, 0)) == ONE
+    assert not prod.coefficient(theta)
+    assert prod.coefficient((2, 2)) == LaurentPoly.t_poly({2: 1}) * MINUS_ONE
 
 
 def test_series_bound_mismatch():
     with pytest.raises(ValueError):
         series_product(series_one(4), series_one(5))
     with pytest.raises(ValueError):
-        series_product(series_one(4), CharSeries.monomial(1, 4, (0,), LaurentPoly.one()))
+        series_product(series_one(4), CharSeries(1, 4, {(0,): ONE}))
 
 
 def test_geometric_inverse_examples():
@@ -129,7 +167,7 @@ def test_geometric_inverse_examples():
     t = LaurentPoly.t_poly({1: 1})
     tinv = LaurentPoly.t_poly({-1: 1})
     geo = geometric_inverse(t, theta, 4)
-    assert geo.coefficient((0, 0)) == LaurentPoly.one()
+    assert geo.coefficient((0, 0)) == ONE
     assert geo.coefficient((1, 1)) == t
     assert geo.coefficient((2, 2)) == LaurentPoly.t_poly({2: 1})
 
@@ -147,11 +185,11 @@ def test_geometric_inverse_rejects_zero_direction():
 
 def test_geometric_inverse_times_factor_is_one():
     # (1 - c e^theta)^{-1} * (1 - c e^theta) == 1 up to the bound
-    for coeff in (LaurentPoly.t_poly({1: 1}), LaurentPoly.t_poly({-1: 1}), LaurentPoly.one()):
+    for coeff in (LaurentPoly.t_poly({1: 1}), LaurentPoly.t_poly({-1: 1}), ONE):
         for theta in ((1, 0), (1, 1)):
             bound = 5
             geo = geometric_inverse(coeff, theta, bound)
-            factor = CharSeries(2, bound, {(0, 0): LaurentPoly.one(), theta: coeff * -1})
+            factor = CharSeries(2, bound, {(0, 0): ONE, theta: coeff * MINUS_ONE})
             assert series_product(geo, factor) == series_one(bound)
 
 
@@ -193,7 +231,7 @@ def test_divide_geometric_covers_tall_directions():
     # must still run to the bound, and stop at the next support point;
     # along (2, 1) the quotient cancels at (4, 2) and stays zero above it
     t = LaurentPoly.t_poly({1: 1})
-    series = CharSeries(2, 8, {(0, 0): LaurentPoly.one(), (2, 1): t, (4, 2): (t * t) * -2})
+    series = CharSeries(2, 8, {(0, 0): ONE, (2, 1): t, (4, 2): t * t * LaurentPoly({0: -2})})
     for theta in ((1, 1), (2, 1), (0, 3)):
         expected = series_product(series, geometric_inverse(t, theta, 8))
         assert series.divide_geometric(theta, 2) == expected
@@ -227,8 +265,8 @@ def test_series_json_sorted_by_height_then_lex():
         2,
         6,
         {
-            (2, 0): LaurentPoly.one(),
-            (0, 1): LaurentPoly.one(),
+            (2, 0): ONE,
+            (0, 1): ONE,
             (1, 1): LaurentPoly.t_poly({1: 1}),
         },
     )

@@ -62,7 +62,7 @@ def test_stratum_exponent_range_and_parity():
         for gamma in iter_subvectors(alpha):
             for kappa in kostant_partitions(gamma):
                 poly = stratum_poincare_compact(n, alpha, kappa)
-                assert poly.is_even()
+                assert all(e % 2 == 0 for e in poly.terms)
                 assert min(poly.terms) >= 0
                 assert max(poly.terms) <= 2 * top
 
@@ -89,7 +89,7 @@ def test_laumon_n3_example():
 def by_stratum(alpha):
     """Oracle: the Cousin sum taken one defect stratum at a time."""
     n = len(alpha) + 1
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     for gamma in iter_subvectors(alpha):
         for kappa in kostant_partitions(gamma):
             total = total + stratum_poincare_compact(n, alpha, kappa)
@@ -156,7 +156,7 @@ def test_cousin_recurrence_needs_its_slot_width():
     # the proven width: the bit length of the largest Euler characteristic
     proven = polys((factorial(n) * max(at_one.values())).bit_length())
     for beta in box:
-        by_stratum = LaurentPoly.zero()
+        by_stratum = LaurentPoly()
         for gamma in iter_subvectors(beta):
             for kappa in kostant_partitions(gamma):
                 by_stratum = by_stratum + stratum_poincare_compact(n, beta, kappa)
@@ -177,7 +177,7 @@ def test_cousin_sum_shares_no_series_arithmetic(monkeypatch, cold_tables):
     def refuse(*args):
         raise AssertionError("the Cousin sum must not use series arithmetic")
 
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+    for name in ("__mul__", "__add__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
     monkeypatch.setattr(CharSeries, "divide_geometric", refuse)
     # an empty per-rank table, so that the recurrence runs again under the refusal
@@ -242,7 +242,7 @@ def test_generating_function_n2_coefficients():
     series = generating_function(2, 4)
     assert series.coefficient((2,)) == LaurentPoly({-3: 1, -1: 1, 1: 1, 3: 1})
     assert series.coefficient((1,)) == LaurentPoly({-1: 1, 1: 1})
-    assert series.coefficient((0,)).is_zero()
+    assert not series.coefficient((0,))
 
 
 def brute_genfunc_coefficient(n, weight):
@@ -257,9 +257,9 @@ def brute_genfunc_coefficient(n, weight):
 
     target = tuple(w - r for w, r in zip(weight, two_rho(n)))
     if any(c < 0 for c in target):
-        return LaurentPoly.zero()
+        return LaurentPoly()
     thetas = positive_coroots(n)
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
 
     def rec(idx, remaining, tpow):
         nonlocal total

@@ -116,7 +116,7 @@ def times_t_at_height_2(real):
 
 
 def plus_one_at_height_2(real):
-    return lambda alpha: real(alpha) + 1 if height(alpha) == 2 else real(alpha)
+    return lambda alpha: real(alpha) + LaurentPoly({0: 1}) if height(alpha) == 2 else real(alpha)
 
 
 def closed_form_times_t_at_height_2(real):
@@ -137,7 +137,8 @@ def plus_one_at_lowest_weight(real):
     def series(n, bound):
         out = real(n, bound)
         low = min(out.coeffs)
-        return CharSeries(out.rank, out.bound, {**out.coeffs, low: out.coeffs[low] + 1})
+        bumped = out.coeffs[low] + LaurentPoly({0: 1})
+        return CharSeries(out.rank, out.bound, {**out.coeffs, low: bumped})
 
     return series
 

@@ -9,15 +9,21 @@ the benchmark's `filtrations` workload calls.  Every module-level function
 and every method of a module-level class in src/quasiflags must be among
 them, apart from ALLOWED.  Code that only the tests need, such as an
 oracle, belongs in tests/oracles.py.
+
+charseries is held to its lines as well: a line trace over the same runs
+must reach every statement of its functions, apart from its error paths
+and UNRUN_CHARSERIES, so that no test-only arithmetic (such as an int
+operand) lives in the package.
 """
 
+import ast
 import inspect
 import io
 import sys
 
 from conftest import MODULES
 
-from quasiflags import cli
+from quasiflags import charseries, cli
 from quasiflags.quiverfilt import NOT_RIGID, TorsionRep, count_filtrations, is_rigid
 
 ALLOWED = {
@@ -100,3 +106,84 @@ def test_every_function_is_run_by_a_command_or_the_benchmark(cold_tables):
         name for name, code in functions.items() if code not in entered and name not in ALLOWED
     )
     assert unreached == [], f"functions no command or benchmark entry runs: {unreached}"
+
+
+# statements of charseries that no command runs, by (function, source text);
+# every raise statement and every __repr__ body are exempt as well
+UNRUN_CHARSERIES = {
+    ("LaurentPoly.__eq__", "return NotImplemented"): "runs for a non-LaurentPoly operand",
+    ("CharSeries.__eq__", "return NotImplemented"): "runs for a non-CharSeries operand",
+    ("LaurentPoly.__add__", "out.pop(e, None)"): "runs when a sum cancels a term",
+    ("LaurentPoly.__mul__", "del out[e]"): "runs when a product cancels a term",
+    ("LaurentPoly.pretty", 'return "0"'): "runs for the zero polynomial",
+    ("CharSeries.__init__", "continue"): "runs for a term out of bound or zero",
+}
+
+
+def _statements(source):
+    """[(function, source text, lines that run it)] of each statement in a function body.
+
+    A compound statement runs on its header lines, a simple one on any of
+    its lines.  Docstrings, raise statements and __repr__ bodies are left out.
+    """
+    found = []
+
+    def visit(body, qualname):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef):
+                if node.name == "__repr__":
+                    continue
+                name = f"{qualname}.{node.name}" if qualname else node.name
+                first = node.body[0]
+                docstring = isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                visit_body(node.body[1:] if docstring else node.body, name)
+
+    def visit_body(body, name):
+        for node in body:
+            if isinstance(node, ast.Raise):
+                continue
+            inner = [b for field in ("body", "orelse") for b in getattr(node, field, [])]
+            last = max(node.lineno, inner[0].lineno - 1) if inner else node.end_lineno
+            text = ast.get_source_segment(source, node).partition("\n")[0].rstrip(":")
+            found.append((name, text, range(node.lineno, last + 1)))
+            visit_body(inner, name)
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def _lines_run(filename, run):
+    lines = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return local
+
+    def hook(frame, event, arg):
+        return local if frame.f_code.co_filename == filename else None
+
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def test_every_charseries_statement_is_run_by_a_command(cold_tables):
+    filename = inspect.getsourcefile(charseries)
+    statements = _statements(inspect.getsource(charseries))
+    assert set(UNRUN_CHARSERIES) <= {(name, text) for name, text, _ in statements}, (
+        "an UNRUN_CHARSERIES entry names no statement"
+    )
+    lines = _lines_run(filename, _run_everything)
+    unrun = [
+        (name, text)
+        for name, text, span in statements
+        if lines.isdisjoint(span) and (name, text) not in UNRUN_CHARSERIES
+    ]
+    assert unrun == [], f"charseries statements no command runs: {unrun}"
