@@ -18,29 +18,33 @@ The count is computed two independent ways:
     [q,b] by its head [q,p] leaves the tail [p+1,b], and a step peels
     each summand at the chosen point that starts at q and ends at or
     above p, in turn;
-  * exhaustive linear algebra over F_2 and over F_3 in fixed coordinates,
-    one per summand: a subrepresentation is a list of fully reduced
-    constraint rows per vertex of its span, and each step adds the
-    functional of one quotient map.
+  * exhaustive linear algebra over F_2 and over F_3: the quotient maps
+    of a point onto a step are its functionals at the step's end that
+    vanish on the image of the vertex below the step and are onto at its
+    start, one per line, and each kernel is named by its isomorphism
+    class, whose intervals follow from its ranks, found by elimination.
 
 Both recursions count per state, not per chain: a count below step k
-depends only on the multiset of point states, so each route starts from
+depends only on the multiset of point states, and in both routes a
+point state is a class, the sorted tuple of the point's intervals (a
+type-A representation is fixed by its ranks).  Each route starts from
 rep.points and keeps one memo keyed on the sorted point states for the
 length of a single call (a state's total dimension fixes k).  A state
 holds live points only: each sub of a peel is the tuple of ids it adds
 back to the state, () when nothing is left of the point, so the state
 below the last step is ().  Equal points peel alike into distinct
 subobjects, so each route peels one of them and multiplies by their
-number.  Each route names its point states by small ints from its own
-process-wide id table, and keeps its own process-wide table of peels,
-one dict per step that maps a point id to its peel: the symbolic route's
-is keyed by the step (q, p), the field route's by the step and the
-field, (q, p_end, p).  A call fetches the dicts of its steps once (a
-step's dict is made on its first fetch only), and a miss computes the
-peel and stores it; a field peel returns () before it builds any
-functional when the step ends above the point's span or no free summand
-can carry a functional's first entry.  The routes share no table, no
-peel function and no id.
+number; the field route also multiplies each sub by the number of
+subobjects with that kernel.  Each route names its point states by small
+ints from its own process-wide id table, and keeps its own process-wide
+table of peels, one dict per step that maps a point id to its peel: the
+symbolic route's is keyed by the step (q, p), the field route's by the
+step and the field, (q, p_end, p).  A call fetches the dicts of its
+steps once (a step's dict is made on its first fetch only), and a miss
+computes the peel and stores it.  A field peel returns () before it
+builds any functional when no summand that starts at q covers the step,
+and otherwise tries at most p^(summands at p_end) functionals.  The
+routes share no table, no peel function and no id.
 
 filtration_counts and count_filtrations check their steps once, and the
 routes trust them.  filtration_counts returns all three counts.
@@ -52,9 +56,7 @@ the shapes and steps of each filtration identity are stated by the
 runner in suites that checks it.
 """
 
-from bisect import bisect_left
 from collections import defaultdict, namedtuple
-from functools import lru_cache
 from itertools import chain
 from itertools import product as iproduct
 from operator import index, itemgetter
@@ -229,118 +231,103 @@ def count_filtrations_symbolic(rep, steps):
 # ---------------------------------------------------------------------------
 # finite-field brute force
 
-# Fixed coordinates: at a point with summands ivs there is one coordinate
-# per summand.  The space at vertex v is F_p on the summands covering v,
-# and the arrow v -> v+1 keeps the coordinates of the summands that go on
-# to v+1.  A subrepresentation at the point is a tuple of constraint rows
-# per vertex of its span, 1..max b: the subspace at v is the common kernel
-# of rows[v-1].  The rows are fully reduced and sorted by pivot: each row
-# is 1 at its pivot, its first nonzero entry, and 0 at the pivots of all
-# the other rows, so one row tuple stands for one subspace and a point
-# state (ivs, rows) depends on neither labels nor n.  _point_id names each
-# point state of positive dimension by its index in the process-wide id
-# table (_POINT_STATES, with the reverse map _POINT_IDS), so a call's
-# state is a sorted tuple of ints.  A peel depends on nothing else:
-# _POINT_PEELS maps each step and field (q, p_end, p) to the dict
-# {pid: subs} for the process, and count_filtrations_bruteforce memoizes
-# per call on point-id multisets.  Each sub is the tuple of ids it adds
-# back to the state: (pid',), or () when nothing is left of the point,
-# then the one sub of its peel, as distinct functionals give distinct
-# kernels.  No id names a state of dimension 0.
+# A field point state is the class of the point, the sorted, nonempty
+# tuple of its intervals, as in the symbolic route.  _point_id names each
+# one by its index in the process-wide id table of this route
+# (_POINT_STATES, with the reverse map _POINT_IDS), so a call's state is
+# a sorted tuple of ints.  A peel depends on the point state, the step
+# and the field alone: _POINT_PEELS maps each step and field
+# (q, p_end, p) to the dict {pid: peel} for the process, each peel a
+# tuple of (sub, number) pairs, sub the tuple of ids it adds back to the
+# state, (pid',) or () when nothing is left of the point, and number the
+# count of subobjects with that kernel.  None of these is the symbolic
+# route's, and no id is shared.
 
 _POINT_STATES = []
 _POINT_IDS = {}
 _POINT_PEELS = defaultdict(dict)
 
 
-def _point_id(state):
-    """The id of the point state (ivs, rows), added to the id table if new."""
-    pid = _POINT_IDS.get(state)
+def _point_id(ivs):
+    """The id of the field point state ivs, added to the id table if new."""
+    pid = _POINT_IDS.get(ivs)
     if pid is None:
-        pid = _POINT_IDS[state] = len(_POINT_STATES)
-        _POINT_STATES.append(state)
+        pid = _POINT_IDS[ivs] = len(_POINT_STATES)
+        _POINT_STATES.append(ivs)
     return pid
 
 
+def _rank(rows, p):
+    """The rank over F_p of a list of equal-length rows, by elimination."""
+    basis = []  # (pivot, row, the inverse of its pivot entry); 0 at earlier pivots
+    for row in rows:
+        for j, b, inv in basis:
+            if row[j]:
+                c = row[j] * inv
+                row = [(x - c * y) % p for x, y in zip(row, b)]
+        for j, c in enumerate(row):
+            if c:  # the first nonzero entry
+                basis.append((j, row, pow(c, p - 2, p)))
+                break
+    return len(basis)
+
+
 def _peel_point(pid, q, p_end, p):
-    """The subs of point state pid with quotient iso to [q, p_end], as id tuples.
+    """The kernels of the maps of point state pid onto [q, p_end], as (sub, number) pairs.
 
-    A quotient map is fixed by its functional phi at p_end, up to a
-    scalar: phi runs over the free (non-pivot) coordinates there with its
-    first nonzero entry 1.  At each v in [q, p_end], phi less the summands
-    that start above v (a suffix of ivs), reduced by the rows there, must
-    be nonzero; normalized to 1 at its pivot j, it clears column j of the
-    rows and joins them.  On the arrow into q it must vanish.  So phi's
-    first entry is on a summand that starts at or below q, and at q if
-    q - 1 has no rows (the arrow then needs no check): a step that ends
-    above the rows or leaves no such entry has no sub, and one that takes
-    all that is left has the one sub (), as nothing is added back.
+    In one coordinate per summand the space at vertex v is F_p on the
+    summands covering v, and the arrow v -> v+1 keeps the ones that go on
+    to v+1.  A map onto [q, p_end] is its functional phi at p_end: phi
+    vanishes on the image of vertex q - 1, the summands covering
+    [q - 1, p_end], and is onto when it is nonzero on the image of vertex
+    q; one phi per line, with first nonzero entry 1.  Carried back to
+    vertex i, phi is form_i, and the kernel's rank from i to k is the
+    rank of the unit rows of the projection from i to k with form_i, less
+    that of form_i; its intervals follow by inclusion-exclusion.  Each
+    kernel is the sub of its id tuple, () when it is 0, with the number
+    of maps that have it.
     """
-    ivs, rows = _POINT_STATES[pid]
-    if p_end > len(rows):
+    ivs = _POINT_STATES[pid]
+    free = [j for j, (a, b) in enumerate(ivs) if q <= a <= p_end <= b]
+    heads = sum(ivs[j][0] <= q for j in free)  # a prefix of free, as ivs is sorted
+    if not heads:
         return ()
-    at_end = rows[p_end - 1]
-    pivots = {row.index(1) for row in at_end} if at_end else ()
-    # (start, index) of each free coordinate, so sorted by start
-    free = [(a, j) for j, (a, b) in enumerate(ivs) if a <= p_end <= b and j not in pivots]
-    low = q - 1 if q > 1 and rows[q - 2] else q  # the first vertex checked
-    begin = bisect_left(free, (q,)) if low == q else 0
-    stop = bisect_left(free, (q + 1,))
-    if begin >= stop:
-        return ()
-    zeros = [0] * len(ivs)
-    subs, kept = [], None
-    for first in range(begin, stop):
+    top, width = max(b for _, b in ivs), len(ivs)
+    # off q..p_end the form is 0, and the kernel's rank from i to k is the
+    # point's: the summands covering [i, k], none when i = 0 or k > top
+    r = defaultdict(int)
+    for i in (q - 1, p_end + 1):
+        for k in range(i, top + 1):
+            r[i, k] = sum(a <= i and k <= b for a, b in ivs)
+    unit = [[int(t == j) for t in range(width)] for j in range(width)]
+    units = {  # the unit rows of the projection from vertex i to vertex k
+        (i, k): [unit[j] for j, (a, b) in enumerate(ivs) if a <= i and k <= b]
+        for i in range(q, p_end + 1)
+        for k in range(i, top + 1)
+    }
+    # a summand that starts off q..p_end + 1 is kept, as its four ranks
+    # are the point's
+    kept = [(a, b) for a, b in ivs if not q <= a <= p_end + 1]
+    found = {}
+    for first in range(heads):
         for tail in iproduct(range(p), repeat=len(free) - first - 1):
-            phi = zeros.copy()
-            phi[free[first][1]] = 1
-            for (_, j), c in zip(free[first + 1 :], tail):
+            phi = [0] * width
+            for j, c in zip(free[first:], (1, *tail)):
                 phi[j] = c
-            new = list(rows)
-            for v in range(low, p_end + 1):
-                g, at = phi, rows[v - 1]
-                if ivs[-1][0] > v:
-                    k = bisect_left(ivs, (v + 1,))
-                    g = phi[:k] + zeros[k:]
-                for row in at:
-                    c = g[row.index(1)]
-                    if c:
-                        g = [(x - c * y) % p for x, y in zip(g, row)]
-                lead = next(filter(None, g), 0)  # the first nonzero entry
-                if v < q:  # the arrow into q
-                    if lead:
-                        break
-                    continue
-                if not lead:
-                    break
-                j = g.index(lead)
-                if lead != 1:
-                    inv = pow(lead, p - 2, p)
-                    g = [c * inv % p for c in g]
-                level = [tuple(g)]
-                for r in at:
-                    c = r[j]
-                    level.append(tuple((x - c * y) % p for x, y in zip(r, g)) if c else r)
-                # a reduced row is 0 before its pivot and at the other rows'
-                # pivots, so descending order is the order of the pivots
-                level.sort(reverse=True)
-                new[v - 1] = tuple(level)
-            else:
-                if kept is None:  # the dimension of a sub
-                    kept = sum(b - a + 1 for a, b in ivs) - sum(map(len, rows)) - (p_end - q + 1)
-                subs.append((_point_id((ivs, tuple(new))),) if kept else ())
-    return tuple(subs)
-
-
-@lru_cache(maxsize=1)
-def _field_start(rep):
-    """The sorted point ids of rep with nothing peeled, in every field.
-
-    A point starts with no rows on its span.  One entry: the two fields
-    of a count_filtrations or filtration_counts call start from the same
-    ids, so the start state is built once per call.
-    """
-    return tuple(sorted(_point_id((ivs, ((),) * max(b for _, b in ivs))) for ivs in rep.points))
+            for i in range(q, p_end + 1):
+                form = [c if a <= i else 0 for c, (a, _) in zip(phi, ivs)]
+                for k in range(i, top + 1):
+                    r[i, k] = _rank([*units[i, k], form], p) - any(form)
+            kernel = kept + [
+                (i, k)
+                for i in range(q, p_end + 2)
+                for k in range(i, top + 1)
+                for _ in range(r[i, k] - r[i - 1, k] - r[i, k + 1] + r[i - 1, k + 1])
+            ]
+            kernel = tuple(sorted(kernel))
+            sub = (_point_id(kernel),) if kernel else ()
+            found[sub] = found.get(sub, 0) + 1
+    return tuple(found.items())
 
 
 def count_filtrations_bruteforce(rep, steps, p):
@@ -349,11 +336,11 @@ def count_filtrations_bruteforce(rep, steps, p):
     The count below step k depends only on the multiset of point states,
     so each sorted tuple of point ids is counted once per call; each peel
     is computed once per process and field, and read from the step's
-    dict of _POINT_PEELS.  An emptied point leaves the state.  Of equal
-    points one is peeled, and its count taken once per point: peeling
-    any of them leaves the same multiset, and their subobjects are
-    distinct.  The steps are trusted: the entry points have checked
-    them.
+    dict of _POINT_PEELS, and each sub counts as many times as its
+    number.  An emptied point leaves the state.  Of equal points one is
+    peeled, and its count taken once per point: peeling any of them
+    leaves the same multiset, and their subobjects are distinct.  The
+    steps are trusted: the entry points have checked them.
     """
     memo = {}
     peels = [_POINT_PEELS[q, p_end, p] for q, p_end in steps]
@@ -378,13 +365,13 @@ def count_filtrations_bruteforce(rep, steps, p):
                 continue
             rest = state[:i] + state[i + 1 :]
             below = 0
-            for sub in subs:
-                below += rec(k - 1, tuple(sorted(rest + sub)) if sub else rest)
+            for sub, number in subs:
+                below += number * rec(k - 1, tuple(sorted(rest + sub)) if sub else rest)
             total += state.count(pid) * below
         memo[state] = total
         return total
 
-    count = rec(len(steps) - 1, _field_start(rep))
+    count = rec(len(steps) - 1, tuple(sorted(map(_point_id, rep.points))))
     del rec  # rec's closure holds rec: break the cycle, so the memo goes now
     return count
 

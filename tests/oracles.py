@@ -6,16 +6,15 @@ sum one stratum at a time beside the packed recurrence, the series
 product with the geometric inverse beside the in-place division, the
 divided-power count read off the multiset of summands beside the
 filtration routes, the two dimension vectors of a step list and a rep
-beside the one-pass check of the filtration entry point, the symbolic
-filtration count on interval tuples beside the interned one, and the
-field peel that tries every functional beside the one that rejects dead
-ones first.
+beside the one-pass check of the filtration entry point, and the symbolic
+filtration count on interval tuples beside the interned one.  The field
+routes' oracle keeps each subspace as the set of its vectors; it lives
+beside its tests in tests/test_quiverfilt.py.
 None of them reads a route it checks: from the package they import only
 the root data and the series arithmetic.
 """
 
 from collections import Counter
-from itertools import product
 from math import factorial, prod
 
 from quasiflags.charseries import CharSeries, LaurentPoly
@@ -194,61 +193,3 @@ def tuple_keyed_symbolic_count(rep, steps):
     count = rec(len(steps) - 1, rep.points)
     del rec  # rec's closure holds rec: break the cycle, so the memo goes now
     return count
-
-
-def _reduced(phi, ivs, v, rows, p):
-    """phi at vertex v reduced by the rows there: zero iff phi vanishes on their kernel.
-
-    At v the functional loses the summands that start above v; the
-    result is zero at every pivot of rows.
-    """
-    vec = [c if a <= v else 0 for c, (a, _) in zip(phi, ivs)]
-    for row in rows:
-        c = vec[row.index(1)]
-        if c:
-            vec = [(a - c * b) % p for a, b in zip(vec, row)]
-    return vec
-
-
-def reference_peel(ivs, rows, q, p_end, p):
-    """The subs of the field point state (ivs, rows) with quotient [q, p_end] over F_p.
-
-    The reference for quiverfilt._peel_point, which returns the same subs
-    in the same order as interned ids; here each is its point state, or
-    None when it has dimension 0.  This is the peel before dead
-    functionals were rejected first: it builds every functional phi on
-    the free coordinates at p_end with first nonzero entry 1 and keeps
-    each phi whose reduction is zero on the arrow into q and nonzero at
-    every v in [q, p_end]; normalized to 1 at its pivot j, the reduction
-    clears column j of the rows at v and joins them.  The rows of a point
-    run over its span, so a step that ends above it has no sub.
-    """
-    if p_end > len(rows):
-        return ()
-    pivots = {row.index(1) for row in rows[p_end - 1]}
-    free = [j for j, (a, b) in enumerate(ivs) if a <= p_end <= b and j not in pivots]
-    kept = sum(b - a + 1 for a, b in ivs) - sum(map(len, rows)) - (p_end - q + 1)
-    subs = []
-    for first in range(len(free)):
-        for tail in product(range(p), repeat=len(free) - first - 1):
-            phi = [0] * len(ivs)
-            for j, c in zip(free[first:], (1,) + tail):
-                phi[j] = c
-            if q > 1 and any(_reduced(phi, ivs, q - 1, rows[q - 2], p)):
-                continue
-            new = list(rows)
-            for v in range(q, p_end + 1):
-                g = _reduced(phi, ivs, v, rows[v - 1], p)
-                lead = next(filter(None, g), 0)  # the first nonzero entry
-                if not lead:
-                    break
-                j = g.index(lead)
-                inv = pow(lead, p - 2, p)
-                g = tuple(c * inv % p for c in g)
-                cleared = [tuple((a - r[j] * b) % p for a, b in zip(r, g)) for r in rows[v - 1]]
-                # a reduced row is 0 before its pivot and at the other rows'
-                # pivots, so descending order is the order of the pivots
-                new[v - 1] = tuple(sorted(cleared + [g], reverse=True))
-            else:
-                subs.append((ivs, tuple(new)) if kept else None)
-    return tuple(subs)

@@ -33,7 +33,6 @@ CACHES = {
     "quasiflags.rootdata.weyl_poincare",
     "quasiflags.cohomology.generating_function",
     "quasiflags.modchar._character_series",
-    "quasiflags.quiverfilt._field_start",
 }
 # the module-level containers that are no store: the CLI's command table
 CONSTANTS = {"quasiflags.cli.COMMANDS"}
@@ -98,7 +97,7 @@ def test_cold_tables_empties_every_table(cold_tables):
 
 def test_cold_tables_clears_the_peel_caches(cold_tables):
     # each filtration route keeps its own table of peels, one dict per step,
-    # beside its id table, and the field start state is an lru_cache
+    # beside its id table
     rep = quiverfilt.TorsionRep.of(3, [((1, 2), "x"), ((2, 2), "y")])
     steps = [(2, 2), (2, 2), (1, 1)]
     quiverfilt.filtration_counts(rep, steps)
@@ -106,7 +105,5 @@ def test_cold_tables_clears_the_peel_caches(cold_tables):
     assert set(tables[0]) == set(steps)
     assert set(tables[1]) == {(q, p_end, p) for q, p_end in steps for p in (2, 3)}
     assert all(all(table.values()) for table in tables)
-    assert quiverfilt._field_start.cache_info().currsize
     cold_tables()
     assert not quiverfilt._SYMBOLIC_PEELS and not quiverfilt._POINT_PEELS
-    assert not quiverfilt._field_start.cache_info().currsize

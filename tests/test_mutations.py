@@ -2,13 +2,17 @@
 
 Each row plants one fault by patching the module attribute that the
 faulty code is read through (for example cohomology.weyl_poincare, which
-both Poincare routes read, and not rootdata's), empties every
+both Poincare routes read, and not rootdata's; a fault inside a function
+is planted by compiling the function again from its edited source, see
+edited), empties every
 process-wide table so that the patched code really runs, runs every
 suite at n = 3 (the sweeps up to degree 14), and names the number of
 FAIL entries each suite must report; every other suite must pass.
 """
 
+import inspect
 import io
+import textwrap
 
 import pytest
 
@@ -51,30 +55,22 @@ def field_off_by_one(field):
     return patch
 
 
-def drop_last_line(real):
-    """A field peel that drops a sub with one dimension left, as if it were empty."""
+def edited(old, new):
+    """A patch that compiles the function again from its source, with old replaced by new.
 
-    def peel(pid, q, p_end, p):
-        subs = []
-        for sub in real(pid, q, p_end, p):
-            if sub:
-                ivs, rows = quiverfilt._POINT_STATES[sub[0]]
-                if sum(b - a + 1 for a, b in ivs) - sum(map(len, rows)) == 1:
-                    sub = ()
-            subs.append(sub)
-        return tuple(subs)
+    The edited function reads the globals of the module it came from, so
+    the tables it interns into are the ones the routes read.
+    """
 
-    return peel
+    def patch(real):
+        source = textwrap.dedent(inspect.getsource(real))
+        assert source.count(old) == 1, f"{old!r} does not occur once in {real.__name__}"
+        code = compile(source.replace(old, new), inspect.getsourcefile(real), "exec")
+        namespace = {}
+        exec(code, real.__globals__, namespace)
+        return namespace[real.__name__]
 
-
-def rejects_steps_at_the_first_start(real):
-    """A field peel with the early return off by one: () once no summand starts below q."""
-
-    def peel(pid, q, p_end, p):
-        ivs, _ = quiverfilt._POINT_STATES[pid]
-        return () if ivs[0][0] >= q else real(pid, q, p_end, p)
-
-    return peel
+    return patch
 
 
 def extra_partition_at_1_1(real):
@@ -149,11 +145,7 @@ def commutator_off_by_one(real):
 
 # (owner, attribute patched, patch, {suite: FAIL entries}); every suite not
 # named must pass.  Each row's zeros are expected: euler and characters
-# compare values at t = 1, so a fault that keeps them is invisible there,
-# and pbw cannot see the dropped line, as its coroot orders put each
-# interval's head first, so every chain it counts peels whole points, and
-# a dropped point only loses chains, which the reps it expects to count 0
-# do not have.
+# compare values at t = 1, so a fault that keeps them is invisible there.
 ROWS = {
     "symbolic_off_by_one": (
         quiverfilt, "count_filtrations_symbolic", symbolic_off_by_one, {"pbw": 2, "serre": 1}
@@ -164,9 +156,15 @@ ROWS = {
     "f3_off_by_one": (
         quiverfilt, "count_filtrations_bruteforce", field_off_by_one(3), {"pbw": 2, "serre": 1}
     ),
-    "field_peel_drops_a_live_point": (quiverfilt, "_peel_point", drop_last_line, {"serre": 2}),
-    "field_peel_rejects_steps_at_the_first_start": (
-        quiverfilt, "_peel_point", rejects_steps_at_the_first_start, {"pbw": 68, "serre": 4}
+    # phi need not vanish on the image of vertex q - 1, so a map that is
+    # no hom counts as a quotient
+    "field_peel_drops_its_hom_constraint": (
+        quiverfilt, "_peel_point", edited("q <= a <= p_end <= b", "a <= p_end <= b"),
+        {"pbw": 32, "serre": 2},
+    ),
+    # each kernel rank keeps the rank of its form, one too many
+    "field_kernel_rank_off_by_one": (
+        quiverfilt, "_peel_point", edited(" - any(form)", ""), {"pbw": 58, "serre": 4}
     ),
     "walk_lists_an_extra_partition": (
         kostant, "_walk", extra_partition_at_1_1,

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+from collections import Counter
 from itertools import chain, permutations, product
 from math import factorial
 
@@ -13,7 +14,6 @@ from quasiflags import quiverfilt, suites
 from quasiflags.quiverfilt import (
     NOT_RIGID,
     TorsionRep,
-    _field_start,
     commutator_constant,
     count_filtrations,
     count_filtrations_bruteforce,
@@ -25,7 +25,7 @@ from quasiflags.rootdata import (
     ResourceCapError, coroot_intervals, interval_sum, pairing, two_rho,
 )
 
-from oracles import pbw_expected, reference_peel, steps_fill_rep, tuple_keyed_symbolic_count
+from oracles import pbw_expected, steps_fill_rep, tuple_keyed_symbolic_count
 
 
 def three_routes(rep, steps):
@@ -506,55 +506,117 @@ def test_symbolic_route_peels_heads_only():
     assert filtration_counts(rep, [(2, 3), (1, 2)]) == (0, 1, 2)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
-def test_complete_flags_at_one_point(d):
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_complete_flags_at_one_point(cold_tables, d):
     # d simples at one point: the chains are the complete flags of F_p^d,
-    # 251,680 of them at d = 5 over F_3, so the count must go per state;
-    # at q = 1 they are the d! orders of the d equal heads
+    # 91,611,520 of them at d = 6 over F_3, so the count must go per state;
+    # a field state is the class of a sub, so the route interns one per
+    # dimension, not one per subspace; at q = 1 the chains are the d!
+    # orders of the d equal heads
     rep = TorsionRep.of(2, [((1, 1), "x")] * d)
-    for p in (2, 3) if d <= 5 else (2,):
+    for p in (2, 3):
+        cold_tables()
         flags = 1
         for k in range(1, d + 1):
             flags *= (p**k - 1) // (p - 1)
         assert count_filtrations_bruteforce(rep, [(1, 1)] * d, p) == flags
+        assert len(quiverfilt._POINT_STATES) <= d
     assert count_filtrations_symbolic(rep, [(1, 1)] * d) == factorial(d)
 
 
-def subspace_oracle_count(rep, steps, p):
-    """Chain count over F_p with each subspace kept as the set of its vectors.
+@given(
+    st.sampled_from((2, 3)),
+    st.lists(st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3), max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_field_rank_counts_the_span(p, rows):
+    # the rows span p^rank vectors, whatever their order and pivot entries
+    rows = [[x % p for x in row] for row in rows]
+    span = {
+        tuple(sum(c * x for c, x in zip(cs, column)) % p for column in zip(*rows))
+        for cs in product(range(p), repeat=len(rows))
+    }
+    assert p ** quiverfilt._rank(rows, p) == len(span)
 
-    At a point with summands ivs a vector is a tuple over ivs; the space
-    at v holds the vectors zero off the summands covering v, and the arrow
-    v -> v+1 zeroes the summands that end at v.  Hyperplanes are found by
-    trying every functional on the ambient tuples.
+
+# The vector-set oracle.  At a point with summands ivs a vector is a
+# tuple over ivs; the space at v holds the vectors zero off the summands
+# covering v, and the arrow v -> v+1 zeroes the summands that end at v.
+# A subrepresentation at the point is the tuple of its subspaces at the
+# vertices 1..n-1, each the frozenset of its vectors.
+
+
+def subspace_arrow(ivs, v, vecs):
+    """The image of the vectors vecs at v under the arrow v -> v+1."""
+    return {tuple(c if b > v else 0 for c, (_, b) in zip(x, ivs)) for x in vecs}
+
+
+def subspace_start(ivs, n, p):
+    """The whole rep of the point ivs, as its subspaces at 1..n-1."""
+    return tuple(
+        frozenset(
+            x
+            for x in product(range(p), repeat=len(ivs))
+            if all(a <= v <= b or c == 0 for c, (a, b) in zip(x, ivs))
+        )
+        for v in range(1, n)
+    )
+
+
+def subspace_peel(ivs, spaces, q, top, p):
+    """Each subrep of spaces with quotient [q, top], found by trying every hyperplane.
+
+    A choice of hyperplanes on [q, top] is a subrep with quotient the
+    interval module when the arrows map hyperplane into hyperplane,
+    space onto quotient line, and the space at q-1 into the hyperplane.
+    Hyperplanes are found by trying every functional on the ambient tuples.
     """
-    points = rep.points
 
-    def arrow(ivs, v, vecs):
-        return {tuple(c if b > v else 0 for c, (_, b) in zip(x, ivs)) for x in vecs}
-
-    def hyperplanes(sub, size):
+    def hyperplanes(sub):
         found = set()
-        for f in product(range(p), repeat=size):
+        for f in product(range(p), repeat=len(ivs)):
             ker = frozenset(x for x in sub if sum(a * b for a, b in zip(f, x)) % p == 0)
             if len(ker) * p == len(sub):
                 found.add(ker)
         return found
 
-    def peel(ivs, spaces, q, top):
-        # a choice of hyperplanes on [q, top] is a subrep with quotient the
-        # interval module when the arrows map hyperplane into hyperplane,
-        # space onto quotient line, and the space at q-1 into the hyperplane
-        choices = [hyperplanes(spaces[v - 1], len(ivs)) for v in range(q, top + 1)]
-        for hs in product(*choices):
-            if q > 1 and not arrow(ivs, q - 1, spaces[q - 2]) <= hs[0]:
-                continue
-            if all(
-                arrow(ivs, v, hs[v - q]) <= hs[v - q + 1]
-                and not arrow(ivs, v, spaces[v - 1]) <= hs[v - q + 1]
-                for v in range(q, top)
-            ):
-                yield spaces[: q - 1] + hs + spaces[top:]
+    choices = [hyperplanes(spaces[v - 1]) for v in range(q, top + 1)]
+    for hs in product(*choices):
+        if q > 1 and not subspace_arrow(ivs, q - 1, spaces[q - 2]) <= hs[0]:
+            continue
+        if all(
+            subspace_arrow(ivs, v, hs[v - q]) <= hs[v - q + 1]
+            and not subspace_arrow(ivs, v, spaces[v - 1]) <= hs[v - q + 1]
+            for v in range(q, top)
+        ):
+            yield spaces[: q - 1] + hs + spaces[top:]
+
+
+def subspace_ranks(ivs, spaces, p):
+    """{(i, k): the rank of the arrows from i to k on the subrep}, from its vector counts."""
+    ranks = {}
+    for i in range(1, len(spaces) + 1):
+        image = spaces[i - 1]
+        for k in range(i, len(spaces) + 1):
+            if k > i:
+                image = subspace_arrow(ivs, k - 1, image)
+            size, ranks[i, k] = len(image), 0
+            while size > 1:
+                size //= p
+                ranks[i, k] += 1
+    return ranks
+
+
+def interval_ranks(ivs, n):
+    """{(i, k): the rank from i to k of the sum of the intervals ivs}: those covering [i, k]."""
+    return {
+        (i, k): sum(a <= i and k <= b for a, b in ivs) for i in range(1, n) for k in range(i, n)
+    }
+
+
+def subspace_oracle_count(rep, steps, p):
+    """Chain count over F_p with each subspace kept as the set of its vectors."""
+    points = rep.points
 
     def rec(state, k):
         if k < 0:
@@ -562,22 +624,11 @@ def subspace_oracle_count(rep, steps, p):
         q, top = steps[k]
         total = 0
         for i, ivs in enumerate(points):
-            for sub in peel(ivs, state[i], q, top):
+            for sub in subspace_peel(ivs, state[i], q, top, p):
                 total += rec(state[:i] + (sub,) + state[i + 1 :], k - 1)
         return total
 
-    start = tuple(
-        tuple(
-            frozenset(
-                x
-                for x in product(range(p), repeat=len(ivs))
-                if all(a <= v <= b or c == 0 for c, (a, b) in zip(x, ivs))
-            )
-            for v in range(1, rep.n)
-        )
-        for ivs in points
-    )
-    return rec(start, len(steps) - 1)
+    return rec(tuple(subspace_start(ivs, rep.n, p) for ivs in points), len(steps) - 1)
 
 
 @given(st.one_of(point_configurations(shared_point=True), twin_point_configurations()))
@@ -627,11 +678,6 @@ def test_field_counts_match_subspace_oracle(cold_tables, case):
         assert quiverfilt._SYMBOLIC_STATES == [] and quiverfilt._SYMBOLIC_IDS == {}
 
 
-def _zero_dimensional(point_state):
-    ivs, rows = point_state
-    return sum(b - a + 1 for a, b in ivs) == sum(map(len, rows))
-
-
 @given(st.one_of(point_configurations(shared_point=True), twin_point_configurations()))
 # y empties on the third peel from the top, and two steps of x follow
 @example(
@@ -661,37 +707,52 @@ def test_no_state_carries_an_emptied_point(cold_tables, case):
     for p in (2, 3):
         assert count_filtrations_bruteforce(rep, steps, p) == subspace_oracle_count(rep, steps, p)
     assert quiverfilt._POINT_STATES and quiverfilt._SYMBOLIC_STATES
-    assert not any(map(_zero_dimensional, quiverfilt._POINT_STATES))
-    assert () not in quiverfilt._SYMBOLIC_STATES
+    assert () not in quiverfilt._POINT_STATES and () not in quiverfilt._SYMBOLIC_STATES
 
 
 @given(st.one_of(point_configurations(shared_point=True), twin_point_configurations()))
-# the arrow into q = 2 has a row at vertex 1 once (1,1) is peeled off [1,2]
+# the arrow into q = 2 meets the kernel at vertex 1 once (1,1) is peeled off [1,2]
 @example((TorsionRep.of(3, [((1, 2), "x")]), [(2, 2), (1, 1)]))
 # two summands at one point, one starting above the other
 @example((TorsionRep.of(4, [((1, 3), "x"), ((2, 2), "x")]), [(2, 2), (3, 3), (1, 2)]))
+# (1, 1) peels off a kernel [1, 3] + [2, 2], whose multiplicity at [2, 2]
+# takes all four ranks of the inclusion-exclusion
+@example(
+    (
+        TorsionRep.of(4, [((1, 1), "x"), ((1, 3), "x"), ((2, 2), "x")]),
+        [(1, 1), (2, 2), (3, 3), (1, 1), (2, 2)],
+    )
+)
 # cold_tables is set up once per test, and each example calls it again
 @settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_field_peel_matches_reference_peel(cold_tables, case):
-    # every point state that counting over F_p interns, peeled over F_p by
-    # every step, has the reference's subs in the reference's order
+def test_field_peel_matches_subspace_peel(cold_tables, case):
+    # every class that counting over F_p interns, peeled over F_p by every
+    # step, has as many subobjects of each class (named by its ranks) as
+    # the vector-set oracle finds, each sub once in the peel
     rep, steps = case
     every_step = [(q, p_end) for q in range(1, rep.n) for p_end in range(q, rep.n)]
     for p in (2, 3):
         cold_tables()
         count_filtrations_bruteforce(rep, steps, p)
-        for pid, (ivs, rows) in enumerate(list(quiverfilt._POINT_STATES)):
+        for pid, ivs in enumerate(list(quiverfilt._POINT_STATES)):
+            start = subspace_start(ivs, rep.n, p)
             for q, p_end in every_step:
-                got = []
-                for sub in quiverfilt._peel_point(pid, q, p_end, p):
-                    assert sub == () or len(sub) == 1, sub
-                    got.append(quiverfilt._POINT_STATES[sub[0]] if sub else None)
-                want = reference_peel(ivs, rows, q, p_end, p)
-                assert tuple(got) == want, (ivs, rows, q, p_end, p)
+                peel = quiverfilt._peel_point(pid, q, p_end, p)
+                assert len({sub for sub, _ in peel}) == len(peel), peel
+                got = Counter()
+                for sub, number in peel:
+                    assert number > 0 and (sub == () or len(sub) == 1), (sub, number)
+                    kernel = quiverfilt._POINT_STATES[sub[0]] if sub else ()
+                    got[tuple(sorted(interval_ranks(kernel, rep.n).items()))] += number
+                want = Counter(
+                    tuple(sorted(subspace_ranks(ivs, spaces, p).items()))
+                    for spaces in subspace_peel(ivs, start, q, p_end, p)
+                )
+                assert got == want, (ivs, q, p_end, p)
 
 
 @given(st.one_of(point_configurations(shared_point=True), twin_point_configurations()))
@@ -702,8 +763,8 @@ def test_field_peel_matches_reference_peel(cold_tables, case):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_counts_and_field_states_do_not_depend_on_n(cold_tables, case):
-    # a point's rows stop at its span: one more vertex changes no count and
-    # no field state, and a shift by one vertex changes no count
+    # a field state is a class of intervals: one more vertex changes no
+    # count and no field state, and a shift by one vertex changes no count
     rep, steps = case
     summands = [(iv, x) for x, ivs in enumerate(rep.points) for iv in ivs]
     wider = TorsionRep.of(rep.n + 1, summands)
@@ -823,31 +884,25 @@ def test_torsion_rep_rejects_non_integral_interval():
         TorsionRep.of(3, [((1.5, 2), "x")])
 
 
-def test_both_fields_start_from_one_start_state(cold_tables):
-    # filtration_counts builds the field start state once, not once per field
-    rep = TorsionRep.of(3, [((1, 2), "x"), ((2, 2), "x"), ((1, 1), "y")])
-    filtration_counts(rep, [(2, 2), (1, 1), (1, 2)])
-    assert _field_start.cache_info()[:2] == (1, 1)  # (hits, misses)
-
-
-# sha256 of repr(_POINT_STATES) and of repr(_SYMBOLIC_STATES), recorded
-# with a field peel that had no early return, normalized every lead and
-# recomputed every row: a faster peel must intern the same point states
-# in the same order, so that the id tables grow alike.  That peel kept
-# rows on the vertices 1..n-1; the field digests are of its table mapped
-# by (ivs, rows) -> (ivs, rows[:max b]), repeats dropped in first-seen
-# order (10 -> 7 states, then 79 -> 76), as a point's rows now stop at
-# its span.  The symbolic digest of the second pin is of the peel that
-# takes each head in turn, which goes on past a point with two heads of
-# one step where the peel before it gave up: it interns 21 states where
-# that peel interned the 12 of ABSTAINING_PEEL_STATES
+# sha256 of repr(_POINT_STATES) and of repr(_SYMBOLIC_STATES): a faster
+# peel must intern the same point states in the same order, so that the
+# id tables grow alike.  The symbolic digests were recorded with a field
+# peel that had no early return; the one of the second pin is of the
+# peel that takes each head in turn, which goes on past a point with two
+# heads of one step where the peel before it gave up: it interns 21
+# states where that peel interned the 12 of ABSTAINING_PEEL_STATES.  The
+# field digests were re-recorded when a field state became the class of
+# its sub, the sorted tuple of its intervals, in place of a tuple of
+# constraint rows: on these runs the field route then interns the
+# symbolic route's states in the symbolic route's order (5, then 21), so
+# each pin holds one digest twice
 STATE_TABLE_PINS = (
     (
-        "7bfa6136849a66983af99f6645a812bc0ac84b55a80e681b58516d646a097382",
+        "07c53f2f9c30afefbfdaabe0ce20be85cbfcdf3f3f7ced4ced8c1998783110f6",
         "07c53f2f9c30afefbfdaabe0ce20be85cbfcdf3f3f7ced4ced8c1998783110f6",
     ),
     (
-        "436d29306e1c3b5bd4fdaf11ced3fc46b27c97dbae774c0590ecc0df47bdb2db",
+        "cbbce2c632b354f584192e8f80b2cf73557423674e22c6e7161ea22007498adb",
         "cbbce2c632b354f584192e8f80b2cf73557423674e22c6e7161ea22007498adb",
     ),
 )
@@ -882,7 +937,7 @@ def test_routes_intern_the_pinned_point_states(cold_tables):
             filtration_counts(rep, steps)
     assert _state_table_digests() == STATE_TABLE_PINS[1]
     assert set(ABSTAINING_PEEL_STATES) <= set(quiverfilt._SYMBOLIC_STATES)
-    assert all(len(rows) == max(b for _, b in ivs) for ivs, rows in quiverfilt._POINT_STATES)
+    assert all(ivs == tuple(sorted(ivs)) for ivs in quiverfilt._POINT_STATES)
 
 
 def test_routes_leave_no_cyclic_garbage():
